@@ -620,32 +620,43 @@ def _psi(v, d):
 
 
 def formal_log(f):
-    "Formal logarithm of a series with constant coefficient 1."
+    """Formal logarithm of a series with constant coefficient 1.
+
+    Uses the recurrence c_w = w f_w - sum_{k<w} c_k f_{w-k}, where
+    c_w = w [T^w] log f, so it costs O(order^2) coefficient products.
+    """
     if not f.coeffs[0].is_one():
         raise ConstantTermNotOne("log needs constant coefficient 1")
     n = f.order
-    h = f - TruncatedSeries.one(n)
-    out = TruncatedSeries(n)
-    power = TruncatedSeries.one(n)
-    for k in range(1, n + 1):
-        power = power * h
-        out = out + power * Fraction((-1) ** (k + 1), k)
-    return out
+    c = [RF_ZERO] * (n + 1)
+    for w in range(1, n + 1):
+        acc = f.coeffs[w] * w
+        for k in range(1, w):
+            if not c[k].is_zero() and not f.coeffs[w - k].is_zero():
+                acc = acc - c[k] * f.coeffs[w - k]
+        c[w] = acc
+    return TruncatedSeries(n, [RF_ZERO] + [c[w] * Fraction(1, w)
+                                           for w in range(1, n + 1)])
 
 
 def formal_exp(w):
-    "Formal exponential of a series with zero constant coefficient."
+    """Formal exponential of a series with zero constant coefficient.
+
+    Uses the recurrence m E_m = sum_{k=1}^m k W_k E_{m-k}, so it costs
+    O(order^2) coefficient products.
+    """
     if not w.coeffs[0].is_zero():
         raise NonzeroConstantTerm("exp needs zero constant coefficient")
     n = w.order
-    out = TruncatedSeries.one(n)
-    power = TruncatedSeries.one(n)
-    fact = 1
-    for k in range(1, n + 1):
-        power = power * w
-        fact *= k
-        out = out + power * Fraction(1, fact)
-    return out
+    kw = [c * k for k, c in enumerate(w.coeffs)]
+    out = [RF_ONE] + [RF_ZERO] * n
+    for m in range(1, n + 1):
+        acc = RF_ZERO
+        for k in range(1, m + 1):
+            if not kw[k].is_zero() and not out[m - k].is_zero():
+                acc = acc + kw[k] * out[m - k]
+        out[m] = acc * Fraction(1, m)
+    return TruncatedSeries(n, out)
 
 
 def pleth_exp(v):

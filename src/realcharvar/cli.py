@@ -10,13 +10,14 @@ import csv
 import json
 import sys
 
-from .algebra import (HalfPowerPolynomial, Q_MINUS_ONE, RF_ONE,
-                      RationalFunction, format_poly, format_poly_latex)
+from .algebra import HalfPowerPolynomial, format_poly, format_poly_latex
 from .epoly import (CONVENTIONS, MATCHED, SurfaceData, e_poly,
                     e_poly_component, euler_char_component,
                     gen_function_check, NotPolynomial, NotDivisible,
                     EvenK, KOutOfRange)
-from .verify import CRITERIA, run_criteria, telescope_values
+from .verify import (CRITERIA, TelescopeRange,
+                     criterion_genus_specializations, run_criteria,
+                     telescope_check)
 
 
 class UsageError(ValueError):
@@ -146,23 +147,15 @@ def cmd_genfun(args, out):
 def _verify_telescope(args, out):
     "One degenerate family with explicit parameters, or both by default."
     if args.g is None:
-        ok, detail = CRITERIA[1][2]()
+        ok, detail = criterion_genus_specializations()
         out.write("telescope %s  %s\n" % ("PASS" if ok else "FAIL", detail))
         return 0 if ok else 1
     g, r = args.g, args.r if args.r is not None else 1
     n_max = args.N if args.N else 6
-    if g not in (0, 1):
-        raise UsageError("telescope checks cover g = 0 and g = 1 only")
-    vals = telescope_values(g, r, n_max)
-    if g == 0:
-        if r != 1:
-            raise UsageError("g = 0 requires r = 1")
-        ok = vals[0] == RF_ONE and all(v.is_zero() for v in vals[1:])
-        expect = "E_1 = 1 and E_n = 0 for 2 <= n <= %d" % n_max
-    else:
-        want = RationalFunction(Q_MINUS_ONE) * (2 ** (r - 1))
-        ok = all(v == want for v in vals)
-        expect = "each E_n = %s(q-1)" % ("" if r == 1 else "2")
+    try:
+        ok, expect = telescope_check(g, r, n_max)
+    except TelescopeRange as exc:
+        raise UsageError(str(exc))
     out.write("telescope g=%d r=%d N=%d: %s (%s)\n"
               % (g, r, n_max, "pass" if ok else "FAIL", expect))
     return 0 if ok else 1

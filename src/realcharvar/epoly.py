@@ -1,12 +1,20 @@
 """E-polynomials of the character varieties attached to a real curve.
 
-The closed formula assembles, for each rank n, a sum over odd divisors d of n
-and multisets of partitions of total weight n/d.  Each term carries a signed
-Moebius/multinomial coefficient, the multiplicity coefficients a+/a- raised
-to the number r of fixed circles, and normalized hook polynomials raised to
-g-1.  The half prefactor (q-1)(-q^(1/2))^(n^2 (g-1)) / 2 turns the sum into
-an honest polynomial in q for g >= 1; genus 0 is served through rational
-functions.
+The closed formula for rank n is a sum over odd divisors d of n and multisets
+of partitions of total weight n/d, with signed Moebius/multinomial
+coefficients, the multiplicity coefficients a+/a- raised to the number r of
+fixed circles, and normalized hook polynomials raised to g-1.  That multiset
+sum is the expanded T^(n/d) coefficient of a truncated logarithm,
+
+    V_n = sum over odd d | n of mu(d)/d psi_d([T^(n/d)] (log A_r - log A_0)),
+
+where A_j = 1 + sum_lam a+(lam)^j a-(lam)^(r-j) H_lam^(g-1) T^|lam| and
+psi_d is the Adams map q -> q^d.  Components use the same logs, weighted by
+the coefficients of (x+1)^(r-k) (x-1)^k.  This log route is the only
+production route; the literal multiset sum lives in verify
+(reference_e_value) as the reference the tests compare against.  The half
+prefactor (q-1)(-q^(1/2))^(n^2 (g-1)) / 2 turns the sum into an honest
+polynomial in q for g >= 1; genus 0 is served through rational functions.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -18,11 +26,11 @@ oracle adjudicates between them empirically; matched is the default.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .algebra import (HalfPowerPolynomial, Q_MINUS_ONE, RF_ONE, RF_ZERO,
-                      RationalFunction, TruncatedSeries, moebius, pleth_log,
-                      rational_exponent_pow)
+                      RationalFunction, TruncatedSeries, adams, formal_log,
+                      moebius, pleth_log, rational_exponent_pow)
 from .partitions import all_partitions, conjugate, hooks, n_lambda, weight
 from .symfun import a_minus, a_plus
 
@@ -94,106 +102,135 @@ def hook_polynomial(lam, d=1):
 
 
 @lru_cache(maxsize=None)
-def _hook_power(lam, d, e):
-    "hook_polynomial(lam, d) ** e with caching; e may be negative."
-    if e == 0:
-        return RF_ONE
-    return hook_polynomial(lam, d) ** e
-
-
-@lru_cache(maxsize=None)
 def partition_multisets(w):
     """Multisets of nonempty partitions with total weight w.
 
     Each multiset is a tuple of (partition, multiplicity) pairs; partitions
     are drawn in descending weight and descending lexicographic order, so the
-    enumeration is deterministic.
+    enumeration is deterministic.  Only the reference route in verify sums
+    over these; the production route takes a truncated log instead.
     """
     pool = []
     for size in range(w, 0, -1):
         pool.extend(all_partitions(size))
+    # the pool descends in weight, so from first_fitting[s] on every
+    # partition has weight <= s
+    first_fitting = {}
+    for i in range(len(pool) - 1, -1, -1):
+        first_fitting[weight(pool[i])] = i
 
     out = []
-
-    def rec(i, remaining, acc):
+    # depth-first with an explicit stack, so the rank is not capped by the
+    # recursion limit: each state holds the pool index the next partition may
+    # start from, the weight still to fill, and the pairs chosen so far;
+    # children are pushed reversed so they pop in the order listed
+    stack = [(0, w, ())]
+    while stack:
+        i, remaining, acc = stack.pop()
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if i == len(pool):
-            return
-        lam = pool[i]
-        sz = weight(lam)
-        rec(i + 1, remaining, acc)
-        for m in range(1, remaining // sz + 1):
-            rec(i + 1, remaining - m * sz, acc + [(lam, m)])
-
-    rec(0, w, [])
+            out.append(acc)
+            continue
+        children = []
+        for j in range(len(pool) - 1, max(i, first_fitting[remaining]) - 1, -1):
+            lam = pool[j]
+            for m in range(1, remaining // weight(lam) + 1):
+                children.append((j + 1, remaining - m * weight(lam),
+                                 acc + ((lam, m),)))
+        stack.extend(reversed(children))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _v_terms(n, g, conv):
-    """Shared term data for the rank-n sums at genus g.
+def _hook_sums(w, e, conv):
+    """Partitions of w grouped by (a+, a-), each group with its sum of H^e.
 
-    Returns a tuple of (coefficient, a_plus_sigma, a_minus_sigma, hook_part)
-    covering every odd divisor d of n and every multiset of total weight n/d.
-    Only the a-coefficient combination differs between the total and the
-    per-component sums, so both reuse this list.
+    H is the hook polynomial the convention pairs with the partition.  No
+    hook is built when e = 0; the sum is then the size of the group.
     """
+    sums = {}
+    for lam in all_partitions(w):
+        if e:
+            term = hook_polynomial(lam if conv == MATCHED else conjugate(lam)) ** e
+        else:
+            term = RF_ONE
+        key = (a_plus(lam), a_minus(lam))
+        sums[key] = sums[key] + term if key in sums else term
+    return tuple(sums.items())
+
+
+@lru_cache(maxsize=None)
+def _series_coefficient(w, e, j, r, conv):
+    "T^w coefficient of the partition series A_j: sum_{|lam|=w} a+^j a-^(r-j) H^e."
+    total = RF_ZERO
+    for (ap, am), hook_sum in _hook_sums(w, e, conv):
+        a = ap ** j * am ** (r - j)
+        if a:
+            total = total + hook_sum * a
+    return total
+
+
+def _partition_series(order, e, j, r, conv, scale=1):
+    "1 + sum_w psi_scale(A_j coefficient w) T^(scale*w), truncated at order."
+    coeffs = {scale * w: adams(_series_coefficient(w, e, j, r, conv), scale)
+              for w in range(1, order // scale + 1)}
+    coeffs[0] = RF_ONE
+    return TruncatedSeries(order, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _log_series(order, e, j, r, conv):
+    "log A_j truncated at order."
+    return formal_log(_partition_series(order, e, j, r, conv))
+
+
+def _moebius_sum(n, coefficient, odd_only):
+    "sum over d | n (odd d only if odd_only) of mu(d)/d psi_d(coefficient(n/d))."
+    total = RF_ZERO
+    for d in range(1, n + 1, 2 if odd_only else 1):
+        mu = moebius(d) if n % d == 0 else 0
+        if mu:
+            total = total + adams(coefficient(n // d), d) * Fraction(mu, d)
+    return total
+
+
+def _v(n, surf, weights, conv):
+    """The inner sum for the a-combination sum_j b_j a+^j a-^(r-j).
+
+    weights maps j to b_j.  Expanding log A_j over multisets of partitions
+    gives the multiset coefficients (-1)^(m-1) (m-1)!/prod mult!, so the
+    inner sum is sum over odd d | n of mu(d)/d psi_d([T^(n/d)] sum_j b_j log A_j).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
     _check_convention(conv)
-    terms = []
-    for d in range(1, n + 1):
-        if n % d or d % 2 == 0:
-            continue
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        for multiset in partition_multisets(n // d):
-            m = sum(mult for _, mult in multiset)
-            coeff = Fraction((-1) ** (m - 1) * mu * factorial(m - 1), d)
-            hook_part = RF_ONE
-            ap = 1
-            am = 1
-            for lam, mult in multiset:
-                coeff /= factorial(mult)
-                ap *= a_plus(lam) ** mult
-                am *= a_minus(lam) ** mult
-                hook_lam = lam if conv == MATCHED else conjugate(lam)
-                hook_part = hook_part * _hook_power(hook_lam, d, (g - 1) * mult)
-            terms.append((coeff, ap, am, hook_part))
-    return tuple(terms)
+    logs = [(b, _log_series(n, surf.g - 1, j, surf.r, conv))
+            for j, b in weights.items() if b]
+
+    def coefficient(w):
+        total = RF_ZERO
+        for b, log_a in logs:
+            total = total + log_a.coefficient(w) * b
+        return total
+
+    return _moebius_sum(n, coefficient, odd_only=True)
 
 
 def v_n(n, surf, conv=MATCHED):
-    "The rank-n inner sum, as a rational function of q."
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = RF_ZERO
-    for coeff, ap, am, hook_part in _v_terms(n, surf.g, _check_convention(conv)):
-        a_factor = ap ** surf.r - am ** surf.r
-        if a_factor:
-            total = total + hook_part * (coeff * Fraction(a_factor))
-    return total
+    "The rank-n inner sum, as a rational function of q: weights a+^r - a-^r."
+    return _v(n, surf, {surf.r: 1, 0: -1}, conv)
 
 
-def _v_n_component(n, surf, k, conv):
-    "Per-component variant: the a-combination is (a+ + a-)^(r-k) (a+ - a-)^k."
-    total = RF_ZERO
-    for coeff, ap, am, hook_part in _v_terms(n, surf.g, conv):
-        a_factor = (ap + am) ** (surf.r - k) * (ap - am) ** k
-        if a_factor:
-            total = total + hook_part * (coeff * Fraction(a_factor))
-    return total
+def _component_weights(r, k):
+    "Coefficients b_j of x^j in (x+1)^(r-k) (x-1)^k."
+    return {j: sum(comb(r - k, j - l) * comb(k, l) * (-1) ** (k - l)
+                   for l in range(min(j, k) + 1))
+            for j in range(r + 1)}
 
 
 def _half_u_sign_prefactor(n, g):
-    "(-q^(1/2))^(n^2 (g-1)) as a rational function (Laurent for g = 0)."
+    "(-q^(1/2))^(n^2 (g-1)), a Laurent monomial (negative powers at g = 0)."
     e = n * n * (g - 1)
-    sign = -1 if e % 2 else 1
-    if e >= 0:
-        return RationalFunction(HalfPowerPolynomial.u_power(e, sign))
-    return RationalFunction(HalfPowerPolynomial.from_int(sign),
-                            HalfPowerPolynomial.u_power(-e))
+    return RationalFunction(HalfPowerPolynomial.u_power(e, (-1) ** (e % 2)))
 
 
 def e_poly_rational(n, surf, conv=MATCHED):
@@ -234,7 +271,7 @@ def e_poly_component_rational(n, surf, k, conv=MATCHED):
         raise EvenK("component index k must be odd")
     if not 1 <= k <= surf.r:
         raise KOutOfRange("need 1 <= k <= r = %d, got k = %d" % (surf.r, k))
-    v = _v_n_component(n, surf, k, _check_convention(conv))
+    v = _v(n, surf, _component_weights(surf.r, k), conv)
     return (RationalFunction(Q_MINUS_ONE) * Fraction(1, 2 ** surf.r)
             * _half_u_sign_prefactor(n, surf.g) * v)
 
@@ -281,64 +318,39 @@ def euler_char_component(n, surf, k, conv=MATCHED):
     return poly.evaluate(Fraction(1))
 
 
-def _a_series(n_max, scale, surf, conv, sign):
-    "Sum over partitions of (a_sign)^r * hook^(g-1)(q^scale) * T^(scale*|lam|)."
-    coeffs = {0: RF_ONE}
-    a_of = a_plus if sign > 0 else a_minus
-    hook_index = (lambda lam: lam) if conv == MATCHED else conjugate
-    for w in range(1, n_max // scale + 1):
-        acc = RF_ZERO
-        for lam in all_partitions(w):
-            a = a_of(lam) ** surf.r
-            if a:
-                acc = acc + _hook_power(hook_index(lam), scale, surf.g - 1) * a
-        coeffs[scale * w] = acc
-    return TruncatedSeries(n_max, coeffs)
-
-
 def gen_function_check(n_max, surf, conv=MATCHED):
     """Compare the term-by-term sums against the plethystic product formula.
 
     Builds sum_n V_n T^n on one side and Log of the product over k of
     (plus-series / minus-series)^(1/2^k) at q -> q^(2^k), T -> T^(2^k) on the
-    other, both truncated at order n_max.
+    other, both truncated at order n_max.  The plus and minus series are the
+    partition series A_r and A_0.
     """
     _check_convention(conv)
     lhs = TruncatedSeries(n_max, {n: v_n(n, surf, conv)
                                   for n in range(1, n_max + 1)})
+    e, r = surf.g - 1, surf.r
     product = TruncatedSeries.one(n_max)
     scale = 1
-    k = 0
     while scale <= n_max:
-        plus = _a_series(n_max, scale, surf, conv, +1)
-        minus = _a_series(n_max, scale, surf, conv, -1)
+        plus = _partition_series(n_max, e, r, r, conv, scale)
+        minus = _partition_series(n_max, e, 0, r, conv, scale)
         ratio = plus * minus.inverse()
         product = product * rational_exponent_pow(ratio, Fraction(1, scale))
-        k += 1
-        scale = 2 ** k
+        scale *= 2
     return pleth_log(product) == lhs
 
 
 def complex_curve_e_poly(n, g):
     """E-polynomial of the complex-curve character variety, a sanity anchor.
 
-    Extracted from the logarithm of the hook-polynomial generating series:
-    (q-1)^2 q^(n^2 (g-1)) times the T^n coefficient.
+    Extracted from the plethystic logarithm of the hook-polynomial series
+    sum_lam H_lam^(2g-2) T^|lam| (the partition series with r = j = 0):
+    (q-1)^2 q^(n^2 (g-1)) times its T^n coefficient.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = {0: RF_ONE}
-    for w in range(1, n + 1):
-        acc = RF_ZERO
-        for lam in all_partitions(w):
-            acc = acc + _hook_power(lam, 1, 2 * g - 2)
-        coeffs[w] = acc
-    series = pleth_log(TruncatedSeries(n, coeffs))
-    prefactor = RationalFunction(Q_MINUS_ONE) ** 2
-    e = n * n * (g - 1)
-    if e >= 0:
-        mono = RationalFunction(HalfPowerPolynomial.u_power(2 * e))
-    else:
-        mono = RationalFunction(HalfPowerPolynomial.from_int(1),
-                                HalfPowerPolynomial.u_power(-2 * e))
-    return prefactor * mono * series.coefficient(n)
+    log_a = _log_series(n, 2 * g - 2, 0, 0, MATCHED)
+    coefficient = _moebius_sum(n, log_a.coefficient, odd_only=False)
+    mono = RationalFunction(HalfPowerPolynomial.u_power(2 * n * n * (g - 1)))
+    return RationalFunction(Q_MINUS_ONE) ** 2 * mono * coefficient

@@ -3,19 +3,22 @@
 Each criterion is a callable returning (ok, detail).  Everything is exact;
 the detail string carries enough context to chase a failure.  The worked
 low-rank closed forms are rebuilt here, independently of the summation code,
-as frozen regression targets.
+as frozen regression targets, and so is the literal multiset-of-partitions
+sum that the production log route replaces (reference_e_value).
 """
 
 import time
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 from .algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE, RF_ONE,
-                      RationalFunction, moebius)
-from .epoly import (TRANSPOSED, SurfaceData, component_sum_check,
+                      RF_ZERO, RationalFunction, moebius)
+from .epoly import (MATCHED, TRANSPOSED, SurfaceData, component_sum_check,
                     e_poly, e_poly_component, e_poly_rational,
-                    euler_char_component, gen_function_check)
-from .partitions import all_partitions
+                    euler_char_component, gen_function_check,
+                    hook_polynomial, partition_multisets)
+from .partitions import all_partitions, conjugate
 from .symfun import (a_minus, a_minus_from_characters, a_minus_from_pieri,
                      a_plus, a_plus_from_characters, a_plus_from_pieri,
                      c_d_via_genfun, c_pi, d_pi)
@@ -58,6 +61,54 @@ def closed_form_e3(g, r):
             * (group3 ** (g - 1)) * inner)
 
 
+@lru_cache(maxsize=None)
+def _reference_terms(n, g, conv):
+    """(coefficient, a+ product, a- product, hook part) for every odd d | n
+    and every multiset of partitions of total weight n/d."""
+    terms = []
+    for d in range(1, n + 1, 2):
+        mu = moebius(d) if n % d == 0 else 0
+        if not mu:
+            continue
+        for multiset in partition_multisets(n // d):
+            m = sum(mult for _, mult in multiset)
+            coeff = Fraction((-1) ** (m - 1) * mu * factorial(m - 1), d)
+            hook_part = RF_ONE
+            ap = am = 1
+            for lam, mult in multiset:
+                coeff /= factorial(mult)
+                ap *= a_plus(lam) ** mult
+                am *= a_minus(lam) ** mult
+                hook = lam if conv == MATCHED else conjugate(lam)
+                hook_part = hook_part * hook_polynomial(hook, d) ** ((g - 1) * mult)
+            terms.append((coeff, ap, am, hook_part))
+    return tuple(terms)
+
+
+def reference_e_value(n, surf, conv=MATCHED, k=None):
+    """E_n (k None) or the component E_n^k by the literal closed sum.
+
+    The unoptimized reference route: a sum over odd d | n and multisets of
+    partitions of weight n/d, with a-combination AP^r - AM^r for the total
+    and (AP + AM)^(r-k) (AP - AM)^k for a component, times the prefactor
+    (q-1)(-q^(1/2))^(n^2 (g-1)) / 2 (or / 2^r for a component).  Returns a
+    rational function; tests compare the production route against it.
+    """
+    r = surf.r
+    total = RF_ZERO
+    for coeff, ap, am, hook_part in _reference_terms(n, surf.g, conv):
+        if k is None:
+            a = ap ** r - am ** r
+        else:
+            a = (ap + am) ** (r - k) * (ap - am) ** k
+        if a:
+            total = total + hook_part * (coeff * Fraction(a))
+    e = n * n * (surf.g - 1)
+    prefactor = HalfPowerPolynomial.u_power(e, (-1) ** (e % 2)) * Q_MINUS_ONE
+    return (RationalFunction(prefactor) * total
+            * Fraction(1, 2 if k is None else 2 ** r))
+
+
 def criterion_closed_forms():
     "Ranks 1-3 against the worked closed forms, g in 1..4, all r."
     for g in range(1, 5):
@@ -72,26 +123,35 @@ def criterion_closed_forms():
     return True, "ranks 1-3 match for g in 1..4, r in 1..g+1"
 
 
-def telescope_values(g, r, n_max):
-    "The E-values for the degenerate genus checks, exact."
+class TelescopeRange(ValueError):
+    "The degenerate genus checks cover g = 0 and g = 1 only."
+
+
+def telescope_check(g, r, n_max):
+    """One degenerate genus family up to rank n_max.
+
+    Genus 0 collapses to E_1 = 1 and E_n = 0 beyond; genus 1 gives
+    E_n = 2^(r-1) (q-1) at every rank.  Returns (ok, expectation).
+    """
+    if g not in (0, 1):
+        raise TelescopeRange("telescope checks cover g = 0 and g = 1 only")
     surf = SurfaceData(g, r)
+    ranks = range(1, n_max + 1)
     if g == 0:
-        return [e_poly_rational(n, surf) for n in range(1, n_max + 1)]
-    return [RationalFunction(e_poly(n, surf)) for n in range(1, n_max + 1)]
+        vals = [e_poly_rational(n, surf) for n in ranks]
+        ok = vals[0] == RF_ONE and all(v.is_zero() for v in vals[1:])
+        return ok, "E_1 = 1 and E_n = 0 for 2 <= n <= %d" % n_max
+    want = Q_MINUS_ONE * (2 ** (r - 1))
+    return (all(e_poly(n, surf) == want for n in ranks),
+            "each E_n = %s(q-1)" % ("" if r == 1 else "2"))
 
 
 def criterion_genus_specializations():
     "Genus 0 collapse and the two genus 1 constants, ranks up to 6."
-    vals = telescope_values(0, 1, 6)
-    if vals[0] != RF_ONE:
-        return False, "g=0 rank 1 is not 1"
-    if any(not v.is_zero() for v in vals[1:]):
-        return False, "g=0 ranks 2..6 not all zero"
-    qm1 = RationalFunction(Q_MINUS_ONE)
-    if any(v != qm1 for v in telescope_values(1, 1, 6)):
-        return False, "g=1 r=1 is not q-1 for some rank"
-    if any(v != qm1 * 2 for v in telescope_values(1, 2, 6)):
-        return False, "g=1 r=2 is not 2(q-1) for some rank"
+    for g, r in ((0, 1), (1, 1), (1, 2)):
+        ok, expect = telescope_check(g, r, 6)
+        if not ok:
+            return False, "g=%d r=%d: not %s" % (g, r, expect)
     return True, "g=0: (1,0,...,0); g=1: q-1 and 2(q-1) up to rank 6"
 
 

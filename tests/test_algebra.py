@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
-                                 RF_ONE, RationalFunction, TruncatedSeries, U,
+                                 RF_ONE, RF_ZERO, RationalFunction,
+                                 TruncatedSeries, U,
                                  ConstantTermNotOne, NonzeroConstantTerm,
-                                 OddExponent, adams, format_poly,
-                                 half_poly_eval, moebius, pleth_exp,
+                                 OddExponent, adams, format_poly, formal_exp,
+                                 formal_log, half_poly_eval, moebius, pleth_exp,
                                  pleth_log, poly_divmod, poly_gcd,
                                  rational_exponent_pow)
 
@@ -195,6 +196,24 @@ def test_rational_pow_root_roundtrip_random():
         f = TruncatedSeries(n, coeffs)
         root = rational_exponent_pow(f, Fraction(1, c))
         assert rational_exponent_pow(root, c) == f
+
+
+def test_formal_log_exp_with_real_denominators():
+    # genus-0 partition series: sums of inverse hook polynomials, whose
+    # denominators survive normalization
+    from realcharvar.epoly import hook_polynomial
+    from realcharvar.partitions import all_partitions, conjugate
+    n = 6
+    f = TruncatedSeries(n, [RF_ONE] + [
+        sum((RF_ONE / hook_polynomial(lam) for lam in all_partitions(w)),
+            RF_ZERO)
+        for w in range(1, n + 1)])
+    g = TruncatedSeries(n, [RF_ONE] + [
+        RF_ONE / hook_polynomial(conjugate(all_partitions(w)[-1])) * w
+        for w in range(1, n + 1)])
+    assert not f.coefficient(2).is_polynomial()
+    assert formal_exp(formal_log(f)) == f
+    assert formal_log(f * g) == formal_log(f) + formal_log(g)
 
 
 def test_moebius():

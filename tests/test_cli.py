@@ -44,6 +44,13 @@ def test_epoly_deterministic():
     assert run_cli(args) == run_cli(args)
 
 
+def test_epoly_rank_17():
+    code, out = run_cli(["epoly", "--n", "17", "--g", "1", "--r", "1",
+                         "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0]["poly"] == [[0, -1, 1], [2, 1, 1]]  # q - 1
+
+
 def test_euler_example():
     code, out = run_cli(["euler", "--n", "3", "--g", "2", "--r", "1",
                          "--k", "1"])

@@ -8,12 +8,12 @@ from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
 from realcharvar.epoly import (EmptyPartition, KOutOfRange, EvenK, MATCHED,
                                SurfaceData, TRANSPOSED,
                                component_sum_check, e_poly,
-                               e_poly_component,
+                               e_poly_component, e_poly_component_rational,
                                e_poly_rational, euler_char_component,
                                gen_function_check, hook_polynomial,
                                complex_curve_e_poly, partition_multisets, v_n)
 from realcharvar.verify import (closed_form_e1, closed_form_e2,
-                                closed_form_e3)
+                                closed_form_e3, reference_e_value)
 
 
 def qp(k):
@@ -53,6 +53,9 @@ def test_partition_multisets():
         for ms in partition_multisets(w):
             assert sum(len(lam) * 0 + m * sum(lam) for lam, m in ms) == w
     assert len(partition_multisets(4)) == 14  # multisets of partitions
+    # T^17 coefficient of prod_n (1-T^n)^(-p(n)); deeper than the recursion
+    # limit would allow a recursive enumeration to go
+    assert len(partition_multisets(17)) == 57100
 
 
 def test_v_n_examples():
@@ -72,6 +75,27 @@ def test_v_n_examples():
     # ... but coincide at r = 1 for rank 2 (equal coefficients)
     surf1 = SurfaceData(2, 1)
     assert v_n(2, surf1, MATCHED) == v_n(2, surf1, TRANSPOSED)
+
+
+# (genus, top rank): the reference's rational-function gcds make genus 0
+# expensive beyond rank 6
+REFERENCE_GRID = ((0, 6), (1, 8), (2, 7), (3, 6), (4, 5))
+
+
+def test_log_route_matches_multiset_reference():
+    cases = 0
+    for g, n_max in REFERENCE_GRID:
+        for r in range(1, g + 2):
+            surf = SurfaceData(g, r)
+            for conv in (MATCHED, TRANSPOSED):
+                for n in range(1, n_max + 1):
+                    assert e_poly_rational(n, surf, conv) == \
+                        reference_e_value(n, surf, conv), (n, g, r, conv)
+                    for k in range(1, r + 1, 2):
+                        assert e_poly_component_rational(n, surf, k, conv) == \
+                            reference_e_value(n, surf, conv, k), (n, g, r, k, conv)
+                    cases += 1
+    assert cases == 184
 
 
 def test_e_poly_closed_forms():

@@ -1,0 +1,69 @@
+"""Byte-for-byte golden check of the JSON documents the command line writes.
+
+The JSON exchange format is the contract, so refactors of the formula code
+must leave every document unchanged.  The sha256 digests of stdout were
+recorded from the multiset-of-partitions implementation that preceded the
+truncated-log route.  genfun at genus 0 is an error document: e_poly needs
+g >= 1, so stdout is empty and the exit code is 1.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from realcharvar.cli import main
+
+# (arguments before "--format json", exit code, sha256 of stdout)
+GOLDEN = (
+    ("epoly --n 1-4 --g 1 --r 2 --convention matched", 0,
+     "5fd810d2863d54a70b95dcb286235b5a4e4b39d56c49a5b4e2ed68fbe4115e64"),
+    ("epoly --n 1-5 --g 3 --r 2 --convention matched", 0,
+     "95217e46398f546a9c8f8ef1b760ff78c51fc6dcb308c3f0488bcfd8fbb87f53"),
+    ("component --n 1-4 --g 1 --r 2 --k 1 --convention matched", 0,
+     "59d345482aa2d2d8c6cb9689530676bfaf3fff51f56511ee97a29b166765fc5c"),
+    ("component --n 1-4 --g 3 --r 3 --k 1 --convention matched", 0,
+     "8405ce6b565b252f61c6bdb8ac309b46c5a5f1e632fd2054843fb39cbe1b7be4"),
+    ("component --n 1-4 --g 3 --r 3 --k 3 --convention matched", 0,
+     "f3b23a2fd3a92e2e11614692bcb20a274bfb5179f7d809a7e2fcf03b2aee52f9"),
+    ("euler --n 1-4 --g 1 --r 1 --k 1 --convention matched", 0,
+     "a975c3823804ce00f25dba087bcb4c5ecbd2dcd10f006dbf23a5914685542a4a"),
+    ("euler --n 1-5 --g 3 --r 2 --k 1 --convention matched", 0,
+     "75de61861983564fa54ee3c76a9bf657b762ee379bd39d506582b7e3ec7b5f3c"),
+    ("genfun --N 4 --g 0 --r 1 --convention matched", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("genfun --N 4 --g 1 --r 2 --convention matched", 0,
+     "8f75da87c7eff3ab80950e8d5e847a2c4fea4d51f493be72d1f9b1e7eab556f8"),
+    ("genfun --N 3 --g 3 --r 2 --convention matched", 0,
+     "5303ee3c9ca107f5eea242c051533740be48eb9be6be1d546e4229ee38560892"),
+    ("epoly --n 1-4 --g 1 --r 2 --convention transposed", 0,
+     "ac697c346ebf67afbde6d0532cc9e476a6b1a3fee0db95a5f7dd8cf24c33c9b1"),
+    ("epoly --n 1-5 --g 3 --r 2 --convention transposed", 0,
+     "ec057fe116b238ce796b32adc9fe192aef5a9c53dd181d34d6574bc04178485a"),
+    ("component --n 1-4 --g 1 --r 2 --k 1 --convention transposed", 0,
+     "2359f8fd8e9d413edad179591938488e877c8856d4a912d85d414f6be82f5be8"),
+    ("component --n 1-4 --g 3 --r 3 --k 1 --convention transposed", 0,
+     "0758f504a792aebd3f71241511a1a1f886c575bc469ea46865e7e13c4adc568b"),
+    ("component --n 1-4 --g 3 --r 3 --k 3 --convention transposed", 0,
+     "d762ec586e375e7a7c13d1115bf50cd903d884146d2fa898b439d511784fee47"),
+    ("euler --n 1-4 --g 1 --r 1 --k 1 --convention transposed", 0,
+     "a975c3823804ce00f25dba087bcb4c5ecbd2dcd10f006dbf23a5914685542a4a"),
+    ("euler --n 1-5 --g 3 --r 2 --k 1 --convention transposed", 0,
+     "75de61861983564fa54ee3c76a9bf657b762ee379bd39d506582b7e3ec7b5f3c"),
+    ("genfun --N 4 --g 0 --r 1 --convention transposed", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("genfun --N 4 --g 1 --r 2 --convention transposed", 0,
+     "fed066a800fc24ffebe2fbd9dd85272f6dc6b700e0a86c3c6f3581f79056e75f"),
+    ("genfun --N 3 --g 3 --r 2 --convention transposed", 0,
+     "b9868d3b1f5d9ecfe5d1fc5beba75053138797dad0eabdfb93e14012b11ce787"),
+)
+
+
+@pytest.mark.parametrize("args,code,digest", GOLDEN)
+def test_json_document_unchanged(args, code, digest):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main(args.split() + ["--format", "json"])
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
