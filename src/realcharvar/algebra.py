@@ -2,8 +2,10 @@
 
 Everything downstream works over three layers built here:
 
-* HalfPowerPolynomial -- Laurent polynomials in u with Fraction coefficients,
-  keyed by integer u-exponent (exponent e stands for q**(e/2)).
+* HalfPowerPolynomial -- Laurent polynomials in u with exact coefficients,
+  keyed by integer u-exponent (exponent e stands for q**(e/2)).  A
+  coefficient is a Python int; a Fraction appears only where a division
+  makes one.
 * RationalFunction -- normalized quotients of HalfPowerPolynomials.  The
   denominator is an ordinary polynomial with constant coefficient 1 and no
   common factor with the numerator, so equality is structural.
@@ -33,12 +35,22 @@ class ZeroDenominator(ZeroDivisionError):
     "Rational function with zero denominator."
 
 
+class ExactnessError(ArithmeticError):
+    """A value that exact arithmetic guarantees (an integer, a vanishing
+    remainder, a nonnegative count) came out otherwise."""
+
+
+def exact_int(x, what):
+    "An int or Fraction known to be integral, as an int; what names it."
+    if x.denominator != 1:
+        raise ExactnessError("%s is not an integer: %s" % (what, x))
+    return int(x)
+
+
 def _frac(x):
-    "Coerce an int or Fraction to Fraction."
-    if isinstance(x, Fraction):
+    "Check that x is an exact coefficient (int or Fraction); no conversion."
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
@@ -63,7 +75,8 @@ def moebius(d):
 class HalfPowerPolynomial:
     """Laurent polynomial in u (u**2 = q) with exact rational coefficients.
 
-    Stored as a dict {u-exponent: Fraction} holding no zero coefficients.
+    Stored as a dict {u-exponent: int or Fraction} holding no zero
+    coefficients.
     """
 
     __slots__ = ("terms",)
@@ -84,7 +97,7 @@ class HalfPowerPolynomial:
 
     @classmethod
     def from_int(cls, n):
-        return cls({0: Fraction(n)})
+        return cls({0: n})
 
     @classmethod
     def u_power(cls, e, coeff=1):
@@ -107,7 +120,7 @@ class HalfPowerPolynomial:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {0: Fraction(1)}
+        return self.terms == {0: 1}
 
     def is_q_polynomial(self):
         "True when every stored exponent is even, i.e. the value lives in q."
@@ -124,7 +137,7 @@ class HalfPowerPolynomial:
         return max(self.terms)
 
     def constant_coeff(self):
-        return self.terms.get(0, Fraction(0))
+        return self.terms.get(0, 0)
 
     def to_triples(self):
         "Exchange format, sorted by ascending exponent."
@@ -137,7 +150,7 @@ class HalfPowerPolynomial:
         other = _coerce_poly(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             elif e in terms:
@@ -168,7 +181,7 @@ class HalfPowerPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 elif e in terms:
@@ -205,7 +218,7 @@ class HalfPowerPolynomial:
         Requires every exponent to be even (the value must live in q); raises
         OddExponent otherwise.
         """
-        q0 = _frac(q0)
+        q0 = Fraction(_frac(q0))
         if q0 == 0:
             raise ZeroDivisionError("evaluation requires q0 != 0")
         total = Fraction(0)
@@ -254,7 +267,7 @@ def _to_dense(p):
     "Return (min_exp, coefficient list from min_exp upward)."
     lo = p.min_exp()
     hi = p.max_exp()
-    coeffs = [Fraction(0)] * (hi - lo + 1)
+    coeffs = [0] * (hi - lo + 1)
     for e, c in p.terms.items():
         coeffs[e - lo] = c
     return lo, coeffs
@@ -273,8 +286,8 @@ def _dense_trim(a):
 def _dense_divmod(a, b):
     "Quotient and remainder of dense coefficient lists (b nonzero)."
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv = Fraction(1) / b[-1]
     for i in range(len(a) - len(b), -1, -1):
         f = a[i + len(b) - 1] * inv
         if f:
@@ -292,7 +305,7 @@ def _dense_gcd(a, b):
         _, r = _dense_divmod(a, b)
         a, b = b, r
     if a:
-        lead = a[-1]
+        lead = Fraction(a[-1])
         a = [c / lead for c in a]
     return a
 
@@ -356,8 +369,8 @@ class RationalFunction:
                 den, _ = poly_divmod(den, g)
             c = den.terms[den.min_exp()]
             if c != 1:
-                num = num * (1 / c)
-                den = den * (1 / c)
+                num = num * (Fraction(1) / c)
+                den = den * (Fraction(1) / c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

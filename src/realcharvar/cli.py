@@ -10,7 +10,8 @@ import csv
 import json
 import sys
 
-from .algebra import HalfPowerPolynomial, format_poly, format_poly_latex
+from .algebra import (ExactnessError, HalfPowerPolynomial, format_poly,
+                      format_poly_latex)
 from .epoly import (CONVENTIONS, MATCHED, SurfaceData, e_poly,
                     e_poly_component, euler_char_component,
                     gen_function_check, NotPolynomial, NotDivisible,
@@ -252,7 +253,8 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (NotPolynomial, NotDivisible, EvenK, KOutOfRange, ValueError) as exc:
+    except (NotPolynomial, NotDivisible, EvenK, KOutOfRange, ValueError,
+            ExactnessError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import HalfPowerPolynomial
+from .algebra import HalfPowerPolynomial, exact_int
 
 
 def as_partition(seq):
@@ -156,9 +156,8 @@ def centralizer_order_poly(lam):
 
 def centralizer_order(lam, q):
     "Integer centralizer order at a concrete prime power q."
-    value = centralizer_order_poly(lam).evaluate(Fraction(q))
-    assert value.denominator == 1
-    return int(value)
+    return exact_int(centralizer_order_poly(lam).evaluate(Fraction(q)),
+                     "the centralizer order of %r" % (lam,))
 
 
 def partition_count(n):

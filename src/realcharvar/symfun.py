@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
+from .algebra import exact_int
 from .partitions import (all_partitions, conjugate, multiplicities, sgn,
                          union, weight, z_pi)
 
@@ -397,8 +398,7 @@ def a_plus_from_characters(lam):
         chi = sn_character(lam, pi)
         if chi:
             total += sgn(pi) * c_pi(pi) * chi
-    assert total.denominator == 1
-    return int(total)
+    return exact_int(total, "a+ of %r by characters" % (lam,))
 
 
 def a_minus_from_characters(lam):
@@ -409,8 +409,7 @@ def a_minus_from_characters(lam):
         chi = sn_character(lam, pi)
         if chi:
             total += sgn(pi) * d_pi(pi) * chi
-    assert total.denominator == 1
-    return int(total)
+    return exact_int(total, "a- of %r by characters" % (lam,))
 
 
 @lru_cache(maxsize=None)
@@ -444,15 +443,11 @@ def a_plus_from_pieri(lam):
     "Pieri extraction: the coefficient of s_{lam'} in (sum s)(sum s_(n))."
     lam = tuple(lam)
     f = _schur_sum_times_row_sum(weight(lam))
-    c = f.coefficient(conjugate(lam))
-    assert c.denominator == 1
-    return int(c)
+    return exact_int(f.coefficient(conjugate(lam)), "a+ of %r by Pieri" % (lam,))
 
 
 def a_minus_from_pieri(lam):
     "Pieri extraction: the coefficient of s_{lam'} in (sum s)/(sum s_(1^n))."
     lam = tuple(lam)
     f = _schur_sum_times_inverse_col_sum(weight(lam))
-    c = f.coefficient(conjugate(lam))
-    assert c.denominator == 1
-    return int(c)
+    return exact_int(f.coefficient(conjugate(lam)), "a- of %r by Pieri" % (lam,))

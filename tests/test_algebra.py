@@ -225,3 +225,44 @@ def test_format_poly():
     assert format_poly(Q_MINUS_ONE ** 2) == "q^2 - 2*q + 1"
     assert format_poly(HalfPowerPolynomial()) == "0"
     assert format_poly(HalfPowerPolynomial({1: 1})) == "q^(1/2)"
+
+
+def _exact_coefficients(*polys):
+    return all(type(c) in (int, Fraction) for p in polys for c in p.terms.values())
+
+
+def test_integer_coefficients_stay_ints():
+    p = (Q - ONE) ** 3 * 2 + U - HalfPowerPolynomial.from_int(4)
+    assert all(type(c) is int for c in p.terms.values())
+    assert p.constant_coeff() == -6 and type(p.constant_coeff()) is int
+
+
+def test_divmod_by_non_monic_integer_divisor_stays_exact():
+    b = Q * 2 + 2
+    quo, rem = poly_divmod(b * (Q * 3 - 1), b)
+    assert quo == Q * 3 - 1 and rem.is_zero()
+    assert _exact_coefficients(quo)
+    # q^2 + 1 = (2q + 2)(q/2 - 1/2) + 2
+    quo, rem = poly_divmod(q_power(2) + 1, b)
+    assert quo == Q * Fraction(1, 2) - Fraction(1, 2)
+    assert rem == 2
+    assert _exact_coefficients(quo, rem)
+
+
+def test_rational_function_normalizes_integer_denominator_exactly():
+    rf = RationalFunction(ONE, Q * 4 + 2)
+    assert rf.num.terms == {0: Fraction(1, 2)}
+    assert rf.den == Q * 2 + 1
+    assert _exact_coefficients(rf.num, rf.den)
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError):
+        HalfPowerPolynomial({0: 0.5})
+    with pytest.raises(TypeError):
+        ONE * 0.5
+
+
+def test_negative_power_evaluates_exactly():
+    value = HalfPowerPolynomial.u_power(-2).evaluate(2)
+    assert value == Fraction(1, 2) and type(value) is Fraction

@@ -1,0 +1,60 @@
+"""Checks that guard exactness raise ExactnessError, a typed error that
+python -O cannot strip, and the CLI reports it as one line."""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+import realcharvar
+from realcharvar import cli, fforacle
+from realcharvar.algebra import ExactnessError, exact_int
+
+F3 = fforacle.PrimeField(3)
+
+
+def test_no_assert_statements_in_package():
+    found = []
+    for path in sorted(pathlib.Path(realcharvar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
+def test_exact_int():
+    assert issubclass(ExactnessError, ArithmeticError)
+    value = exact_int(Fraction(6, 3), "six thirds")
+    assert value == 2 and type(value) is int
+    with pytest.raises(ExactnessError, match="one half is not an integer"):
+        exact_int(Fraction(1, 2), "one half")
+
+
+def test_sweep_hits_must_divide_class_sizes():
+    table = fforacle.class_table(2, F3)
+    hits = [2 * size for size in table.sizes]
+    assert fforacle._per_element(hits, table).values == (2,) * len(hits)
+    hits[-1] += 1
+    with pytest.raises(ExactnessError):
+        fforacle._per_element(hits, table)
+
+
+def test_poly_div_exact_needs_a_factor():
+    # t + 1 does not divide t^2 + 1 over F_3
+    with pytest.raises(ExactnessError):
+        fforacle.poly_div_exact((1, 0, 1), (1, 1), 3, F3)
+    assert fforacle.poly_div_exact((2, 0, 1), (1, 1), 3, F3) == (2, 1)
+
+
+def test_cli_reports_exactness_error(monkeypatch, capsys):
+    def inexact(n, surf, convention):
+        return exact_int(Fraction(1, 2), "E_%d at q = 1" % n)
+
+    monkeypatch.setattr(cli, "e_poly", inexact)
+    code = cli.main(["epoly", "--n", "1", "--g", "2", "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("ExactnessError: E_1 at q = 1 is not an "
+                            "integer: 1/2\n")

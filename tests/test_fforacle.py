@@ -1,22 +1,27 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
+from realcharvar.algebra import moebius
 from realcharvar.epoly import MATCHED, TRANSPOSED, SurfaceData
 from realcharvar.fforacle import (GroupTooLarge,
                                   NoPrimitiveRoot, PrimeField,
                                   SingularMatrix, UnsupportedRank,
-                                  class_fn_C_brute, class_fn_F_brute,
-                                  class_fn_F_closed, class_fn_F_signed,
-                                  class_fn_N, class_table, classify,
-                                  compare_with_formula, companion, convolve,
-                                  count_representation_variety,
-                                  delta_identity, enumerate_classes,
-                                  f_closed_poly, f_degree_prediction,
-                                  formula_count, group_order, mat_det,
-                                  mat_identity, mat_inv, mat_mul,
-                                  poly_star, primitive_roots_of_unity)
+                                  _symmetric_invertible_matrices,
+                                  charpoly_mod, class_fn_C_brute,
+                                  class_fn_F_brute, class_fn_F_closed,
+                                  class_fn_F_signed, class_fn_N, class_table,
+                                  classify, compare_with_formula, companion,
+                                  convolve, count_representation_variety,
+                                  delta_identity, f_closed_poly,
+                                  f_degree_prediction, formula_count,
+                                  group_order, inverse_mod, irreducibles,
+                                  mat_det, mat_identity, mat_inv, mat_mul,
+                                  poly_eval_matrix, poly_star,
+                                  primitive_roots_of_unity)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -55,13 +60,13 @@ def test_poly_star():
 
 
 def test_class_counts():
-    assert enumerate_classes(1, F3).class_count() == 2
-    assert enumerate_classes(2, F3).class_count() == 8
-    t25 = enumerate_classes(2, F5)
+    assert class_table(1, F3).class_count() == 2
+    assert class_table(2, F3).class_count() == 8
+    t25 = class_table(2, F5)
     assert sum(t25.sizes) == 480
     assert t25.class_count() == 24
     with pytest.raises(UnsupportedRank):
-        enumerate_classes(4, F3)
+        class_table(4, F3)
 
 
 def test_class_equation():
@@ -350,14 +355,75 @@ def test_report_json_line():
     assert json.loads(line) == rep
 
 
-def test_thread_count_env(monkeypatch):
-    # chunked sweeps must give identical results regardless of thread count
-    import realcharvar.fforacle as ff
-    table = class_table(3, F3)
-    serial = class_fn_F_brute(table)
-    monkeypatch.setenv("REALCHARVAR_ORACLE_THREADS", "3")
-    assert ff._thread_count() == 3
-    assert class_fn_F_brute(table) == serial
-    monkeypatch.setenv("REALCHARVAR_ORACLE_THREADS", "bogus")
-    with pytest.raises(ValueError):
-        ff._thread_count()
+def _all_invertible(n, q):
+    "Every invertible n x n matrix over F_q as tuples, by a literal loop."
+    out = []
+    for entries in product(range(q), repeat=n * n):
+        A = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+        if mat_det(A, q):
+            out.append(A)
+    return out
+
+
+def test_element_class_array_agrees_with_classify():
+    for n, field in ((1, F7), (2, F3), (2, F5), (2, F7)):
+        table = class_table(n, field)
+        cls = table.element_class_array()
+        q = field.q
+        for A in _all_invertible(n, q):
+            code = 0
+            for x in (x for row in A for x in row):
+                code = code * q + x
+            assert cls[code] == table.index[classify(A, table)], A
+        assert (cls >= 0).sum() == group_order(n, q)
+
+
+def test_inverse_mod_on_whole_groups():
+    for n, q in ((1, 7), (2, 5), (3, 3)):
+        A = np.array(_all_invertible(n, q), dtype=np.int64)
+        assert len(A) == group_order(n, q)
+        product_ = np.einsum("mij,mjk->mik", A, inverse_mod(A, q)) % q
+        assert (product_ == np.eye(n, dtype=np.int64)).all()
+    assert mat_inv(((3,),), F5) == ((2,),)
+    with pytest.raises(SingularMatrix):
+        inverse_mod(np.array([[[1, 0], [0, 1]], [[1, 1], [1, 1]]]), 5)
+    with pytest.raises(UnsupportedRank):
+        inverse_mod(np.eye(4, dtype=np.int64), 5)
+
+
+def test_charpoly_mod_cayley_hamilton():
+    q = 3
+    els = _all_invertible(3, q)
+    polys = charpoly_mod(np.array(els, dtype=np.int64), q).tolist()
+    zero = ((0,) * 3,) * 3
+    for A, f in zip(els, polys):
+        assert f[-1] == 1
+        assert poly_eval_matrix(f, A, q) == zero, A
+
+
+def _macwilliams(n, q):
+    "Invertible symmetric n x n matrices over F_q, q odd (MacWilliams 1969)."
+    count = q ** (n * (n + 1) // 2)
+    for i in range(1, (n + 1) // 2 + 1):
+        count = count * (q ** (2 * i - 1) - 1) // q ** (2 * i - 1)
+    return count
+
+
+def test_symmetric_invertible_count():
+    for q in (3, 5):
+        for n in (1, 2, 3):
+            sym = _symmetric_invertible_matrices(n, q)
+            assert len(sym) == _macwilliams(n, q), (n, q)
+            assert (sym == np.swapaxes(sym, 1, 2)).all()
+
+
+def test_irreducible_counts():
+    for field in (F3, F5, F7):
+        q = field.q
+        for d in (1, 2, 3):
+            # necklace count of monic irreducibles; t itself is excluded
+            necklaces = sum(moebius(e) * q ** (d // e)
+                            for e in range(1, d + 1) if d % e == 0) // d
+            assert len(irreducibles(field, d)) == necklaces - (d == 1)
+    with pytest.raises(UnsupportedRank):
+        irreducibles(F3, 4)
