@@ -7,8 +7,7 @@ finite-field counting oracle), verify (verification suites), cli.
 """
 
 from .algebra import (HalfPowerPolynomial, RationalFunction, TruncatedSeries,
-                      adams, half_poly_eval, pleth_exp, pleth_log,
-                      rational_exponent_pow)
+                      adams, pleth_exp, pleth_log, rational_exponent_pow)
 from .epoly import (MATCHED, TRANSPOSED, SurfaceData, component_sum_check,
                     e_poly, e_poly_component, e_poly_component_rational,
                     e_poly_rational, euler_char_component,
@@ -16,8 +15,7 @@ from .epoly import (MATCHED, TRANSPOSED, SurfaceData, component_sum_check,
 
 __all__ = [
     "HalfPowerPolynomial", "RationalFunction", "TruncatedSeries",
-    "adams", "half_poly_eval", "pleth_exp", "pleth_log",
-    "rational_exponent_pow",
+    "adams", "pleth_exp", "pleth_log", "rational_exponent_pow",
     "MATCHED", "TRANSPOSED", "SurfaceData", "component_sum_check",
     "e_poly", "e_poly_component", "e_poly_component_rational",
     "e_poly_rational", "euler_char_component", "gen_function_check",

@@ -287,7 +287,8 @@ def _dense_divmod(a, b):
     "Quotient and remainder of dense coefficient lists (b nonzero)."
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
+    # a unit leading coefficient is its own inverse and keeps ints ints
+    inv = b[-1] if b[-1] in (1, -1) else Fraction(1) / b[-1]
     for i in range(len(a) - len(b), -1, -1):
         f = a[i + len(b) - 1] * inv
         if f:
@@ -491,11 +492,6 @@ def _coerce_rf(x):
     if isinstance(x, (int, Fraction, HalfPowerPolynomial)):
         return RationalFunction(_coerce_poly(x))
     raise TypeError("cannot coerce %r to RationalFunction" % (x,))
-
-
-def half_poly_eval(p, q0):
-    "Evaluate a HalfPowerPolynomial with even exponents at a rational q0."
-    return p.evaluate(q0)
 
 
 def adams(f, d):

@@ -241,6 +241,7 @@ def e_poly_rational(n, surf, conv=MATCHED):
 
 
 def _require_polynomial(value, what):
+    "The value as a polynomial in q with int coefficients, or NotPolynomial."
     poly = value.as_polynomial()
     if poly is None:
         raise NotPolynomial("%s has a nontrivial denominator" % what)
@@ -249,7 +250,9 @@ def _require_polynomial(value, what):
             raise NotPolynomial("%s has odd half powers" % what)
         if poly.min_exp() < 0:
             raise NotPolynomial("%s has negative exponents" % what)
-    return poly
+    if any(c.denominator != 1 for c in poly.terms.values()):
+        raise NotPolynomial("%s has a non-integer coefficient" % what)
+    return HalfPowerPolynomial({e: int(c) for e, c in poly.terms.items()})
 
 
 def e_poly(n, surf, conv=MATCHED):

@@ -8,13 +8,14 @@ pair-distribution kernel, and evaluated at scalar classes to count points of
 the representation variety.  Counts are compared against the closed-form
 E-polynomials; mismatches are reported, never suppressed.
 
-numpy carries the matrix layer (determinant, inverse and characteristic
-polynomial of int64 stacks mod q) and the group sweeps (element lookup,
-kernel building, brute-force counting); all class-function values are exact
-Python integers.
+Matrices are int64 numpy arrays, and the class representatives, the group
+and the symmetric forms are (..., n, n) stacks of them.  numpy carries the
+matrix layer and the group sweeps (element lookup, kernel building,
+brute-force counting); all class-function values are exact Python integers.
 """
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -22,9 +23,10 @@ from itertools import combinations, product
 import numpy as np
 
 from . import epoly
-from .algebra import ExactnessError, exact_int, half_poly_eval
-from .partitions import (all_partitions, centralizer_order, conjugate,
-                         ell_odd, multiplicities, n_lambda, weight)
+from .algebra import ExactnessError, HalfPowerPolynomial as HPP, exact_int
+from .partitions import (all_partitions, centralizer_order,
+                         centralizer_order_poly, conjugate, ell_odd,
+                         multiplicities, n_lambda, weight)
 
 
 class UnsupportedRank(ValueError):
@@ -97,10 +99,9 @@ class PrimeField:
 
 # -- matrices over F_q ----------------------------------------------------
 #
-# det_mod, inverse_mod and charpoly_mod take one matrix or an (..., n, n)
-# int64 stack with n <= 3 and reduce mod q after every cofactor step, so no
-# intermediate exceeds n q^2.  The mat_* helpers wrap them for single
-# matrices given as tuples of row tuples.
+# det_mod, inverse_mod, charpoly_mod and poly_eval_matrix take one matrix or
+# an (..., n, n) int64 stack with n <= 3 and reduce mod q after every
+# cofactor or Horner step, so no intermediate exceeds n q^2.
 
 def _stack(A):
     "A as an int64 array whose last two axes are n x n, n <= 3."
@@ -159,22 +160,16 @@ def charpoly_mod(A, q):
     return out % q
 
 
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(A, B, q):
-    n = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n)) % q
-                       for j in range(n)) for i in range(n))
-
-
-def mat_det(A, q):
-    return int(det_mod(A, q))
-
-
-def mat_inv(A, field):
-    return tuple(map(tuple, inverse_mod(A, field.q).tolist()))
+def poly_eval_matrix(f, A, q):
+    """f(A) mod q by Horner's rule on a matrix or a stack; f is ascending
+    coefficients, or an (..., d + 1) array with one row per matrix."""
+    A = _stack(A)
+    f = np.asarray(f, dtype=np.int64)
+    eye = np.eye(A.shape[-1], dtype=np.int64)
+    acc = np.zeros_like(A)
+    for k in range(f.shape[-1] - 1, -1, -1):
+        acc = (acc @ A + f[..., k, None, None] * eye) % q
+    return acc
 
 
 # -- monic polynomials over F_q (ascending coefficient tuples) ----------
@@ -229,26 +224,11 @@ def irreducibles(field, d):
 
 
 def companion(f, q):
-    "Companion matrix of a monic polynomial."
+    "Companion matrix of a monic polynomial, as an int64 array."
     d = len(f) - 1
-    return tuple(tuple((1 if j == i + 1 else 0) if i < d - 1 else (-f[j]) % q
-                       for j in range(d)) for i in range(d))
-
-
-def block_diag(blocks):
-    n = sum(len(b) for b in blocks)
-    rows = []
-    offset = 0
-    for b in blocks:
-        for r in b:
-            rows.append((0,) * offset + tuple(r) + (0,) * (n - offset - len(b)))
-        offset += len(b)
-    return tuple(rows)
-
-
-def charpoly(A, q):
-    "Characteristic polynomial, ascending coefficients, monic; n <= 3."
-    return tuple(charpoly_mod(A, q).tolist())
+    M = np.eye(d, k=1, dtype=np.int64)
+    M[-1] = -np.array(f[:-1], dtype=np.int64) % q
+    return M
 
 
 def poly_div_exact(f, g, q, field):
@@ -285,7 +265,7 @@ def factor_monic(f, field):
 def kernel_dim(M, q):
     "Dimension of the kernel by Gaussian elimination mod q."
     n = len(M)
-    rows = [list(r) for r in M]
+    rows = M.tolist()
     rank = 0
     for col in range(n):
         piv = None
@@ -304,16 +284,6 @@ def kernel_dim(M, q):
                 rows[r] = [(x - c * y) % q for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return n - rank
-
-
-def poly_eval_matrix(f, A, q):
-    n = len(A)
-    acc = ((0,) * n,) * n
-    for c in reversed(f):
-        acc = mat_mul(acc, A, q)
-        acc = tuple(tuple((acc[i][j] + (c if i == j else 0)) % q for j in range(n))
-                    for i in range(n))
-    return acc
 
 
 def group_order(n, q):
@@ -361,22 +331,28 @@ class ClassTable:
         rec(0, n, [])
         self.labels = tuple(sorted(labels))
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.reps = tuple(self._representative(lab) for lab in self.labels)
+        self.reps = np.array([self._representative(lab) for lab in self.labels])
         self.sizes = tuple(self.group_order // self._centralizer(lab)
                            for lab in self.labels)
         if sum(self.sizes) != self.group_order:
             raise AssertionError("class equation failed for n=%d, q=%d" % (n, field.q))
         self.dets = tuple(det_mod(self.reps, self.q).tolist())
         self._element_class = None
+        self._group = None
         self._kernel = None
         self._conv_cache = {}
 
     def _representative(self, label):
-        blocks = []
+        "Companion matrices of f^part, one per part of lam, on the diagonal."
+        rep = np.zeros((self.n, self.n), dtype=np.int64)
+        at = 0
         for f, lam in label:
             for part in lam:
-                blocks.append(companion(poly_pow(f, part, self.q), self.q))
-        return block_diag(blocks)
+                block = companion(poly_pow(f, part, self.q), self.q)
+                d = len(block)
+                rep[at:at + d, at:at + d] = block
+                at += d
+        return rep
 
     def _centralizer(self, label):
         total = 1
@@ -409,7 +385,7 @@ class ClassTable:
         if self.n > 2:
             raise KernelMissing("element lookup for n <= 2 only")
         q = self.q
-        keys = _class_key(np.array(self.reps), q)
+        keys = _class_key(self.reps, q)
         if len(np.unique(keys)) != len(keys):
             raise AssertionError("(charpoly, scalar) does not separate the "
                                  "classes for n=%d, q=%d" % (self.n, q))
@@ -419,23 +395,16 @@ class ClassTable:
         self._element_class = by_key[_class_key(every, q)]
         return self._element_class
 
-    def class_of_matrix(self, A):
-        "Class index of an invertible matrix, via the lookup when available."
-        if self.n <= 2:
-            code = _encode(_stack(A) % self.q, self.q)
-            c = int(self.element_class_array()[code])
-            if c < 0:
-                raise SingularMatrix("matrix is not invertible")
-            return c
-        return self.index[classify(A, self)]
-
     def _group_arrays(self):
-        "(elements, inverses) of GL_n(F_q) as (m, n, n) int64 arrays; n <= 2."
-        if self.n > 2:
-            raise KernelMissing("group arrays for n <= 2 only")
-        A = _digits(self.n ** 2, self.q).reshape(-1, self.n, self.n)
-        E = A[det_mod(A, self.q) != 0]
-        return E, inverse_mod(E, self.q)
+        """(elements, inverses) of GL_n(F_q) as (m, n, n) int64 arrays, in
+        _encode order; n <= 2.  Built once and shared by the sweeps."""
+        if self._group is None:
+            if self.n > 2:
+                raise KernelMissing("group arrays for n <= 2 only")
+            A = _digits(self.n ** 2, self.q).reshape(-1, self.n, self.n)
+            E = A[det_mod(A, self.q) != 0]
+            self._group = (E, inverse_mod(E, self.q))
+        return self._group
 
     def kernel(self):
         """Pair-distribution kernel K[t, c1, c2] for convolution; n <= 2.
@@ -458,9 +427,9 @@ class ClassTable:
             enc = 0
             for i in range(n):
                 for j in range(n):
-                    entry = Einv[:, i, 0] * g[0][j]
+                    entry = Einv[:, i, 0] * g[0, j]
                     for k in range(1, n):
-                        entry += Einv[:, i, k] * g[k][j]
+                        entry += Einv[:, i, k] * g[k, j]
                     enc = enc * q + entry % q
             pair = c1 * C + cls[enc]
             K[t] = np.bincount(pair, minlength=C * C).reshape(C, C)
@@ -511,10 +480,11 @@ def classify(A, table):
     """Conjugacy label of an invertible matrix: factor the characteristic
     polynomial, then recover each partition from kernel ranks of f(A)^j."""
     q = table.q
-    if mat_det(A, q) == 0:
+    if det_mod(A, q) == 0:
         raise SingularMatrix("matrix is not invertible")
     label = []
-    for f, e in factor_monic(charpoly(A, q), table.field).items():
+    charpoly = tuple(charpoly_mod(A, q).tolist())
+    for f, e in factor_monic(charpoly, table.field).items():
         # e is the multiplicity of f in the charpoly, i.e. the weight of mu(f)
         d = len(f) - 1
         if e == 1:
@@ -523,10 +493,10 @@ def classify(A, table):
         M = poly_eval_matrix(f, A, q)
         prev = 0
         col_counts = []
-        P = mat_identity(len(A))
+        P = np.eye(len(A), dtype=np.int64)
         total = 0
         while total < e:
-            P = mat_mul(P, M, q)
+            P = P @ M % q
             k = kernel_dim(P, q)
             c = (k - prev) // d
             if c == 0:
@@ -588,7 +558,6 @@ def delta_identity(table):
 def _f_linear_block_poly(i, m):
     """Symbolic count of invariant forms on one primary block at t -+ 1:
     block size i with multiplicity m, as a polynomial in q."""
-    from .algebra import HalfPowerPolynomial as HPP
     if i % 2 == 1:
         half_pairs = m // 2 if m % 2 == 0 else (m + 1) // 2
         poly = HPP.q_power((i * m * m + m) // 2)
@@ -604,7 +573,6 @@ def _f_linear_block_poly(i, m):
 
 def _f_selfdual_block_poly(i, m, d):
     "One primary block of a self-dual irreducible of degree 2d."
-    from .algebra import HalfPowerPolynomial as HPP
     poly = HPP.q_power(i * d * m * m)
     for j in range(1, m + 1):
         poly = poly * (HPP.from_int(1) + HPP.q_power(-d * j) * ((-1) ** j))
@@ -629,8 +597,6 @@ def f_closed_poly(label, field):
     linear-block counts, self-dual Hermitian counts, and centralizer orders
     for dual pairs.
     """
-    from .algebra import HalfPowerPolynomial as HPP
-    from .partitions import centralizer_order_poly
     q = field.q
     assign = dict(label)
     for f, lam in label:
@@ -688,7 +654,7 @@ def class_fn_F_closed(table):
     values = []
     for label in table.labels:
         poly = f_closed_poly(label, table.field)
-        v = exact_int(half_poly_eval(poly, Fraction(table.q)),
+        v = exact_int(poly.evaluate(Fraction(table.q)),
                       "F on %r" % (label,))
         if v < 0:
             raise ExactnessError("F on %r is negative" % (label,))
@@ -711,9 +677,8 @@ def class_fn_F_brute(table):
     q = table.q
     sym = _symmetric_invertible_matrices(table.n, q)
     values = []
-    for rep in table.reps:
-        A = np.array(rep, dtype=np.int64)
-        ABAT = np.einsum("ij,mjk,lk->mil", A, sym, A) % q
+    for A in table.reps:
+        ABAT = A @ sym @ A.T % q
         values.append(int(np.all(ABAT == sym, axis=(1, 2)).sum()))
     return ClassFunction(table, values)
 
@@ -752,27 +717,20 @@ def class_fn_N(table):
 
 
 def class_fn_C_brute(table):
-    "C by enumerating all commutator pairs; feasible for tiny groups."
-    n, q = table.n, table.q
-    if n != 2:
+    "C by sweeping all commutator pairs (X, Y); feasible for tiny groups."
+    if table.n != 2:
         raise GroupTooLarge("commutator brute force is for n = 2")
     if table.group_order ** 2 > _PAIR_BUDGET:
-        raise GroupTooLarge("too many pairs at q = %d" % q)
-    els = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if (a * d - b * c) % q:
-                        els.append(((a, b), (c, d)))
-    invs = {A: mat_inv(A, table.field) for A in els}
-    counts = [0] * table.class_count()
-    for X in els:
-        Xi = invs[X]
-        for Y in els:
-            comm = mat_mul(mat_mul(X, Y, q), mat_mul(Xi, invs[Y], q), q)
-            counts[table.class_of_matrix(comm)] += 1
-    return _per_element(counts, table)
+        raise GroupTooLarge("too many pairs at q = %d" % table.q)
+    q = table.q
+    E, Einv = table._group_arrays()
+    cls = table.element_class_array()
+    hits = np.zeros(table.class_count(), dtype=np.int64)
+    for X, Xinv in zip(E, Einv):
+        # X Y X^-1 Y^-1 for every Y at once
+        comm = (X @ E % q) @ (Xinv @ Einv % q) % q
+        hits += np.bincount(cls[_encode(comm, q)], minlength=len(hits))
+    return _per_element(hits.tolist(), table)
 
 
 # -- convolution ---------------------------------------------------------
@@ -910,11 +868,8 @@ def count_representation_variety(n, field, surf, xi, w=None):
             raise ValueError("sign tuple length must be r")
         if any(x not in (1, -1) for x in w):
             raise ValueError("sign tuple entries must be +-1")
-        prod = 1
-        for x in w:
-            prod *= x
         # xi^n = -1 for a primitive 2n-th root, so the product is fixed
-        if prod != -1:
+        if math.prod(w) != -1:
             raise ValueError("sign tuple must have product -1")
         atoms = tuple("F+" if x == 1 else "F-" for x in w) + ("N",) * s
     else:

@@ -8,7 +8,7 @@ from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
                                  TruncatedSeries, U,
                                  ConstantTermNotOne, NonzeroConstantTerm,
                                  OddExponent, adams, format_poly, formal_exp,
-                                 formal_log, half_poly_eval, moebius, pleth_exp,
+                                 formal_log, moebius, pleth_exp,
                                  pleth_log, poly_divmod, poly_gcd,
                                  rational_exponent_pow)
 
@@ -18,18 +18,18 @@ def q_power(k, c=1):
 
 
 def test_half_poly_eval_examples():
-    assert half_poly_eval(Q - ONE, Fraction(5)) == 4
-    assert half_poly_eval(ONE, Fraction(7)) == 1
+    assert (Q - ONE).evaluate(Fraction(5)) == 4
+    assert ONE.evaluate(Fraction(7)) == 1
     # the rank-2 worked value at q=5, frozen from the three-term closed form
     e2 = (Q_MINUS_ONE ** 2) * (
         (q_power(3) - Q) * 2 + (q_power(2) - ONE) * 2 - (q_power(2) - Q) * 2
     ) * Fraction(1, 2)
-    assert half_poly_eval(e2, Fraction(5)) == 1984
+    assert e2.evaluate(Fraction(5)) == 1984
 
 
 def test_half_poly_eval_rejects_odd_exponents():
     with pytest.raises(OddExponent):
-        half_poly_eval(U, Fraction(3))
+        U.evaluate(Fraction(3))
 
 
 def test_laurent_predicates():
@@ -247,6 +247,14 @@ def test_divmod_by_non_monic_integer_divisor_stays_exact():
     assert quo == Q * Fraction(1, 2) - Fraction(1, 2)
     assert rem == 2
     assert _exact_coefficients(quo, rem)
+
+
+def test_divmod_by_unit_leading_divisor_keeps_ints():
+    a = (Q - ONE) ** 3 * (Q * 5 + 7) + 2
+    for b, sign in ((Q - ONE, 1), (ONE - Q, -1)):
+        quo, rem = poly_divmod(a, b)
+        assert quo == (Q - ONE) ** 2 * (Q * 5 + 7) * sign and rem == 2
+        assert all(type(c) is int for p in (quo, rem) for c in p.terms.values())
 
 
 def test_rational_function_normalizes_integer_denominator_exactly():

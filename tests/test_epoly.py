@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
-                                 RF_ONE, RationalFunction, adams,
-                                 half_poly_eval)
+                                 RF_ONE, RationalFunction, adams)
 from realcharvar.epoly import (EmptyPartition, KOutOfRange, EvenK, MATCHED,
-                               SurfaceData, TRANSPOSED,
+                               NotPolynomial, SurfaceData, TRANSPOSED,
+                               _require_polynomial,
                                component_sum_check, e_poly,
                                e_poly_component, e_poly_component_rational,
                                e_poly_rational, euler_char_component,
@@ -108,7 +108,7 @@ def test_e_poly_closed_forms():
 
 
 def test_e_poly_value_at_5():
-    assert half_poly_eval(e_poly(2, SurfaceData(2, 1)), Fraction(5)) == 1984
+    assert e_poly(2, SurfaceData(2, 1)).evaluate(Fraction(5)) == 1984
 
 
 def test_e_poly_degree_and_integrality():
@@ -119,7 +119,15 @@ def test_e_poly_degree_and_integrality():
                 assert p.is_q_polynomial()
                 assert p.min_exp() >= 0
                 assert p.q_degree() == n * n * (g - 1) + 1
-                assert all(c.denominator == 1 for c in p.terms.values())
+                assert all(type(c) is int for c in p.terms.values())
+                comp = e_poly_component(n, SurfaceData(g, r), 1)
+                assert all(type(c) is int for c in comp.terms.values())
+
+
+def test_half_integer_coefficient_is_not_polynomial():
+    half = RationalFunction(HalfPowerPolynomial({2: Fraction(1, 2)}))
+    with pytest.raises(NotPolynomial):
+        _require_polynomial(half, "E")
 
 
 def test_e_poly_genus_bounds():

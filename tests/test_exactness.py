@@ -51,10 +51,15 @@ def test_cli_reports_exactness_error(monkeypatch, capsys):
     def inexact(n, surf, convention):
         return exact_int(Fraction(1, 2), "E_%d at q = 1" % n)
 
-    monkeypatch.setattr(cli, "e_poly", inexact)
-    code = cli.main(["epoly", "--n", "1", "--g", "2", "--r", "1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == ("ExactnessError: E_1 at q = 1 is not an "
-                            "integer: 1/2\n")
+    def singular(n, surf, convention):
+        return Fraction(n, 0)
+
+    for fake, err in ((inexact, "ExactnessError: E_1 at q = 1 is not an "
+                                "integer: 1/2\n"),
+                      (singular, "ZeroDivisionError: Fraction(1, 0)\n")):
+        monkeypatch.setattr(cli, "e_poly", fake)
+        code = cli.main(["epoly", "--n", "1", "--g", "2", "--r", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == err

@@ -16,10 +16,9 @@ from realcharvar.fforacle import (GroupTooLarge,
                                   class_fn_F_signed, class_fn_N, class_table,
                                   classify, compare_with_formula, companion,
                                   convolve, count_representation_variety,
-                                  delta_identity, f_closed_poly,
+                                  delta_identity, det_mod, f_closed_poly,
                                   f_degree_prediction, formula_count,
                                   group_order, inverse_mod, irreducibles,
-                                  mat_det, mat_identity, mat_inv, mat_mul,
                                   poly_eval_matrix, poly_star,
                                   primitive_roots_of_unity)
 
@@ -38,15 +37,15 @@ def test_prime_field_validation():
 
 def test_matrix_helpers():
     A = ((1, 2), (0, 1))
-    assert mat_det(A, 5) == 1
-    Ai = mat_inv(A, F5)
-    assert mat_mul(A, Ai, 5) == mat_identity(2)
+    assert det_mod(A, 5) == 1
+    Ai = inverse_mod(A, 5)
+    assert (np.array(A) @ Ai % 5 == np.eye(2)).all()
     with pytest.raises(SingularMatrix):
-        mat_inv(((1, 1), (1, 1)), F5)
+        inverse_mod(((1, 1), (1, 1)), 5)
     B = ((1, 2, 0), (0, 1, 3), (1, 0, 2))
-    assert mat_det(B, 7) == 1
-    Bi = mat_inv(B, F7)
-    assert mat_mul(B, Bi, 7) == mat_identity(3)
+    assert det_mod(B, 7) == 1
+    Bi = inverse_mod(B, 7)
+    assert (np.array(B) @ Bi % 7 == np.eye(3)).all()
 
 
 def test_poly_star():
@@ -78,7 +77,7 @@ def test_class_equation():
 
 def test_classify_examples():
     t23 = class_table(2, F3)
-    assert classify(mat_identity(2), t23) == (((2, 1), (1, 1)),)
+    assert classify(np.eye(2, dtype=np.int64), t23) == (((2, 1), (1, 1)),)
     # companion matrix of an irreducible quadratic: regular semisimple
     comp = companion((1, 0, 1), 3)
     assert classify(comp, t23) == (((1, 0, 1), (1,)),)
@@ -92,6 +91,8 @@ def test_classify_roundtrip():
     for field in (F3, F5, F7):
         for n in (1, 2, 3):
             table = class_table(n, field)
+            assert table.reps.shape == (table.class_count(), n, n)
+            assert table.reps.dtype == np.int64
             for i, rep in enumerate(table.reps):
                 assert table.index[classify(rep, table)] == i
 
@@ -244,10 +245,13 @@ def test_count_rank2_element_level_sweep():
     sym = [B for B in els if B[0][1] == B[1][0]]
 
     def mul(A, B):
-        return mat_mul(A, B, q)
+        return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) % q
+                           for j in range(2)) for i in range(2))
 
     def inv(B):
-        return mat_inv(B, F5)
+        (a, b), (c, d) = B
+        s = pow(a * d - b * c, q - 2, q)
+        return ((d * s % q, -b * s % q), (-c * s % q, a * s % q))
 
     def tr(B):
         return ((B[0][0], B[1][0]), (B[0][1], B[1][1]))
@@ -356,13 +360,10 @@ def test_report_json_line():
 
 
 def _all_invertible(n, q):
-    "Every invertible n x n matrix over F_q as tuples, by a literal loop."
-    out = []
-    for entries in product(range(q), repeat=n * n):
-        A = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-        if mat_det(A, q):
-            out.append(A)
-    return out
+    "Every invertible n x n matrix over F_q as an (m, n, n) int64 stack."
+    A = np.array(list(product(range(q), repeat=n * n)),
+                 dtype=np.int64).reshape(-1, n, n)
+    return A[det_mod(A, q) != 0]
 
 
 def test_element_class_array_agrees_with_classify():
@@ -372,7 +373,7 @@ def test_element_class_array_agrees_with_classify():
         q = field.q
         for A in _all_invertible(n, q):
             code = 0
-            for x in (x for row in A for x in row):
+            for x in A.ravel().tolist():
                 code = code * q + x
             assert cls[code] == table.index[classify(A, table)], A
         assert (cls >= 0).sum() == group_order(n, q)
@@ -380,11 +381,11 @@ def test_element_class_array_agrees_with_classify():
 
 def test_inverse_mod_on_whole_groups():
     for n, q in ((1, 7), (2, 5), (3, 3)):
-        A = np.array(_all_invertible(n, q), dtype=np.int64)
+        A = _all_invertible(n, q)
         assert len(A) == group_order(n, q)
         product_ = np.einsum("mij,mjk->mik", A, inverse_mod(A, q)) % q
         assert (product_ == np.eye(n, dtype=np.int64)).all()
-    assert mat_inv(((3,),), F5) == ((2,),)
+    assert inverse_mod(((3,),), 5).tolist() == [[2]]
     with pytest.raises(SingularMatrix):
         inverse_mod(np.array([[[1, 0], [0, 1]], [[1, 1], [1, 1]]]), 5)
     with pytest.raises(UnsupportedRank):
@@ -394,11 +395,9 @@ def test_inverse_mod_on_whole_groups():
 def test_charpoly_mod_cayley_hamilton():
     q = 3
     els = _all_invertible(3, q)
-    polys = charpoly_mod(np.array(els, dtype=np.int64), q).tolist()
-    zero = ((0,) * 3,) * 3
-    for A, f in zip(els, polys):
-        assert f[-1] == 1
-        assert poly_eval_matrix(f, A, q) == zero, A
+    polys = charpoly_mod(els, q)
+    assert (polys[:, -1] == 1).all()
+    assert not poly_eval_matrix(polys, els, q).any()
 
 
 def _macwilliams(n, q):
