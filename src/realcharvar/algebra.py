@@ -111,8 +111,13 @@ class HalfPowerPolynomial:
 
     @classmethod
     def from_triples(cls, triples):
-        "Exchange format: iterable of [half-exponent, numerator, denominator]."
-        return cls({int(e): Fraction(int(num), int(den)) for e, num, den in triples})
+        """Exchange format: iterable of [half-exponent, numerator,
+        denominator].  An integral coefficient comes back as an int."""
+        terms = {}
+        for e, num, den in triples:
+            c = Fraction(int(num), int(den))
+            terms[int(e)] = c.numerator if c.denominator == 1 else c
+        return cls(terms)
 
     # -- predicates and views ----------------------------------------
 

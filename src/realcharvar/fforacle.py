@@ -3,15 +3,22 @@
 Conjugacy classes are labelled by maps from monic irreducible polynomials to
 partitions.  The class functions F (invariant symmetric forms), N (symmetric
 square roots) and C (commutator presentations) are built both from closed
-formulas and from brute-force sweeps, convolved through a precomputed
-pair-distribution kernel, and evaluated at scalar classes to count points of
-the representation variety.  Counts are compared against the closed-form
-E-polynomials; mismatches are reported, never suppressed.
+formulas and from brute-force sweeps, convolved, and evaluated at scalar
+classes to count points of the representation variety.  Counts are compared
+against the closed-form E-polynomials; mismatches are reported, never
+suppressed.
+
+F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
+A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  Every convolution
+step pairs a prefix with one of them, so the kernel only sweeps elements of
+self-inverse classes: K[t, i, c2] counts B in the i-th self-inverse class
+with B^-1 g_t in class c2.
 
 Matrices are int64 numpy arrays, and the class representatives, the group
 and the symmetric forms are (..., n, n) stacks of them.  numpy carries the
 matrix layer and the group sweeps (element lookup, kernel building,
-brute-force counting); all class-function values are exact Python integers.
+brute-force counting) and the kernel contraction, whose int64 range is
+checked before it runs; all class-function values are exact Python integers.
 """
 
 import json
@@ -42,7 +49,9 @@ class GroupTooLarge(ValueError):
 
 
 class KernelMissing(ValueError):
-    "No convolution kernel is available at this rank/field size."
+    """The kernel cannot evaluate this convolution: there is no kernel at
+    this rank (n > 2), or neither factor vanishes off the self-inverse
+    classes."""
 
 
 class NoPrimitiveRoot(ValueError):
@@ -142,8 +151,15 @@ def inverse_mod(A, q):
         for j in range(n):
             minor = np.delete(np.delete(A, i, axis=-2), j, axis=-1)
             adj[..., j, i] = (-1) ** (i + j) * _det(minor, q)
+    return adj * _inverse_table(q)[det][..., None, None] % q
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(q):
+    "inv[a] = a^-1 mod q for a != 0 (inv[0] = 0), read-only and shared."
     inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
-    return adj * inv[det][..., None, None] % q
+    inv.flags.writeable = False
+    return inv
 
 
 def charpoly_mod(A, q):
@@ -231,7 +247,7 @@ def companion(f, q):
     return M
 
 
-def poly_div_exact(f, g, q, field):
+def poly_div_exact(f, g, q):
     "Divide monic f by monic g; remainder must vanish."
     rem = list(f)
     out = [0] * (len(f) - len(g) + 1)
@@ -255,7 +271,7 @@ def factor_monic(f, field):
         lin = ((-a) % q, 1)
         while len(rest) > 1 and poly_eval(rest, a, q) == 0:
             factors[lin] = factors.get(lin, 0) + 1
-            rest = poly_div_exact(rest, lin, q, field)
+            rest = poly_div_exact(rest, lin, q)
     if len(rest) > 1:
         # no roots left: degree 2 or 3 remainder is irreducible
         factors[rest] = factors.get(rest, 0) + 1
@@ -339,6 +355,7 @@ class ClassTable:
         self.dets = tuple(det_mod(self.reps, self.q).tolist())
         self._element_class = None
         self._group = None
+        self._self_inverse = None
         self._kernel = None
         self._conv_cache = {}
 
@@ -406,33 +423,47 @@ class ClassTable:
             self._group = (E, inverse_mod(E, self.q))
         return self._group
 
-    def kernel(self):
-        """Pair-distribution kernel K[t, c1, c2] for convolution; n <= 2.
+    def self_inverse_classes(self):
+        "Indices of the classes c with c^-1 in c, ascending; n <= 2."
+        if self._self_inverse is None:
+            cls = self.element_class_array()
+            inv = cls[_encode(inverse_mod(self.reps, self.q), self.q)]
+            self._self_inverse = np.flatnonzero(inv == np.arange(len(inv)))
+        return self._self_inverse
 
-        K[t][c1][c2] counts B in class c1 with B^(-1) g_t in class c2, one
-        group sweep per target class t.  Symmetric in (c1, c2).  An entry is
-        at most |GL_2(F_q)|, below 2^31 within the sweep budget, so int32.
+    def kernel(self):
+        """Convolution kernel K[t, i, c2] on the self-inverse classes S =
+        self_inverse_classes(); n <= 2.
+
+        K[t][i][c2] counts B in class S[i] with B^(-1) g_t in class c2, one
+        sweep of the elements of S per target class t.  An entry is at most
+        |GL_2(F_q)|, below 2^31 within the sweep budget, so int32.
         """
         if self._kernel is not None:
             return self._kernel
         n, q = self.n, self.q
+        S = self.self_inverse_classes()
         E, Einv = self._group_arrays()
         cls = self.element_class_array()
         C = len(self.labels)
-        c1 = cls[_encode(E, q)].astype(np.int64)
-        K = np.zeros((C, C, C), dtype=np.int32)
+        slot = np.full(C, -1, dtype=np.int64)
+        slot[S] = np.arange(len(S))
+        i = slot[cls[_encode(E, q)]]
+        Binv = Einv[i >= 0]
+        i = i[i >= 0]
+        K = np.zeros((C, len(S), C), dtype=np.int32)
         for t, g in enumerate(self.reps):
             # digits of B^(-1) g_t by elementwise column products, which
             # measured faster here than a stacked int64 matmul
             enc = 0
-            for i in range(n):
+            for r in range(n):
                 for j in range(n):
-                    entry = Einv[:, i, 0] * g[0, j]
+                    entry = Binv[:, r, 0] * g[0, j]
                     for k in range(1, n):
-                        entry += Einv[:, i, k] * g[k, j]
+                        entry += Binv[:, r, k] * g[k, j]
                     enc = enc * q + entry % q
-            pair = c1 * C + cls[enc]
-            K[t] = np.bincount(pair, minlength=C * C).reshape(C, C)
+            pair = i * C + cls[enc]
+            K[t] = np.bincount(pair, minlength=len(S) * C).reshape(len(S), C)
         self._kernel = K
         return K
 
@@ -735,31 +766,48 @@ def class_fn_C_brute(table):
 
 # -- convolution ---------------------------------------------------------
 
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _convolve_through_kernel(phi, psi, table, targets):
+    """(phi * psi)(g_t) for a target index, or an array of them for a slice.
+
+    Class functions commute under convolution, so a is the factor that
+    vanishes off the self-inverse classes S (the smaller in absolute value
+    if both do) and b the other: W[t, c2] = sum_i a(S_i) K[t, i, c2] in
+    int64, where |W| <= max|a| |G| is checked first, then W is dotted with
+    b's Python ints.
+    """
+    if phi.table is not table or psi.table is not table:
+        raise ValueError("class functions live on a different table")
+    S = table.self_inverse_classes()
+    on_S = set(S.tolist())
+    candidates = [f for f in (phi, psi) if on_S.issuperset(f.support())]
+    if not candidates:
+        raise KernelMissing("neither factor vanishes off the self-inverse "
+                            "classes")
+    a = min(candidates, key=lambda f: max(map(abs, f.values)))
+    b = psi if a is phi else phi
+    top = max(map(abs, a.values))
+    if top * table.group_order > _INT64_MAX:
+        raise ExactnessError("kernel step out of int64 range: max |value| "
+                             "%d on a group of order %d"
+                             % (top, table.group_order))
+    a_S = np.array(a.values, dtype=np.int64)[S]
+    # einsum contracts the int32 kernel without an int64 copy of it
+    W = np.einsum("i,...ic->...c", a_S, table.kernel()[targets])
+    return W.astype(object) @ np.array(b.values, dtype=object)
+
+
 def convolve_at(phi, psi, table, target):
     "One value of the convolution (phi * psi)(representative of target)."
-    K = table.kernel()
-    supp_phi = phi.support()
-    supp_psi = psi.support()
-    # kernel is symmetric in (c1, c2); iterate the sparser side outside
-    if len(supp_psi) < len(supp_phi):
-        phi, psi = psi, phi
-        supp_phi, supp_psi = supp_psi, supp_phi
-    Kt = K[target]
-    total = 0
-    pv = phi.values
-    sv = psi.values
-    for c1 in supp_phi:
-        row = Kt[c1].tolist()
-        total += pv[c1] * sum(row[c2] * sv[c2] for c2 in supp_psi)
-    return total
+    return int(_convolve_through_kernel(phi, psi, table, target))
 
 
 def convolve(phi, psi, table):
     "Full convolution of two class functions through the kernel."
-    if phi.table is not table or psi.table is not table:
-        raise ValueError("class functions live on a different table")
-    return ClassFunction(table, [convolve_at(phi, psi, table, t)
-                                 for t in range(table.class_count())])
+    return ClassFunction(table, _convolve_through_kernel(phi, psi, table,
+                                                         slice(None)))
 
 
 def _atom_function(table, atom):

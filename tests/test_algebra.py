@@ -44,7 +44,12 @@ def test_exchange_format_roundtrip():
     p = HalfPowerPolynomial({-1: Fraction(2, 3), 0: 1, 4: -5})
     triples = p.to_triples()
     assert triples == [[-1, 2, 3], [0, 1, 1], [4, -5, 1]]
-    assert HalfPowerPolynomial.from_triples(triples) == p
+    back = HalfPowerPolynomial.from_triples(triples)
+    assert back == p
+    # integral coefficients come back as ints, not as Fractions
+    assert [type(back.terms[e]) for e in (-1, 0, 4)] == [Fraction, int, int]
+    assert HalfPowerPolynomial.from_triples([[0, 4, 2]]).terms == {0: 2}
+    assert type(HalfPowerPolynomial.from_triples([[0, 4, 2]]).terms[0]) is int
     r = RationalFunction(p, Q - ONE)
     assert RationalFunction.from_pair(r.to_pair()) == r
 

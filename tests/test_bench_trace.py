@@ -1,0 +1,37 @@
+"""The benchmark's traced mode (bench/worker.py with trace 1) wraps package
+functions and methods by name and reads the kernel's nbytes.  This drives a
+traced worker with one rank-2 count and one CLI call, so a refactor that
+breaks the wrapping fails here rather than in a benchmark run."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_traced_worker_serves_a_count_and_a_cli_call(tmp_path):
+    spans = tmp_path / "spans.json"
+    requests = [
+        {"op": "count", "args": [2, 5, 1, 1, 2], "id": 0},
+        {"op": "cli", "args": ["epoly", "--n", "2", "--g", "1", "--r", "1"],
+         "id": 1},
+        {"op": "exit"},
+    ]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), str(ROOT / "src"),
+         "1", str(spans)],
+        input="".join(json.dumps(req) + "\n" for req in requests),
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    ready, count, cli, done = map(json.loads, proc.stdout.splitlines())
+    assert ready["ready"] and "maxrss_kb" in done
+    assert count == {"id": 0, "value": 480 * 4}
+    assert cli["value"]["exit"] == 0
+    assert cli["value"]["stdout"].startswith("E_2(q; g=1, r=1, matched) = ")
+    counters = json.loads(spans.read_text())["counters"]
+    assert counters["fforacle.kernel.bytes"] > 0
+    assert counters["cli.output_bytes"] == len(cli["value"]["stdout"].encode())

@@ -43,8 +43,8 @@ def test_sweep_hits_must_divide_class_sizes():
 def test_poly_div_exact_needs_a_factor():
     # t + 1 does not divide t^2 + 1 over F_3
     with pytest.raises(ExactnessError):
-        fforacle.poly_div_exact((1, 0, 1), (1, 1), 3, F3)
-    assert fforacle.poly_div_exact((2, 0, 1), (1, 1), 3, F3) == (2, 1)
+        fforacle.poly_div_exact((1, 0, 1), (1, 1), 3)
+    assert fforacle.poly_div_exact((2, 0, 1), (1, 1), 3) == (2, 1)
 
 
 def test_cli_reports_exactness_error(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -5,17 +6,19 @@ from math import comb
 import numpy as np
 import pytest
 
-from realcharvar.algebra import moebius
+from realcharvar.algebra import ExactnessError, moebius
 from realcharvar.epoly import MATCHED, TRANSPOSED, SurfaceData
-from realcharvar.fforacle import (GroupTooLarge,
-                                  NoPrimitiveRoot, PrimeField,
+from realcharvar.fforacle import (ClassFunction, GroupTooLarge,
+                                  KernelMissing, NoPrimitiveRoot, PrimeField,
                                   SingularMatrix, UnsupportedRank,
+                                  _inverse_table,
                                   _symmetric_invertible_matrices,
                                   charpoly_mod, class_fn_C_brute,
                                   class_fn_F_brute, class_fn_F_closed,
                                   class_fn_F_signed, class_fn_N, class_table,
                                   classify, compare_with_formula, companion,
-                                  convolve, count_representation_variety,
+                                  convolve, convolve_at,
+                                  count_representation_variety,
                                   delta_identity, det_mod, f_closed_poly,
                                   f_degree_prediction, formula_count,
                                   group_order, inverse_mod, irreducibles,
@@ -236,6 +239,19 @@ def test_count_rank1_direct_enumeration():
     assert direct == got == 4
 
 
+def _mul2(A, B, q):
+    "Product of two 2 x 2 tuple matrices mod q."
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) % q
+                       for j in range(2)) for i in range(2))
+
+
+def _inv2(B, q):
+    "Inverse of an invertible 2 x 2 tuple matrix mod q."
+    (a, b), (c, d) = B
+    s = pow(a * d - b * c, q - 2, q)
+    return ((d * s % q, -b * s % q), (-c * s % q, a * s % q))
+
+
 def test_count_rank2_element_level_sweep():
     # validate the whole pipeline against a literal element-level count over
     # GL_2(F_5): no class tables, no kernels, just the defining equations
@@ -245,13 +261,10 @@ def test_count_rank2_element_level_sweep():
     sym = [B for B in els if B[0][1] == B[1][0]]
 
     def mul(A, B):
-        return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) % q
-                           for j in range(2)) for i in range(2))
+        return _mul2(A, B, q)
 
     def inv(B):
-        (a, b), (c, d) = B
-        s = pow(a * d - b * c, q - 2, q)
-        return ((d * s % q, -b * s % q), (-c * s % q, a * s % q))
+        return _inv2(B, q)
 
     def tr(B):
         return ((B[0][0], B[1][0]), (B[0][1], B[1][1]))
@@ -386,6 +399,9 @@ def test_inverse_mod_on_whole_groups():
         product_ = np.einsum("mij,mjk->mik", A, inverse_mod(A, q)) % q
         assert (product_ == np.eye(n, dtype=np.int64)).all()
     assert inverse_mod(((3,),), 5).tolist() == [[2]]
+    # the cached F_q inverse table is shared, so it must be read-only
+    assert _inverse_table(5) is _inverse_table(5)
+    assert not _inverse_table(5).flags.writeable
     with pytest.raises(SingularMatrix):
         inverse_mod(np.array([[[1, 0], [0, 1]], [[1, 1], [1, 1]]]), 5)
     with pytest.raises(UnsupportedRank):
@@ -426,3 +442,97 @@ def test_irreducible_counts():
             assert len(irreducibles(field, d)) == necklaces - (d == 1)
     with pytest.raises(UnsupportedRank):
         irreducibles(F3, 4)
+
+
+# -- the kernel on the self-inverse classes ----------------------------------
+
+def _element_classes(table):
+    "Class index of every element of GL_2(F_q) by classify, keyed by tuple."
+    return {tuple(map(tuple, A.tolist())): table.index[classify(A, table)]
+            for A in _all_invertible(2, table.q)}
+
+
+def _tuple_reps(table):
+    return [tuple(map(tuple, g.tolist())) for g in table.reps]
+
+
+def test_kernel_is_the_self_inverse_slice_of_the_dense_kernel():
+    for field in (F3, F5):
+        q = field.q
+        table = class_table(2, field)
+        cls = _element_classes(table)
+        reps = _tuple_reps(table)
+        C = table.class_count()
+        S = [c for c, g in enumerate(reps) if cls[_inv2(g, q)] == c]
+        assert table.self_inverse_classes().tolist() == S
+        # dense[t, c1, c2] counts B in c1 with B^-1 g_t in c2
+        dense = np.zeros((C, C, C), dtype=np.int64)
+        for t, g in enumerate(reps):
+            for B, c1 in cls.items():
+                dense[t, c1, cls[_mul2(_inv2(B, q), g, q)]] += 1
+        K = table.kernel()
+        assert K.dtype == np.int32 and K.shape == (C, len(S), C)
+        assert (K == dense[:, S, :]).all()
+
+
+def test_convolve_matches_element_level_convolution():
+    q = 3
+    table = class_table(2, F3)
+    cls = _element_classes(table)
+    reps = _tuple_reps(table)
+    rng = random.Random(5)
+    dense = ClassFunction(table, [rng.randint(-50, 50) for _ in reps])
+    n_fn, f_fn = class_fn_N(table), class_fn_F_closed(table)
+    for phi, psi in ((n_fn, dense), (dense, f_fn), (f_fn, n_fn)):
+        want = [sum(phi.values[c] * psi.values[cls[_mul2(_inv2(B, q), g, q)]]
+                    for B, c in cls.items()) for g in reps]
+        assert convolve(phi, psi, table).values == tuple(want)
+        assert [convolve_at(phi, psi, table, t)
+                for t in range(len(reps))] == want
+
+
+def test_atoms_vanish_off_self_inverse_classes():
+    for q in (3, 5, 7, 13, 17):
+        for n in (1, 2):
+            table = class_table(n, PrimeField(q))
+            S = set(table.self_inverse_classes().tolist())
+            for fn in (class_fn_F_closed(table), *class_fn_F_signed(table),
+                       class_fn_N(table)):
+                assert set(fn.support()) <= S, (n, q)
+    table = class_table(2, PrimeField(17))
+    S = table.self_inverse_classes().tolist()
+    assert len(S) == 20 and sum(table.sizes[c] for c in S) == 5202
+
+
+def _indicator(table, c, value=1):
+    return ClassFunction(table, [value if i == c else 0
+                                 for i in range(table.class_count())])
+
+
+def test_convolve_needs_a_factor_on_self_inverse_classes():
+    table = class_table(2, F5)
+    S = set(table.self_inverse_classes().tolist())
+    off = [c for c in range(table.class_count()) if c not in S]
+    phi, psi = _indicator(table, off[0]), _indicator(table, off[1])
+    with pytest.raises(KernelMissing):
+        convolve(phi, psi, table)
+    with pytest.raises(KernelMissing):
+        convolve_at(phi, psi, table, 0)
+
+
+def test_kernel_step_refuses_int64_overflow():
+    table = class_table(2, F5)
+    S = set(table.self_inverse_classes().tolist())
+    other = _indicator(table, min(c for c in range(table.class_count())
+                                  if c not in S))
+    one = table.scalar_class_index(1)
+    top = (2 ** 63 - 1) // table.group_order
+    # top * delta is the identity of convolution scaled by top: exact
+    fits = _indicator(table, one, top)
+    assert convolve(fits, other, table).values == tuple(
+        top * v for v in other.values)
+    big = _indicator(table, one, top + 1)
+    with pytest.raises(ExactnessError):
+        convolve(big, other, table)
+    with pytest.raises(ExactnessError):
+        convolve_at(other, big, table, 0)
