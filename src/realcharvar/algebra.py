@@ -8,7 +8,8 @@ Everything downstream works over three layers built here:
   makes one.
 * RationalFunction -- normalized quotients of HalfPowerPolynomials.  The
   denominator is an ordinary polynomial with constant coefficient 1 and no
-  common factor with the numerator, so equality is structural.
+  common factor with the numerator, so equality is structural.  Arithmetic
+  that mixes the two layers gives a RationalFunction.
 * TruncatedSeries -- power series in T up to a fixed order with
   RationalFunction coefficients, carrying the plethystic operations
   (adams substitution, Exp, Log, rational exponents).
@@ -152,6 +153,8 @@ class HalfPowerPolynomial:
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, (HalfPowerPolynomial, int, Fraction)):
+            return NotImplemented
         other = _coerce_poly(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -168,10 +171,10 @@ class HalfPowerPolynomial:
         return HalfPowerPolynomial({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce_poly(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce_poly(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -179,7 +182,8 @@ class HalfPowerPolynomial:
             if not c:
                 return HalfPowerPolynomial()
             return HalfPowerPolynomial({e: c * v for e, v in self.terms.items()})
-        other = _coerce_poly(other)
+        if not isinstance(other, HalfPowerPolynomial):
+            return NotImplemented
         if not self.terms or not other.terms:
             return HalfPowerPolynomial()
         terms = {}
@@ -402,6 +406,8 @@ class RationalFunction:
 
     def __add__(self, other):
         other = _coerce_rf(other)
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._raw(self.num + other.num, ONE)
         return RationalFunction(self.num * other.den + other.num * self.den,
@@ -419,6 +425,9 @@ class RationalFunction:
         return _coerce_rf(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # scaling the numerator keeps the canonical form; no gcd needed
+            return RationalFunction._raw(self.num * other, self.den) if other else RF_ZERO
         other = _coerce_rf(other)
         if self.den.is_one() and other.den.is_one():
             return RationalFunction._raw(self.num * other.num, ONE)
@@ -466,10 +475,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at q0")
         return self.num.evaluate(q0) / d
-
-    def as_polynomial(self):
-        "Return the numerator if the denominator is trivial, else None."
-        return self.num if self.den.is_one() else None
 
     def to_pair(self):
         "Exchange format: numerator and denominator triple sequences."

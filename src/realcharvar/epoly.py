@@ -4,17 +4,18 @@ The closed formula for rank n is a sum over odd divisors d of n and multisets
 of partitions of total weight n/d, with signed Moebius/multinomial
 coefficients, the multiplicity coefficients a+/a- raised to the number r of
 fixed circles, and normalized hook polynomials raised to g-1.  That multiset
-sum is the expanded T^(n/d) coefficient of a truncated logarithm,
+sum is the expanded T^(n/d) coefficient of a truncated logarithm: with
+c^(j)_w = w [T^w] log A_j,
 
-    V_n = sum over odd d | n of mu(d)/d psi_d([T^(n/d)] (log A_r - log A_0)),
+    n V_n = sum over odd d | n of mu(d) psi_d(c^(r)_(n/d) - c^(0)_(n/d)),
 
 where A_j = 1 + sum_lam a+(lam)^j a-(lam)^(r-j) H_lam^(g-1) T^|lam| and
-psi_d is the Adams map q -> q^d.  Components use the same logs, weighted by
-the coefficients of (x+1)^(r-k) (x-1)^k.  This log route is the only
-production route; the literal multiset sum lives in verify
-(reference_e_value) as the reference the tests compare against.  The half
-prefactor (q-1)(-q^(1/2))^(n^2 (g-1)) / 2 turns the sum into an honest
-polynomial in q for g >= 1; genus 0 is served through rational functions.
+psi_d is the Adams map q -> q^d.  Components weight the same logs by the
+coefficients of (x+1)^(r-k) (x-1)^k.  The literal multiset sum lives in
+verify (reference_e_value) as the reference the tests compare against.
+For g >= 1 every coefficient is an integer polynomial in q^(1/2), and E_n is
+one exact integer division of (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by
+2^r n for a component); genus 0 is served through rational functions.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -28,9 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import (HalfPowerPolynomial, Q_MINUS_ONE, RF_ONE, RF_ZERO,
-                      RationalFunction, TruncatedSeries, adams, formal_log,
-                      moebius, pleth_log, rational_exponent_pow)
+from .algebra import (HalfPowerPolynomial, ONE, Q_MINUS_ONE, RF_ONE,
+                      RationalFunction, TruncatedSeries, ZERO, adams, moebius,
+                      pleth_log, poly_divmod, rational_exponent_pow)
 from .partitions import all_partitions, conjugate, hooks, n_lambda, weight
 from .symfun import a_minus, a_plus
 
@@ -85,20 +86,18 @@ def _check_convention(conv):
 
 
 @lru_cache(maxsize=None)
-def hook_polynomial(lam, d=1):
-    """Normalized hook polynomial at q**d, exact in half powers of q.
+def hook_polynomial(lam):
+    """Normalized hook polynomial, exact in half powers of q.
 
-    q^(-d(n_lam + |lam|/2)) * prod over boxes of (1 - q^(d*hook)).
+    q^(-(n_lam + |lam|/2)) * prod over boxes of (1 - q^hook).
     """
     lam = tuple(lam)
     if not lam:
         raise EmptyPartition("hook polynomial of the empty partition")
-    e0 = -d * (2 * n_lambda(lam) + weight(lam))
-    poly = HalfPowerPolynomial.u_power(e0)
+    poly = HalfPowerPolynomial.u_power(-(2 * n_lambda(lam) + weight(lam)))
     for h in hooks(lam):
-        poly = poly * (HalfPowerPolynomial.from_int(1)
-                       - HalfPowerPolynomial.u_power(2 * d * h))
-    return RationalFunction(poly)
+        poly = poly * (ONE - HalfPowerPolynomial.u_power(2 * h))
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -144,15 +143,17 @@ def partition_multisets(w):
 def _hook_sums(w, e, conv):
     """Partitions of w grouped by (a+, a-), each group with its sum of H^e.
 
-    H is the hook polynomial the convention pairs with the partition.  No
+    H is the hook polynomial the convention pairs with the partition.  The
+    sum is a polynomial for e >= 0 and a rational function for e < 0.  No
     hook is built when e = 0; the sum is then the size of the group.
     """
     sums = {}
     for lam in all_partitions(w):
         if e:
-            term = hook_polynomial(lam if conv == MATCHED else conjugate(lam)) ** e
+            hook = hook_polynomial(lam if conv == MATCHED else conjugate(lam))
+            term = (hook if e > 0 else RationalFunction(hook)) ** e
         else:
-            term = RF_ONE
+            term = ONE
         key = (a_plus(lam), a_minus(lam))
         sums[key] = sums[key] + term if key in sums else term
     return tuple(sums.items())
@@ -161,12 +162,8 @@ def _hook_sums(w, e, conv):
 @lru_cache(maxsize=None)
 def _series_coefficient(w, e, j, r, conv):
     "T^w coefficient of the partition series A_j: sum_{|lam|=w} a+^j a-^(r-j) H^e."
-    total = RF_ZERO
-    for (ap, am), hook_sum in _hook_sums(w, e, conv):
-        a = ap ** j * am ** (r - j)
-        if a:
-            total = total + hook_sum * a
-    return total
+    return sum((hook_sum * (ap ** j * am ** (r - j))
+                for (ap, am), hook_sum in _hook_sums(w, e, conv)), ZERO)
 
 
 def _partition_series(order, e, j, r, conv, scale=1):
@@ -177,121 +174,114 @@ def _partition_series(order, e, j, r, conv, scale=1):
     return TruncatedSeries(order, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _log_series(order, e, j, r, conv):
-    "log A_j truncated at order."
-    return formal_log(_partition_series(order, e, j, r, conv))
+_LOG_TABLES = {}
+
+
+def _log_coefficient(w, *key):
+    """c_w = w [T^w] log A_j for key (e, j, r, conv), from the recurrence
+    c_w = w a_w - sum_{0<k<w} c_k a_(w-k).  One table per key holds c_0 = 0,
+    c_1, ...; it grows in order of w, and every rank reads the same table."""
+    c = _LOG_TABLES.setdefault(key, [ZERO])
+    while len(c) <= w:
+        m = len(c)
+        c.append(_series_coefficient(m, *key) * m - sum(
+            (c[k] * _series_coefficient(m - k, *key) for k in range(1, m)), ZERO))
+    return c[w]
 
 
 def _moebius_sum(n, coefficient, odd_only):
-    "sum over d | n (odd d only if odd_only) of mu(d)/d psi_d(coefficient(n/d))."
-    total = RF_ZERO
-    for d in range(1, n + 1, 2 if odd_only else 1):
-        mu = moebius(d) if n % d == 0 else 0
-        if mu:
-            total = total + adams(coefficient(n // d), d) * Fraction(mu, d)
-    return total
+    "sum over d | n (odd d only if odd_only) of mu(d) psi_d(coefficient(n/d))."
+    divisors = [d for d in range(1, n + 1, 2 if odd_only else 1) if n % d == 0]
+    return sum((adams(coefficient(n // d), d) * moebius(d)
+                for d in divisors if moebius(d)), ZERO)
 
 
-def _v(n, surf, weights, conv):
-    """The inner sum for the a-combination sum_j b_j a+^j a-^(r-j).
-
-    weights maps j to b_j.  Expanding log A_j over multisets of partitions
-    gives the multiset coefficients (-1)^(m-1) (m-1)!/prod mult!, so the
-    inner sum is sum over odd d | n of mu(d)/d psi_d([T^(n/d)] sum_j b_j log A_j).
-    """
+def _n_v(n, surf, k, conv):
+    """n V_n = sum over odd d | n of mu(d) psi_d(sum_j b_j c^(j)_(n/d)), with
+    b_j the coefficients of x^j in x^r - 1 for the total (k None) and in
+    (x+1)^(r-k) (x-1)^k for the component k.  Expanding log A_j over
+    multisets of partitions gives the closed formula's multiset coefficients
+    (-1)^(m-1) (m-1)!/prod mult!."""
     if n < 1:
         raise ValueError("n must be positive")
     _check_convention(conv)
-    logs = [(b, _log_series(n, surf.g - 1, j, surf.r, conv))
-            for j, b in weights.items() if b]
+    e, r = surf.g - 1, surf.r
+    weights = {r: 1, 0: -1} if k is None else {
+        j: sum(comb(r - k, j - l) * comb(k, l) * (-1) ** (k - l)
+               for l in range(min(j, k) + 1)) for j in range(r + 1)}
 
     def coefficient(w):
-        total = RF_ZERO
-        for b, log_a in logs:
-            total = total + log_a.coefficient(w) * b
-        return total
+        return sum((_log_coefficient(w, e, j, r, conv) * b
+                    for j, b in weights.items() if b), ZERO)
 
     return _moebius_sum(n, coefficient, odd_only=True)
 
 
 def v_n(n, surf, conv=MATCHED):
-    "The rank-n inner sum, as a rational function of q: weights a+^r - a-^r."
-    return _v(n, surf, {surf.r: 1, 0: -1}, conv)
+    "The rank-n inner sum V_n, for the weights a+^r - a-^r."
+    return _n_v(n, surf, None, conv) * Fraction(1, n)
 
 
-def _component_weights(r, k):
-    "Coefficients b_j of x^j in (x+1)^(r-k) (x-1)^k."
-    return {j: sum(comb(r - k, j - l) * comb(k, l) * (-1) ** (k - l)
-                   for l in range(min(j, k) + 1))
-            for j in range(r + 1)}
+def _assembled(n, surf, k, conv):
+    """(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, and the divisor that turns it into
+    E_n (k None: 2n) or into the component E_n^k (2^r n)."""
+    if k is not None and k % 2 == 0:
+        raise EvenK("component index k must be odd")
+    if k is not None and not 1 <= k <= surf.r:
+        raise KOutOfRange("need 1 <= k <= r = %d, got k = %d" % (surf.r, k))
+    e = n * n * (surf.g - 1)
+    prefactor = Q_MINUS_ONE * HalfPowerPolynomial.u_power(e, (-1) ** (e % 2))
+    return (prefactor * _n_v(n, surf, k, conv),
+            (2 if k is None else 2 ** surf.r) * n)
 
 
-def _half_u_sign_prefactor(n, g):
-    "(-q^(1/2))^(n^2 (g-1)), a Laurent monomial (negative powers at g = 0)."
-    e = n * n * (g - 1)
-    return RationalFunction(HalfPowerPolynomial.u_power(e, (-1) ** (e % 2)))
+def _require_polynomial(value, divisor, what):
+    "value / divisor as a polynomial in q with int coefficients, or NotPolynomial."
+    if not value.is_q_polynomial():
+        raise NotPolynomial("%s has odd half powers" % what)
+    if any(e < 0 for e in value.terms):
+        raise NotPolynomial("%s has negative exponents" % what)
+    if any(c % divisor for c in value.terms.values()):
+        raise NotPolynomial("%s has a non-integer coefficient" % what)
+    return HalfPowerPolynomial({e: c // divisor for e, c in value.terms.items()})
 
 
 def e_poly_rational(n, surf, conv=MATCHED):
-    "Assembled E-value as a rational function; no polynomiality assertion."
-    v = v_n(n, surf, conv)
-    return (RationalFunction(Q_MINUS_ONE) * Fraction(1, 2)
-            * _half_u_sign_prefactor(n, surf.g) * v)
-
-
-def _require_polynomial(value, what):
-    "The value as a polynomial in q with int coefficients, or NotPolynomial."
-    poly = value.as_polynomial()
-    if poly is None:
-        raise NotPolynomial("%s has a nontrivial denominator" % what)
-    if not poly.is_zero():
-        if not poly.is_q_polynomial():
-            raise NotPolynomial("%s has odd half powers" % what)
-        if poly.min_exp() < 0:
-            raise NotPolynomial("%s has negative exponents" % what)
-    if any(c.denominator != 1 for c in poly.terms.values()):
-        raise NotPolynomial("%s has a non-integer coefficient" % what)
-    return HalfPowerPolynomial({e: int(c) for e, c in poly.terms.items()})
+    """Assembled E-value with no polynomiality check: a polynomial in
+    q^(1/2) for g >= 1 and a rational function at g = 0."""
+    value, divisor = _assembled(n, surf, None, conv)
+    return value * Fraction(1, divisor)
 
 
 def e_poly(n, surf, conv=MATCHED):
     """E-polynomial of the rank-n variety, as a polynomial in q.
 
     Requires g >= 1; the genus 0 assembly lives in e_poly_rational.  Raises
-    NotPolynomial if denominators or half powers survive, which signals a
+    NotPolynomial if a remainder or a half power survives, which signals a
     convention bug rather than bad input.
     """
     if surf.g < 1:
         raise ValueError("e_poly needs g >= 1; use e_poly_rational for g = 0")
-    value = e_poly_rational(n, surf, conv)
-    return _require_polynomial(value, "E_%d" % n)
+    return _require_polynomial(*_assembled(n, surf, None, conv), "E_%d" % n)
 
 
 def e_poly_component_rational(n, surf, k, conv=MATCHED):
-    "Component E-value as a rational function; no polynomiality assertion."
-    if k % 2 == 0:
-        raise EvenK("component index k must be odd")
-    if not 1 <= k <= surf.r:
-        raise KOutOfRange("need 1 <= k <= r = %d, got k = %d" % (surf.r, k))
-    v = _v(n, surf, _component_weights(surf.r, k), conv)
-    return (RationalFunction(Q_MINUS_ONE) * Fraction(1, 2 ** surf.r)
-            * _half_u_sign_prefactor(n, surf.g) * v)
+    "Component E-value with no polynomiality check, as in e_poly_rational."
+    value, divisor = _assembled(n, surf, k, conv)
+    return value * Fraction(1, divisor)
 
 
 def e_poly_component(n, surf, k, conv=MATCHED):
     "E-polynomial of one path component, indexed by its odd sign count k."
     if surf.g < 1:
         raise ValueError("component polynomials need g >= 1")
-    value = e_poly_component_rational(n, surf, k, conv)
-    return _require_polynomial(value, "E_%d^%d" % (n, k))
+    return _require_polynomial(*_assembled(n, surf, k, conv), "E_%d^%d" % (n, k))
 
 
 def component_sum_check(n, surf, conv=MATCHED):
     "Check sum over odd k of binomial(r,k) * E_n^k = E_n as polynomials."
-    total = RF_ZERO
-    for k in range(1, surf.r + 1, 2):
-        total = total + e_poly_component_rational(n, surf, k, conv) * comb(surf.r, k)
+    total = sum((e_poly_component_rational(n, surf, k, conv) * comb(surf.r, k)
+                 for k in range(1, surf.r + 1, 2)), ZERO)
     return total == e_poly_rational(n, surf, conv)
 
 
@@ -301,7 +291,6 @@ def euler_char_component(n, surf, k, conv=MATCHED):
     Returns an exact Fraction (an integer for g >= 2); raises NotDivisible
     when (q-1)^g does not divide the component polynomial.
     """
-    from .algebra import poly_divmod
     if surf.g == 0:
         value = e_poly_component_rational(n, surf, k, conv)
         if value.is_zero():
@@ -353,7 +342,9 @@ def complex_curve_e_poly(n, g):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    log_a = _log_series(n, 2 * g - 2, 0, 0, MATCHED)
-    coefficient = _moebius_sum(n, log_a.coefficient, odd_only=False)
-    mono = RationalFunction(HalfPowerPolynomial.u_power(2 * n * n * (g - 1)))
-    return RationalFunction(Q_MINUS_ONE) ** 2 * mono * coefficient
+    n_coefficient = _moebius_sum(
+        n, lambda w: _log_coefficient(w, 2 * g - 2, 0, 0, MATCHED),
+        odd_only=False)
+    mono = HalfPowerPolynomial.u_power(2 * n * n * (g - 1))
+    return (RationalFunction(Q_MINUS_ONE ** 2 * mono) * n_coefficient
+            * Fraction(1, n))

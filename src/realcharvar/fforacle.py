@@ -76,7 +76,7 @@ def _is_prime(m):
 class PrimeField:
     "Odd prime field F_q with tabulated inverses."
 
-    __slots__ = ("q", "_inv")
+    __slots__ = ("q",)
 
     def __init__(self, q):
         if not _is_prime(q):
@@ -84,8 +84,6 @@ class PrimeField:
         if q == 2:
             raise ValueError("the symmetric-form split needs odd characteristic")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_inv",
-                           tuple([0] + [pow(a, q - 2, q) for a in range(1, q)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeField is immutable")
@@ -94,7 +92,7 @@ class PrimeField:
         a %= self.q
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._inv[a]
+        return int(_inverse_table(self.q)[a])
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.q == other.q
@@ -292,7 +290,7 @@ def kernel_dim(M, q):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
+        inv = int(_inverse_table(q)[rows[rank][col] % q])
         rows[rank] = [x * inv % q for x in rows[rank]]
         for r in range(n):
             if r != rank and rows[r][col] % q:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE, RF_ONE,
-                      RF_ZERO, RationalFunction, moebius)
+                      RF_ZERO, RationalFunction, adams, moebius)
 from .epoly import (MATCHED, TRANSPOSED, SurfaceData, component_sum_check,
                     e_poly, e_poly_component, e_poly_rational,
                     euler_char_component, gen_function_check,
@@ -62,10 +62,10 @@ def closed_form_e3(g, r):
 
 
 @lru_cache(maxsize=None)
-def _reference_terms(n, g, conv):
-    """(coefficient, a+ product, a- product, hook part) for every odd d | n
-    and every multiset of partitions of total weight n/d."""
-    terms = []
+def _reference_groups(n, g, conv):
+    """Coefficient times hook part for every odd d | n and every multiset of
+    partitions of total weight n/d, summed per (a+ product, a- product)."""
+    groups = {}
     for d in range(1, n + 1, 2):
         mu = moebius(d) if n % d == 0 else 0
         if not mu:
@@ -79,10 +79,11 @@ def _reference_terms(n, g, conv):
                 coeff /= factorial(mult)
                 ap *= a_plus(lam) ** mult
                 am *= a_minus(lam) ** mult
-                hook = lam if conv == MATCHED else conjugate(lam)
-                hook_part = hook_part * hook_polynomial(hook, d) ** ((g - 1) * mult)
-            terms.append((coeff, ap, am, hook_part))
-    return tuple(terms)
+                hook = adams(hook_polynomial(
+                    lam if conv == MATCHED else conjugate(lam)), d)
+                hook_part = hook_part * RationalFunction(hook) ** ((g - 1) * mult)
+            groups[ap, am] = groups.get((ap, am), RF_ZERO) + hook_part * coeff
+    return tuple(groups.items())
 
 
 def reference_e_value(n, surf, conv=MATCHED, k=None):
@@ -96,13 +97,13 @@ def reference_e_value(n, surf, conv=MATCHED, k=None):
     """
     r = surf.r
     total = RF_ZERO
-    for coeff, ap, am, hook_part in _reference_terms(n, surf.g, conv):
+    for (ap, am), group in _reference_groups(n, surf.g, conv):
         if k is None:
             a = ap ** r - am ** r
         else:
             a = (ap + am) ** (r - k) * (ap - am) ** k
         if a:
-            total = total + hook_part * (coeff * Fraction(a))
+            total = total + group * a
     e = n * n * (surf.g - 1)
     prefactor = HalfPowerPolynomial.u_power(e, (-1) ** (e % 2)) * Q_MINUS_ONE
     return (RationalFunction(prefactor) * total

@@ -96,6 +96,17 @@ def test_rational_function_field_axioms_random():
                 assert (a / b) * b == a
 
 
+def test_mixed_polynomial_and_rational_arithmetic():
+    # a polynomial operand defers to the rational function, from either side
+    f = RationalFunction(ONE, Q_MINUS_ONE)
+    assert type(Q + f) is type(f + Q) is type(Q * f) is RationalFunction
+    assert Q + f == f + Q == RationalFunction(Q * Q_MINUS_ONE + ONE, Q_MINUS_ONE)
+    assert Q - f == -(f - Q)
+    assert Q * f == f * Q == RationalFunction(Q, Q_MINUS_ONE)
+    assert f * Fraction(1, 3) == RationalFunction(ONE, Q_MINUS_ONE * 3)
+    assert (f * 0).is_zero() and f + RF_ZERO == RF_ZERO + f == f
+
+
 def test_division_and_gcd():
     a = (Q - ONE) * (Q + ONE)
     quo, rem = poly_divmod(a, Q - ONE)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from realcharvar import epoly
 from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
                                  RF_ONE, RationalFunction, adams)
 from realcharvar.epoly import (EmptyPartition, KOutOfRange, EvenK, MATCHED,
@@ -32,18 +33,19 @@ def test_surface_data_validation():
 
 def test_hook_polynomial_examples():
     # single box: q^(-1/2) (1 - q)
-    assert hook_polynomial((1,), 1) == \
+    assert hook_polynomial((1,)) == \
         RationalFunction(HalfPowerPolynomial({-1: 1, 1: -1}))
     # row of two: q^(-1) (1-q)(1-q^2); check |GL_2| = q^2 (-H)-normalization
-    h2 = hook_polynomial((2,), 1)
+    h2 = hook_polynomial((2,))
     assert h2 == RationalFunction(
         HalfPowerPolynomial.u_power(-2) * (ONE - Q) * (ONE - qp(2)))
     g2 = (qp(2) - ONE) * (qp(2) - Q)
     assert RationalFunction(qp(2)) * h2 == RationalFunction(g2)
-    # adams compatibility at scale 2
-    assert hook_polynomial((1, 1), 2) == adams(hook_polynomial((1, 1), 1), 2)
+    # adams at scale 2, as the reference route takes it: q^(-4) (1-q^2)(1-q^4)
+    assert adams(hook_polynomial((1, 1)), 2) == \
+        qp(-4) * (ONE - qp(2)) * (ONE - qp(4))
     with pytest.raises(EmptyPartition):
-        hook_polynomial((), 1)
+        hook_polynomial(())
 
 
 def test_partition_multisets():
@@ -63,7 +65,7 @@ def test_v_n_examples():
     for g in (1, 2, 3):
         for r in range(1, g + 2):
             surf = SurfaceData(g, r)
-            want = hook_polynomial((1,), 1) ** (g - 1) * (2 ** r)
+            want = hook_polynomial((1,)) ** (g - 1) * (2 ** r)
             assert v_n(1, surf) == want
     # rank 2 at g=1: hooks die, coefficients 2^r + (3^r - 1) - 2^(2r-1)
     for r in (1, 2):
@@ -125,9 +127,75 @@ def test_e_poly_degree_and_integrality():
 
 
 def test_half_integer_coefficient_is_not_polynomial():
-    half = RationalFunction(HalfPowerPolynomial({2: Fraction(1, 2)}))
-    with pytest.raises(NotPolynomial):
-        _require_polynomial(half, "E")
+    # (value, divisor): a half-integer coefficient, an int coefficient the
+    # divisor does not divide, a half power, a negative power
+    for value, divisor in ((HalfPowerPolynomial({2: Fraction(1, 2)}), 1),
+                           (HalfPowerPolynomial({0: 4, 2: 6}), 4),
+                           (HalfPowerPolynomial({1: 2}), 2),
+                           (HalfPowerPolynomial({-2: 2}), 2)):
+        with pytest.raises(NotPolynomial):
+            _require_polynomial(value, divisor, "E")
+    assert _require_polynomial(HalfPowerPolynomial({0: 4, 2: 8}), 4, "E") \
+        == HalfPowerPolynomial({0: 1, 2: 2})
+
+
+def _clear_formula_caches():
+    "Drop the hook polynomials, partition series and log tables."
+    epoly._LOG_TABLES.clear()
+    for fn in (hook_polynomial, epoly._hook_sums, epoly._series_coefficient):
+        fn.cache_clear()
+
+
+def test_integer_route_builds_no_rational_function(monkeypatch):
+    built = []
+    init, raw = RationalFunction.__init__, RationalFunction._raw
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def spy_raw(cls, num, den):
+        built.append((num, den))
+        return raw(num, den)
+
+    _clear_formula_caches()
+    monkeypatch.setattr(RationalFunction, "__init__", spy_init)
+    monkeypatch.setattr(RationalFunction, "_raw", classmethod(spy_raw))
+    for g, r in ((1, 2), (3, 2), (2, 3)):
+        surf = SurfaceData(g, r)
+        for conv in (MATCHED, TRANSPOSED):
+            for n in (1, 4, 5):
+                e_poly(n, surf, conv)
+                e_poly_component(n, surf, 1, conv)
+                euler_char_component(n, surf, r - (r + 1) % 2, conv)
+    assert built == []
+    # the spies do see the genus-0 route
+    e_poly_rational(2, SurfaceData(0, 1))
+    assert built
+
+
+def test_log_tables_hold_int_polynomials():
+    surf = SurfaceData(2, 3)
+    e_poly(6, surf)
+    e_poly_component(6, surf, 3, TRANSPOSED)
+    tables = [c for (e, j, r, conv), c in epoly._LOG_TABLES.items() if e >= 0]
+    assert len(tables) >= 4
+    for table in tables:
+        for c in table:
+            assert type(c) is HalfPowerPolynomial
+            assert all(type(x) is int for x in c.terms.values())
+
+
+def test_log_table_does_not_depend_on_request_order():
+    surf = SurfaceData(2, 2)
+    for n in (1, 2, 3):
+        _clear_formula_caches()
+        for conv in (TRANSPOSED, MATCHED):
+            e_poly(n + 6, surf, conv)
+            e_poly_component(n + 6, surf, 1, conv)
+        late = (e_poly(n, surf), e_poly_component(n, surf, 1))
+        _clear_formula_caches()
+        assert (e_poly(n, surf), e_poly_component(n, surf, 1)) == late
 
 
 def test_e_poly_genus_bounds():

@@ -4,7 +4,9 @@ The JSON exchange format is the contract, so refactors of the formula code
 must leave every document unchanged.  The sha256 digests of stdout were
 recorded from the multiset-of-partitions implementation that preceded the
 truncated-log route.  genfun at genus 0 is an error document: e_poly needs
-g >= 1, so stdout is empty and the exit code is 1.
+g >= 1, so stdout is empty and the exit code is 1.  The text, LaTeX (in xy)
+and CSV renderings of four epoly/component documents were recorded from the
+rational-function log route that preceded the integer one.
 """
 
 import contextlib
@@ -60,10 +62,48 @@ GOLDEN = (
 )
 
 
-@pytest.mark.parametrize("args,code,digest", GOLDEN)
-def test_json_document_unchanged(args, code, digest):
+# (full arguments, sha256 of stdout); every one exits 0
+RENDERINGS = (
+    ("epoly --n 1-5 --g 3 --r 2 --convention matched --format text",
+     "b6936263f566a8cc9853f2db7ea108d76c2ff3955ef81d091b47a464cc8a181b"),
+    ("epoly --n 1-5 --g 3 --r 2 --convention matched --format latex --xy",
+     "4f1b8c3a918bcf4392490cc3899c91fdb9910cdd2ad3a7fed49b0d1c87d597b4"),
+    ("epoly --n 1-5 --g 3 --r 2 --convention matched --format csv",
+     "2875e54d6381d61cb0237facf6928130482ade46f8bf4ff41ecd72eb07da05bc"),
+    ("epoly --n 1-6 --g 2 --r 3 --convention transposed --format text",
+     "8c29b1db1d36db411baf32a9ef99eb7c325eac879d7818792ea52d4dc23245a5"),
+    ("epoly --n 1-6 --g 2 --r 3 --convention transposed --format latex --xy",
+     "54d710affbb6c5ae73c388f75ae9aceca9ac1318a1059ce9ea1cf13da3f445ee"),
+    ("epoly --n 1-6 --g 2 --r 3 --convention transposed --format csv",
+     "22ef935c29c1139fb25d8246fb2711958653aaf00dcb9e5aff7527cfa68295a5"),
+    ("component --n 1-4 --g 3 --r 3 --k 3 --convention matched --format text",
+     "636a6960ca93350de4e2da42d96bca23ee6e3b3f09a5a974d978285ad90d6d90"),
+    ("component --n 1-4 --g 3 --r 3 --k 3 --convention matched --format latex --xy",
+     "764ca48f66507ce41b5d450e20c44d9d70cfb3c7ca513c02d2dc85812c7fbe35"),
+    ("component --n 1-4 --g 3 --r 3 --k 3 --convention matched --format csv",
+     "c93260b718a445fe1e16cc31144cb414d946df84d716086efb5f0fc9dd07a36c"),
+    ("component --n 1-5 --g 2 --r 1 --k 1 --convention transposed --format text",
+     "20da69e07730e3b67cff0dcdf8c72cc1f8f1b2cdce6b39eb5f46d18f0d3f68de"),
+    ("component --n 1-5 --g 2 --r 1 --k 1 --convention transposed --format latex --xy",
+     "c37655c8b6b3f8460076931da36bd4273c3a530ad3db834a783d7c3c7d81a4e0"),
+    ("component --n 1-5 --g 2 --r 1 --k 1 --convention transposed --format csv",
+     "d78762af467dc11e94061795fe78314f6dc04e36ab93b1e332a6b3e052772fa7"),
+)
+
+
+def _run(argv):
+    "Exit code and sha256 of stdout of one command-line call."
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        got = main(args.split() + ["--format", "json"])
-    assert got == code
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args,code,digest", GOLDEN)
+def test_json_document_unchanged(args, code, digest):
+    assert _run(args.split() + ["--format", "json"]) == (code, digest)
+
+
+@pytest.mark.parametrize("args,digest", RENDERINGS)
+def test_rendering_unchanged(args, digest):
+    assert _run(args.split()) == (0, digest)
