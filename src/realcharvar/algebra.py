@@ -5,10 +5,13 @@ Everything downstream works over three layers built here:
 * HalfPowerPolynomial -- Laurent polynomials in u with exact coefficients,
   keyed by integer u-exponent (exponent e stands for q**(e/2)).  A
   coefficient is a Python int; a Fraction appears only where a division
-  makes one.
+  makes one.  Products are fraction-free: both factors are lifted to int
+  numerators over one common denominator, the ints are convolved, and each
+  output coefficient is divided once, so an integral result is an int.
 * RationalFunction -- normalized quotients of HalfPowerPolynomials.  The
   denominator is an ordinary polynomial with constant coefficient 1 and no
-  common factor with the numerator, so equality is structural.  Arithmetic
+  common factor with the numerator, so equality is structural.  The gcd that
+  keeps it so runs over Z, as a primitive remainder sequence.  Arithmetic
   that mixes the two layers gives a RationalFunction.
 * TruncatedSeries -- power series in T up to a fixed order with
   RationalFunction coefficients, carrying the plethystic operations
@@ -18,6 +21,7 @@ All values are immutable after construction and all operations are pure.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class OddExponent(ValueError):
@@ -77,7 +81,8 @@ class HalfPowerPolynomial:
     """Laurent polynomial in u (u**2 = q) with exact rational coefficients.
 
     Stored as a dict {u-exponent: int or Fraction} holding no zero
-    coefficients.
+    coefficients.  The public constructor checks every coefficient; results
+    built inside this module come through _raw, which does not.
     """
 
     __slots__ = ("terms",)
@@ -93,6 +98,14 @@ class HalfPowerPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfPowerPolynomial is immutable")
+
+    @classmethod
+    def _raw(cls, terms):
+        """Internal: wrap a dict of nonzero int or Fraction coefficients with
+        int keys as it is, skipping the per-coefficient check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     # -- constructors ------------------------------------------------
 
@@ -163,12 +176,12 @@ class HalfPowerPolynomial:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return HalfPowerPolynomial(terms)
+        return HalfPowerPolynomial._raw(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HalfPowerPolynomial({e: -c for e, c in self.terms.items()})
+        return HalfPowerPolynomial._raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -177,25 +190,30 @@ class HalfPowerPolynomial:
         return -self + other
 
     def __mul__(self, other):
+        """Fraction-free product: each operand is lifted to int numerators
+        over one common denominator, the ints are convolved, and each output
+        coefficient is divided once by the product of the denominators."""
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
-                return HalfPowerPolynomial()
-            return HalfPowerPolynomial({e: c * v for e, v in self.terms.items()})
+            if not other:
+                return ZERO
+            den, a = _lift(self.terms)
+            n = other.numerator
+            return HalfPowerPolynomial._raw(
+                _over({e: c * n for e, c in a.items()}, den * other.denominator))
         if not isinstance(other, HalfPowerPolynomial):
             return NotImplemented
         if not self.terms or not other.terms:
-            return HalfPowerPolynomial()
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            return ZERO
+        da, a = _lift(self.terms)
+        db, b = _lift(other.terms)
+        b = tuple(b.items())
+        acc = {}
+        get = acc.get
+        for e1, c1 in a.items():
+            for e2, c2 in b:
                 e = e1 + e2
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return HalfPowerPolynomial(terms)
+                acc[e] = get(e, 0) + c1 * c2
+        return HalfPowerPolynomial._raw(_over(acc, da * db))
 
     __rmul__ = __mul__
 
@@ -243,7 +261,7 @@ class HalfPowerPolynomial:
             raise ValueError("adams substitution needs d >= 1")
         if d == 1:
             return self
-        return HalfPowerPolynomial({e * d: c for e, c in self.terms.items()})
+        return HalfPowerPolynomial._raw({e * d: c for e, c in self.terms.items()})
 
     def q_degree(self):
         "Degree in q of a polynomial with even exponents."
@@ -253,6 +271,30 @@ class HalfPowerPolynomial:
 
     def __repr__(self):
         return "HalfPowerPolynomial(%s)" % format_poly(self)
+
+
+def _lift(terms):
+    """(den, numerators): den is the lcm of the coefficient denominators and
+    numerators maps each exponent to the int coefficient * den."""
+    dens = {c.denominator for c in terms.values() if type(c) is not int}
+    if not dens:
+        return 1, terms
+    den = lcm(*dens)
+    return den, {e: c.numerator * (den // c.denominator)
+                 for e, c in terms.items()}
+
+
+def _over(numerators, den):
+    """Exact coefficients numerator/den with the zeros dropped; a quotient
+    that comes out integral is an int."""
+    if den == 1:
+        return {e: c for e, c in numerators.items() if c}
+    out = {}
+    for e, c in numerators.items():
+        if c:
+            quo, rem = divmod(c, den)
+            out[e] = Fraction(c, den) if rem else quo
+    return out
 
 
 def _coerce_poly(x):
@@ -283,7 +325,7 @@ def _to_dense(p):
 
 
 def _from_dense(lo, coeffs):
-    return HalfPowerPolynomial({lo + i: c for i, c in enumerate(coeffs) if c})
+    return HalfPowerPolynomial._raw({lo + i: c for i, c in enumerate(coeffs) if c})
 
 
 def _dense_trim(a):
@@ -307,17 +349,51 @@ def _dense_divmod(a, b):
     return q, _dense_trim(a)
 
 
+def _primitive(a):
+    "Integer coefficient list divided by its content, the gcd of its entries."
+    content = gcd(*a)
+    return [c // content for c in a] if content > 1 else a
+
+
+def _cleared(a):
+    "The coefficient list times the lcm of its denominators, as ints."
+    den = lcm(*{c.denominator for c in a})
+    return [c.numerator * (den // c.denominator) for c in a]
+
+
+def _dense_prem(a, b):
+    """Remainder of the integer list a by the integer list b (b nonzero), up
+    to a nonzero integer factor.  Each step scales a by lead(b)/h and takes
+    away (f/h) x^i b, f the leading entry of a and h = gcd(lead(b), f) with
+    the sign of lead(b); no fraction is formed."""
+    a = list(a)
+    lead, low = b[-1], b[:-1]
+    while len(a) > len(low):
+        f = a.pop()
+        if f:
+            h = gcd(lead, f) if lead > 0 else -gcd(lead, f)
+            s, t = lead // h, f // h
+            if s != 1:
+                a = [s * c for c in a]
+            i = len(a) - len(low)
+            for j, bc in enumerate(low):
+                a[i + j] -= t * bc
+    return _dense_trim(a)
+
+
 def _dense_gcd(a, b):
-    "Monic gcd of dense coefficient lists over Q."
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
+    """Monic gcd over Q of nonzero dense coefficient lists, by a primitive remainder
+    sequence over Z (Brown, J. ACM 18, 1971; Knuth, TAOCP 2, 4.6.1).  Both
+    inputs are cleared of denominators and every remainder is cut to its
+    primitive part, so the coefficients stay small ints; the only division
+    is by the leading coefficient at the end."""
+    a, b = _primitive(_cleared(a)), _primitive(_cleared(b))
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = Fraction(a[-1])
-        a = [c / lead for c in a]
-    return a
+        a, b = b, _primitive(_dense_prem(a, b))
+    lead = a[-1]
+    return [Fraction(c, lead) if c % lead else c // lead for c in a]
 
 
 def poly_divmod(a, b):
@@ -371,8 +447,8 @@ class RationalFunction:
             shift = den.min_exp()
             if shift:
                 # move the monomial unit of the denominator into the numerator
-                den = HalfPowerPolynomial({e - shift: c for e, c in den.terms.items()})
-                num = HalfPowerPolynomial({e - shift: c for e, c in num.terms.items()})
+                den = HalfPowerPolynomial._raw({e - shift: c for e, c in den.terms.items()})
+                num = HalfPowerPolynomial._raw({e - shift: c for e, c in num.terms.items()})
             g = poly_gcd(num, den)
             if not g.is_one() and g.max_exp() > 0:
                 num, _ = poly_divmod(num, g)

@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from .algebra import HalfPowerPolynomial, format_poly, format_poly_latex
 from .epoly import (CONVENTIONS, MATCHED, SurfaceData, e_poly,
@@ -184,7 +185,10 @@ def cmd_verify(args, out):
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="realcharvar",
         description="Exact E-polynomials of real-curve character varieties "
@@ -246,8 +250,12 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError) as exc:
-        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+    except (ArithmeticError, ValueError, RecursionError, MemoryError) as exc:
+        # one line, also where a traceback would follow: a request too deep
+        # for the recursion limit or too large for the memory
+        text = str(exc)
+        print("%s: %s" % (type(exc).__name__, text) if text
+              else type(exc).__name__, file=sys.stderr)
         return 1
 
 

@@ -35,3 +35,26 @@ def test_traced_worker_serves_a_count_and_a_cli_call(tmp_path):
     counters = json.loads(spans.read_text())["counters"]
     assert counters["fforacle.kernel.bytes"] > 0
     assert counters["cli.output_bytes"] == len(cli["value"]["stdout"].encode())
+
+
+def test_traced_worker_sees_the_rational_arithmetic(tmp_path):
+    "A genus-0 product identity runs through the wrapped product and gcd."
+    spans = tmp_path / "spans.json"
+    requests = [{"op": "gen_function_check", "args": [4, 0, 1], "id": 0},
+                {"op": "exit"}]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), str(ROOT / "src"),
+         "1", str(spans)],
+        input="".join(json.dumps(req) + "\n" for req in requests),
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[1]) == {"id": 0, "value": True}
+    trace = json.loads(spans.read_text())
+    calls = {}
+    for span in trace["spans"]:
+        name = trace["names"][span[1]]
+        calls[name] = calls.get(name, 0) + 1
+    assert calls.get("algebra.poly_mul", 0) > 0
+    assert calls.get("algebra.poly_gcd", 0) > 0
+    assert trace["counters"]["algebra.poly_mul.coeff_products"] > 0

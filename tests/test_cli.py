@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from realcharvar.algebra import HalfPowerPolynomial
 from realcharvar.cli import main, parse_n_range
 from realcharvar.epoly import SurfaceData, e_poly
@@ -136,3 +138,54 @@ def test_verify_all_aggregates():
     for name in ("closed-forms", "oracle-main", "oracle-rank1"):
         assert name in out
     assert "FAIL" not in out
+
+
+def _call(argv):
+    "Exit code, stdout and stderr of one main call; argparse exits count."
+    import contextlib
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_reused():
+    from realcharvar.cli import build_parser
+    calls = (
+        ["epoly", "--n", "1-2", "--g", "2", "--r", "1", "--format", "json"],
+        ["component", "--n", "2", "--g", "2", "--r", "3"],  # no --k: usage
+        ["euler", "--n", "3", "--g", "2", "--r", "1", "--k", "1"],
+        ["epoly", "--n", "1", "--g", "1", "--r", "5"],      # bad surface
+        ["genfun", "--N", "3", "--g", "1", "--r", "1"],
+        ["component", "--n", "2", "--g", "2", "--r", "3", "--k", "1",
+         "--format", "csv"],
+    )
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_call(argv))
+    build_parser.cache_clear()
+    reused = [_call(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0]
+    assert "--k" in reused[1][2]
+
+
+@pytest.mark.parametrize("exc,line", [
+    (RecursionError("maximum recursion depth exceeded"),
+     "RecursionError: maximum recursion depth exceeded"),
+    (MemoryError(), "MemoryError"),
+])
+def test_resource_errors_are_one_line(monkeypatch, exc, line):
+    from realcharvar import cli
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "e_poly", fail)
+    code, out, err = _call(["epoly", "--n", "2", "--g", "2", "--r", "1"])
+    assert (code, out, err) == (1, "", line + "\n")
