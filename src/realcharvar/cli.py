@@ -27,17 +27,20 @@ class UsageError(ValueError):
 def parse_n_range(text):
     'A rank or rank range: "3", "1-4", or "1..4".'
     text = text.strip()
+    bounds = [text]
     for sep in ("..", "-"):
         if sep in text[1:]:
-            lo, hi = text.split(sep, 1)
-            lo, hi = int(lo), int(hi)
-            if lo < 1 or hi < lo:
-                raise UsageError("bad rank range %r" % text)
-            return list(range(lo, hi + 1))
-    n = int(text)
-    if n < 1:
+            bounds = text.split(sep, 1)
+            break
+    try:
+        lo, hi = int(bounds[0]), int(bounds[-1])
+    except ValueError:
+        raise UsageError("bad rank range %r" % text) from None
+    if len(bounds) == 1 and lo < 1:
         raise UsageError("rank must be positive")
-    return [n]
+    if lo < 1 or hi < lo:
+        raise UsageError("bad rank range %r" % text)
+    return list(range(lo, hi + 1))
 
 
 def _surface(args):
@@ -130,6 +133,8 @@ def cmd_euler(args, out):
 
 def cmd_genfun(args, out):
     surf = _surface(args)
+    if args.N < 1:
+        raise UsageError("truncation order N must be positive")
     records = [_poly_record(n, args.g, args.r, None, args.convention,
                             e_poly(n, surf, args.convention))
                for n in range(1, args.N + 1)]
@@ -151,7 +156,7 @@ def _verify_telescope(args, out):
         out.write("telescope %s  %s\n" % ("PASS" if ok else "FAIL", detail))
         return 0 if ok else 1
     g, r = args.g, args.r if args.r is not None else 1
-    n_max = args.N if args.N else 6
+    n_max = 6 if args.N is None else args.N
     try:
         ok, expect = telescope_check(g, r, n_max)
     except TelescopeRange as exc:

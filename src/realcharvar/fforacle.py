@@ -14,6 +14,14 @@ step pairs a prefix with one of them, so the kernel only sweeps elements of
 self-inverse classes: K[t, i, c2] counts B in the i-th self-inverse class
 with B^-1 g_t in class c2.
 
+A count sorts its atoms (F, or F+ and F-, then N) and memoizes one class
+function per sorted atom tuple on the class table: a 1-tuple is the atom,
+with F built once per table and F+/F- split from it, and a longer tuple is
+its prefix convolved with its last atom.  Requests that share a prefix
+share its convolutions, whatever order they arrive in, and the count reads
+only the scalar target of the last step.  The last atom is built before
+its prefix, so with s >= 1 the first thing built is N.
+
 Matrices are int64 numpy arrays, and the class representatives, the group
 and the symmetric forms are (..., n, n) stacks of them.  numpy carries the
 matrix layer and the group sweeps (element lookup, kernel building,
@@ -329,15 +337,16 @@ class ClassTable:
             pool.extend((f, d) for f in irreducibles(field, d))
         labels = []
 
-        def rec(i, remaining, acc):
+        def rec(start, remaining, acc):
+            # one level per label factor, so the depth is at most n; the
+            # pool ascends in degree, so the first too-large d ends the loop
             if remaining == 0:
                 labels.append(tuple(sorted(acc)))
                 return
-            if i == len(pool):
-                return
-            f, d = pool[i]
-            rec(i + 1, remaining, acc)
-            if d <= remaining:
+            for i in range(start, len(pool)):
+                f, d = pool[i]
+                if d > remaining:
+                    break
                 for w in range(1, remaining // d + 1):
                     for lam in all_partitions(w):
                         rec(i + 1, remaining - d * w, acc + [(f, lam)])
@@ -713,8 +722,9 @@ def class_fn_F_brute(table):
 
 
 def class_fn_F_signed(table):
-    "Split F into its determinant = +1 and determinant = -1 parts."
-    F = class_fn_F_closed(table)
+    """Split the table's one memoized F into its determinant = +1 and
+    determinant = -1 parts."""
+    F = _convolution(table, ("F",))
     plus = [v if d == 1 else 0 for v, d in zip(F.values, table.dets)]
     minus = [v if d == table.q - 1 else 0 for v, d in zip(F.values, table.dets)]
     return ClassFunction(table, plus), ClassFunction(table, minus)
@@ -808,61 +818,27 @@ def convolve(phi, psi, table):
                                                          slice(None)))
 
 
-def _atom_function(table, atom):
-    cache = table._conv_cache
-    key = ("atom", atom)
-    fn = cache.get(key)
+def _convolution(table, atoms):
+    """The class function atom_1 * ... * atom_k of a sorted atom tuple,
+    memoized in table._conv_cache.  A 1-tuple is the atom itself; a longer
+    tuple convolves its prefix with its last atom, which is built first."""
+    fn = table._conv_cache.get(atoms)
     if fn is not None:
         return fn
-    if atom == "N":
-        fn = class_fn_N(table)
-    elif atom == "F":
+    if len(atoms) > 1:
+        last = _convolution(table, atoms[-1:])
+        fn = convolve(_convolution(table, atoms[:-1]), last, table)
+    elif atoms == ("F",):
         fn = class_fn_F_closed(table)
-    elif atom == "F+":
-        fn = class_fn_F_signed(table)[0]
-    elif atom == "F-":
-        fn = class_fn_F_signed(table)[1]
+    elif atoms == ("N",):
+        fn = class_fn_N(table)
+    elif atoms in (("F+",), ("F-",)):
+        plus, minus = class_fn_F_signed(table)
+        fn = plus if atoms == ("F+",) else minus
     else:
-        raise ValueError("unknown convolution atom %r" % (atom,))
-    cache[key] = fn
+        raise ValueError("unknown convolution atoms %r" % (atoms,))
+    table._conv_cache[atoms] = fn
     return fn
-
-
-def _interleaved(atoms):
-    "Order atoms F-types and N alternately so dense-dense steps are avoided."
-    fs = [a for a in atoms if a != "N"]
-    ns = [a for a in atoms if a == "N"]
-    seq = []
-    while fs or ns:
-        if fs:
-            seq.append(fs.pop())
-        if ns:
-            seq.append(ns.pop())
-    return tuple(seq)
-
-
-def _convolution_prefix(table, seq):
-    "Full class function of the convolution of the atoms in seq, memoized."
-    cache = table._conv_cache
-    fn = cache.get(seq)
-    if fn is not None:
-        return fn
-    if len(seq) == 1:
-        fn = _atom_function(table, seq[0])
-    else:
-        fn = convolve(_convolution_prefix(table, seq[:-1]),
-                      _atom_function(table, seq[-1]), table)
-    cache[seq] = fn
-    return fn
-
-
-def _convolution_value(table, atoms, target):
-    "(atom_1 * ... * atom_k)(representative of target) without the last sweep."
-    seq = _interleaved(atoms)
-    if len(seq) == 1:
-        return _atom_function(table, seq[0]).values[target]
-    head = _convolution_prefix(table, seq[:-1])
-    return convolve_at(head, _atom_function(table, seq[-1]), table, target)
 
 
 # -- counting the representation variety ---------------------------------
@@ -870,30 +846,9 @@ def _convolution_value(table, atoms, target):
 def primitive_roots_of_unity(field, order):
     "Elements of F_q* of multiplicative order exactly `order`, sorted."
     q = field.q
-    if (q - 1) % order:
-        return ()
-    if order == 1:
-        return (1,)
-    out = []
-    for x in range(2, q):
-        if pow(x, order, q) == 1:
-            if all(pow(x, order // p, q) != 1 for p in _prime_divisors(order)):
-                out.append(x)
-    return tuple(out)
-
-
-def _prime_divisors(m):
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
+    # the order of x is the least k >= 1 with x^k = 1, and k <= q - 1
+    return tuple(x for x in range(1, q)
+                 if next(k for k in range(1, q) if pow(x, k, q) == 1) == order)
 
 
 def count_representation_variety(n, field, surf, xi, w=None):
@@ -920,8 +875,12 @@ def count_representation_variety(n, field, surf, xi, w=None):
         atoms = tuple("F+" if x == 1 else "F-" for x in w) + ("N",) * s
     else:
         atoms = ("F",) * surf.r + ("N",) * s
+    atoms = tuple(sorted(atoms))
     target = table.scalar_class_index(xi)
-    return _convolution_value(table, atoms, target)
+    if len(atoms) == 1:
+        return _convolution(table, atoms).values[target]
+    last = _convolution(table, atoms[-1:])
+    return convolve_at(_convolution(table, atoms[:-1]), last, table, target)
 
 
 def formula_count(n, field, surf, k=None, convention=epoly.MATCHED):

@@ -125,7 +125,7 @@ def criterion_closed_forms():
 
 
 class TelescopeRange(ValueError):
-    "The degenerate genus checks cover g = 0 and g = 1 only."
+    "The degenerate genus checks cover g = 0 and g = 1, up to a rank N >= 1."
 
 
 def telescope_check(g, r, n_max):
@@ -136,6 +136,8 @@ def telescope_check(g, r, n_max):
     """
     if g not in (0, 1):
         raise TelescopeRange("telescope checks cover g = 0 and g = 1 only")
+    if n_max < 1:
+        raise TelescopeRange("telescope checks need N >= 1, not %d" % n_max)
     surf = SurfaceData(g, r)
     ranks = range(1, n_max + 1)
     if g == 0:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from realcharvar.algebra import HalfPowerPolynomial
-from realcharvar.cli import main, parse_n_range
+from realcharvar.cli import UsageError, main, parse_n_range
 from realcharvar.epoly import SurfaceData, e_poly
 
 
@@ -20,6 +20,11 @@ def test_parse_n_range():
     assert parse_n_range("3") == [3]
     assert parse_n_range("1-4") == [1, 2, 3, 4]
     assert parse_n_range("2..3") == [2, 3]
+    for text in ("1-", "abc", "-", "1..x", "2-1", "0-3"):
+        with pytest.raises(UsageError, match="bad rank range"):
+            parse_n_range(text)
+    with pytest.raises(UsageError, match="rank must be positive"):
+        parse_n_range("0")
 
 
 def test_epoly_json_example():
@@ -189,3 +194,20 @@ def test_resource_errors_are_one_line(monkeypatch, exc, line):
     monkeypatch.setattr(cli, "e_poly", fail)
     code, out, err = _call(["epoly", "--n", "2", "--g", "2", "--r", "1"])
     assert (code, out, err) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "telescope", "--g", "1", "--r", "1", "--N", "0"],
+    ["verify", "telescope", "--g", "0", "--r", "1", "--N", "-1"],
+    ["verify", "telescope", "--g", "1", "--r", "1", "--N", "-2"],
+    ["epoly", "--n", "1-", "--g", "1", "--r", "1"],
+    ["epoly", "--n", "abc", "--g", "1", "--r", "1"],
+    ["component", "--n", "1..x", "--g", "1", "--r", "1", "--k", "1"],
+    ["genfun", "--N", "0", "--g", "1", "--r", "1"],
+    ["genfun", "--N", "-3", "--g", "1", "--r", "1"],
+])
+def test_malformed_numbers_are_usage_errors(argv):
+    code, out, err = _call(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+

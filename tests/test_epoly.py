@@ -13,8 +13,9 @@ from realcharvar.epoly import (EmptyPartition, KOutOfRange, EvenK, MATCHED,
                                e_poly_rational, euler_char_component,
                                gen_function_check, hook_polynomial,
                                complex_curve_e_poly, partition_multisets, v_n)
-from realcharvar.verify import (closed_form_e1, closed_form_e2,
-                                closed_form_e3, reference_e_value)
+from realcharvar.verify import (TelescopeRange, closed_form_e1,
+                                closed_form_e2, closed_form_e3,
+                                reference_e_value, telescope_check)
 
 
 def qp(k):
@@ -304,3 +305,10 @@ def test_complex_curve_anchor():
     # genus-1 complex curve: E = (q-1)^2 for every rank
     for n in range(1, 6):
         assert complex_curve_e_poly(n, 1) == RationalFunction(Q_MINUS_ONE ** 2)
+
+
+def test_telescope_range():
+    assert telescope_check(0, 1, 1)[0] and telescope_check(1, 2, 1)[0]
+    for g, n_max in ((0, 0), (0, -1), (1, 0), (1, -2), (2, 3)):
+        with pytest.raises(TelescopeRange):
+            telescope_check(g, 1, n_max)

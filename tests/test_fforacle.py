@@ -6,9 +6,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from realcharvar import fforacle
 from realcharvar.algebra import ExactnessError, moebius
 from realcharvar.epoly import MATCHED, TRANSPOSED, SurfaceData
-from realcharvar.fforacle import (ClassFunction, GroupTooLarge,
+from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   KernelMissing, NoPrimitiveRoot, PrimeField,
                                   SingularMatrix, UnsupportedRank,
                                   _inverse_table,
@@ -536,3 +537,64 @@ def test_kernel_step_refuses_int64_overflow():
         convolve(big, other, table)
     with pytest.raises(ExactnessError):
         convolve_at(other, big, table, 0)
+
+
+def test_class_tables_at_larger_q():
+    # the constructor checks the class equation; the label count of GL_n(F_q)
+    # is q^n - q at n = 3 and q^2 - 1 at n = 2
+    assert ClassTable(3, PrimeField(17)).class_count() == 17 ** 3 - 17 == 4896
+    assert ClassTable(2, PrimeField(47)).class_count() == 47 ** 2 - 1 == 2208
+
+
+def _rank2_count_requests():
+    "Every (g, r), every odd k and every primitive 4th root at q = 5 and 13."
+    reqs = []
+    for q in (5, 13):
+        field = PrimeField(q)
+        for xi in primitive_roots_of_unity(field, 4):
+            for g in range(4):
+                for r in range(1, g + 2):
+                    reqs.append((field, SurfaceData(g, r), xi, None))
+                    reqs += [(field, SurfaceData(g, r), xi,
+                              (-1,) * k + (1,) * (r - k))
+                             for k in range(1, r + 1, 2)]
+    return reqs
+
+
+def test_counts_do_not_depend_on_request_order(monkeypatch):
+    builds = {}
+
+    def spy(table):
+        builds[table.q] = builds.get(table.q, 0) + 1
+        return class_fn_F_closed(table)
+
+    monkeypatch.setattr(fforacle, "class_fn_F_closed", spy)
+    reqs = _rank2_count_requests()
+    answers = []
+    for order in (reqs, reqs[::-1]):
+        fforacle._TABLES.clear()
+        builds.clear()
+        answers.append({req: count_representation_variety(2, *req)
+                        for req in order})
+        assert builds == {5: 1, 13: 1}
+    fforacle._TABLES.clear()
+    assert answers[0] == answers[1]
+
+
+def test_rank3_refusals():
+    field = PrimeField(7)
+    xi = primitive_roots_of_unity(field, 6)[0]
+    for g in range(4):
+        for r in range(1, g + 2):
+            surf = SurfaceData(g, r)
+            for w in [None] + [(-1,) * k + (1,) * (r - k)
+                               for k in range(1, r + 1, 2)]:
+                if surf.s >= 1:
+                    with pytest.raises(GroupTooLarge):
+                        count_representation_variety(3, field, surf, xi, w)
+                elif r >= 2:
+                    with pytest.raises(KernelMissing):
+                        count_representation_variety(3, field, surf, xi, w)
+                else:
+                    assert count_representation_variety(
+                        3, field, surf, xi, w) == 0
