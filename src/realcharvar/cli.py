@@ -152,6 +152,8 @@ def cmd_genfun(args, out):
 def _verify_telescope(args, out):
     "One degenerate family with explicit parameters, or both by default."
     if args.g is None:
+        if args.r is not None or args.N is not None:
+            raise UsageError("verify telescope: --r and --N need --g")
         ok, detail = criterion_genus_specializations()
         out.write("telescope %s  %s\n" % ("PASS" if ok else "FAIL", detail))
         return 0 if ok else 1

@@ -3,10 +3,12 @@
 Conjugacy classes are labelled by maps from monic irreducible polynomials to
 partitions.  The class functions F (invariant symmetric forms), N (symmetric
 square roots) and C (commutator presentations) are built both from closed
-formulas and from brute-force sweeps, convolved, and evaluated at scalar
-classes to count points of the representation variety.  Counts are compared
-against the closed-form E-polynomials; mismatches are reported, never
-suppressed.
+formulas and from brute force, convolved, and evaluated at scalar classes to
+count points of the representation variety.  Brute-force F enumerates, for
+each class, the fixed subspace of the linear map B -> A B A^T on symmetric
+matrices, found by the module's one Gaussian elimination mod q
+(_nullspace_mod).  Counts are compared against the closed-form
+E-polynomials; mismatches are reported, never suppressed.
 
 F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
 A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  Every convolution
@@ -24,9 +26,10 @@ its prefix, so with s >= 1 the first thing built is N.
 
 Matrices are int64 numpy arrays, and the class representatives, the group
 and the symmetric forms are (..., n, n) stacks of them.  numpy carries the
-matrix layer and the group sweeps (element lookup, kernel building,
-brute-force counting) and the kernel contraction, whose int64 range is
-checked before it runs; all class-function values are exact Python integers.
+matrix layer, the group sweeps (element lookup, kernel building, N and C),
+the fixed-subspace enumeration for F and the kernel contraction, whose int64
+range is checked before it runs; all class-function values are exact Python
+integers.
 """
 
 import json
@@ -284,28 +287,39 @@ def factor_monic(f, field):
     return factors
 
 
-def kernel_dim(M, q):
-    "Dimension of the kernel by Gaussian elimination mod q."
-    n = len(M)
-    rows = M.tolist()
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if rows[r][col] % q:
-                piv = r
-                break
+def _nullspace_mod(M, q):
+    """A basis of {x : M x = 0 mod q} as a (d, p) int64 array, one row per
+    vector, for a (k, p) matrix M: Gauss-Jordan elimination mod q, then one
+    vector per free column."""
+    M = np.asarray(M, dtype=np.int64)
+    rows = (M % q).tolist()
+    p = M.shape[1]
+    pivots = []
+    for col in range(p):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = int(_inverse_table(q)[rows[rank][col] % q])
+        inv = int(_inverse_table(q)[rows[rank][col]])
         rows[rank] = [x * inv % q for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] % q:
-                c = rows[r][col]
+        for r in range(len(rows)):
+            c = rows[r][col]
+            if r != rank and c:
                 rows[r] = [(x - c * y) % q for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return n - rank
+        pivots.append(col)
+    free = [col for col in range(p) if col not in pivots]
+    basis = np.zeros((len(free), p), dtype=np.int64)
+    for k, col in enumerate(free):
+        basis[k, col] = 1
+        for r, pcol in enumerate(pivots):
+            basis[k, pcol] = -rows[r][col] % q
+    return basis
+
+
+def kernel_dim(M, q):
+    "Dimension of the kernel mod q: the size of a _nullspace_mod basis."
+    return len(_nullspace_mod(M, q))
 
 
 def group_order(n, q):
@@ -410,7 +424,7 @@ class ClassTable:
             raise KernelMissing("element lookup for n <= 2 only")
         q = self.q
         keys = _class_key(self.reps, q)
-        if len(np.unique(keys)) != len(keys):
+        if len(set(keys.tolist())) != len(keys):
             raise AssertionError("(charpoly, scalar) does not separate the "
                                  "classes for n=%d, q=%d" % (self.n, q))
         by_key = np.full(2 * q ** self.n, -1, dtype=np.int32)
@@ -700,24 +714,36 @@ def class_fn_F_closed(table):
     return ClassFunction(table, values)
 
 
-def _symmetric_invertible_matrices(n, q):
-    "All invertible symmetric matrices as an (m, n, n) int64 array."
-    rows, cols = np.triu_indices(n)
-    upper = _digits(len(rows), q)
-    S = np.zeros((len(upper), n, n), dtype=np.int64)
-    S[:, rows, cols] = upper
-    S[:, cols, rows] = upper
-    return S[det_mod(S, q) != 0]
-
-
 def class_fn_F_brute(table):
-    "F by brute force: count invertible symmetric B with A B A^T = B."
-    q = table.q
-    sym = _symmetric_invertible_matrices(table.n, q)
+    """F by brute force: count the invertible symmetric B with A B A^T = B.
+
+    B -> A B A^T is linear on the p = n(n+1)/2 upper-triangle coordinates of
+    B; one stacked product over the p basis symmetric matrices gives its
+    matrix M_A for every representative A.  The fixed B are the q^d
+    combinations of a basis of the d-dimensional ker(M_A - I), each filled
+    into a symmetric matrix and counted where its determinant is nonzero.
+    The identity has d = p, so _digits refuses exactly where a sweep of
+    every symmetric matrix would.
+    """
+    n, q = table.n, table.q
+    rows, cols = np.triu_indices(n)
+    p = len(rows)
+    basis_forms = np.zeros((p, n, n), dtype=np.int64)
+    basis_forms[np.arange(p), rows, cols] = 1
+    basis_forms[np.arange(p), cols, rows] = 1
+    A = table.reps[:, None]
+    images = A @ basis_forms @ np.swapaxes(A, -1, -2) % q
+    # M_A[j, k] = entry j of the image of basis form k
+    fixed = (np.swapaxes(images[..., rows, cols], -1, -2)
+             - np.eye(p, dtype=np.int64))
     values = []
-    for A in table.reps:
-        ABAT = A @ sym @ A.T % q
-        values.append(int(np.all(ABAT == sym, axis=(1, 2)).sum()))
+    for M in fixed:
+        basis = _nullspace_mod(M, q)
+        upper = _digits(len(basis), q) @ basis % q
+        S = np.zeros((len(upper), n, n), dtype=np.int64)
+        S[:, rows, cols] = upper
+        S[:, cols, rows] = upper
+        values.append(np.count_nonzero(det_mod(S, q)))
     return ClassFunction(table, values)
 
 

@@ -5,11 +5,10 @@ partition is ().  Both the parts encoding and the multiplicity encoding
 (1^m1 2^m2 ...) are supported, conversion is lossless.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import HalfPowerPolynomial, exact_int
+from .algebra import HalfPowerPolynomial
 
 
 def as_partition(seq):
@@ -155,9 +154,16 @@ def centralizer_order_poly(lam):
 
 
 def centralizer_order(lam, q):
-    "Integer centralizer order at a concrete prime power q."
-    return exact_int(centralizer_order_poly(lam).evaluate(Fraction(q)),
-                     "the centralizer order of %r" % (lam,))
+    """Integer centralizer order at a concrete prime power q, in ints:
+    q^(|lam| + 2 n_lam - sum_d m_d(m_d+1)/2) * prod_d prod_{i<=m_d} (q^i - 1),
+    the value of centralizer_order_poly(lam) at q."""
+    mult = multiplicities(lam).values()
+    total = q ** (weight(lam) + 2 * n_lambda(lam)
+                  - sum(m * (m + 1) // 2 for m in mult))
+    for m in mult:
+        for i in range(1, m + 1):
+            total *= q ** i - 1
+    return total
 
 
 def partition_count(n):

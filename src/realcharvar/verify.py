@@ -232,7 +232,7 @@ def criterion_euler():
 
 def criterion_oracle_f():
     "Closed F equals brute-force F on every class; mean value 2."
-    for q in (3, 5):
+    for q in (3, 5, 7):
         field = fforacle.PrimeField(q)
         for n in (1, 2, 3):
             table = fforacle.class_table(n, field)
@@ -244,7 +244,7 @@ def criterion_oracle_f():
                 return False, "F mismatch at n=%d q=%d: %s" % (n, q, bad[:3])
             if closed.mean() != 2:
                 return False, "mean F != 2 at n=%d q=%d" % (n, q)
-    return True, "closed = brute and mean 2 for n<=3, q in {3,5}"
+    return True, "closed = brute and mean 2 for n<=3, q in {3,5,7}"
 
 
 def criterion_oracle_algebra():

@@ -96,6 +96,13 @@ def test_verify_telescope_genus0():
     assert code == 0 and "pass" in out
 
 
+def test_verify_telescope_default_families():
+    code, out = run_cli(["verify", "telescope"])
+    assert code == 0
+    assert out == ("telescope PASS  g=0: (1,0,...,0); "
+                   "g=1: q-1 and 2(q-1) up to rank 6\n")
+
+
 def test_genfun_check_line():
     code, out = run_cli(["genfun", "--N", "3", "--g", "1", "--r", "1"])
     assert code == 0
@@ -200,6 +207,8 @@ def test_resource_errors_are_one_line(monkeypatch, exc, line):
     ["verify", "telescope", "--g", "1", "--r", "1", "--N", "0"],
     ["verify", "telescope", "--g", "0", "--r", "1", "--N", "-1"],
     ["verify", "telescope", "--g", "1", "--r", "1", "--N", "-2"],
+    ["verify", "telescope", "--N", "0"],
+    ["verify", "telescope", "--r", "7"],
     ["epoly", "--n", "1-", "--g", "1", "--r", "1"],
     ["epoly", "--n", "abc", "--g", "1", "--r", "1"],
     ["component", "--n", "1..x", "--g", "1", "--r", "1", "--k", "1"],

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -12,8 +16,7 @@ from realcharvar.epoly import MATCHED, TRANSPOSED, SurfaceData
 from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   KernelMissing, NoPrimitiveRoot, PrimeField,
                                   SingularMatrix, UnsupportedRank,
-                                  _inverse_table,
-                                  _symmetric_invertible_matrices,
+                                  _digits, _inverse_table, _nullspace_mod,
                                   charpoly_mod, class_fn_C_brute,
                                   class_fn_F_brute, class_fn_F_closed,
                                   class_fn_F_signed, class_fn_N, class_table,
@@ -23,6 +26,7 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   delta_identity, det_mod, f_closed_poly,
                                   f_degree_prediction, formula_count,
                                   group_order, inverse_mod, irreducibles,
+                                  kernel_dim,
                                   poly_eval_matrix, poly_star,
                                   primitive_roots_of_unity)
 
@@ -109,6 +113,77 @@ def test_F_closed_equals_brute():
             brute = class_fn_F_brute(table)
             assert closed == brute, (n, field.q)
             assert closed.mean() == 2
+
+
+def _symmetric_invertible_matrices(n, q):
+    "All invertible symmetric n x n matrices over F_q as an (m, n, n) array."
+    rows, cols = np.triu_indices(n)
+    upper = _digits(len(rows), q)
+    S = np.zeros((len(upper), n, n), dtype=np.int64)
+    S[:, rows, cols] = upper
+    S[:, cols, rows] = upper
+    return S[det_mod(S, q) != 0]
+
+
+def test_F_brute_equals_literal_sweep():
+    # test every invertible symmetric S against every representative
+    for field in (F3, F5):
+        for n in (1, 2, 3):
+            table = class_table(n, field)
+            q = field.q
+            sym = _symmetric_invertible_matrices(n, q)
+            literal = [int(np.all(A @ sym @ A.T % q == sym, axis=(1, 2)).sum())
+                       for A in table.reps]
+            assert class_fn_F_brute(table).values == tuple(literal), (n, q)
+
+
+def test_F_closed_equals_brute_at_gl3_f7():
+    table = class_table(3, F7)
+    closed = class_fn_F_closed(table)
+    assert class_fn_F_brute(table) == closed
+    assert closed.mean() == 2
+
+
+def test_F_brute_refuses_gl3_f13():
+    # the identity fixes all 13^6 symmetric forms, over the sweep budget
+    with pytest.raises(GroupTooLarge):
+        class_fn_F_brute(class_table(3, PrimeField(13)))
+
+
+def test_nullspace_mod_is_a_kernel_basis():
+    rng = random.Random(20081)
+    for q in (3, 5, 7):
+        for _ in range(40):
+            p = rng.randint(1, 4)
+            M = np.array([[rng.randrange(q) for _ in range(p)]
+                          for _ in range(rng.randint(1, 4))], dtype=np.int64)
+            basis = _nullspace_mod(M, q)
+            assert basis.shape == (kernel_dim(M, q), p)
+            assert not (M @ basis.T % q).any()
+            span = _digits(len(basis), q) @ basis % q
+            assert len({tuple(v) for v in span.tolist()}) == q ** len(basis)
+            kernel = _digits(p, q)
+            in_kernel = int((~(kernel @ M.T % q).any(axis=1)).sum())
+            assert in_kernel == q ** len(basis), (M.tolist(), q)
+
+
+def test_oracle_path_does_not_load_numpy_ma():
+    code = (
+        "import sys\n"
+        "from realcharvar import fforacle\n"
+        "from realcharvar.epoly import SurfaceData\n"
+        "assert fforacle.compare_with_formula(\n"
+        "    2, fforacle.PrimeField(5), SurfaceData(1, 2))['equal']\n"
+        "fforacle.class_fn_F_brute(\n"
+        "    fforacle.class_table(3, fforacle.PrimeField(3)))\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    src = pathlib.Path(fforacle.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_F_identity_value():

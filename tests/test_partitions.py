@@ -116,6 +116,15 @@ def test_centralizer_order_poly():
     assert centralizer_order((1, 1, 1), 5) == (125 - 1) * (125 - 5) * (125 - 25)
 
 
+def test_centralizer_order_is_the_int_value_of_the_poly():
+    for q in (2, 3, 4, 5, 7, 9, 17):
+        for w in range(9):
+            for lam in all_partitions(w):
+                got = centralizer_order(lam, q)
+                assert type(got) is int
+                assert got == centralizer_order_poly(lam).evaluate(Fraction(q))
+
+
 def test_class_equation_rank():
     # sum over classes of |G|/a_mu(q) = |G| for unipotent-type splittings:
     # spot-check GL_2: (1,1) scalar + (2,) regular unipotent type classes
