@@ -43,9 +43,9 @@ def parse_n_range(text):
     return list(range(lo, hi + 1))
 
 
-def _surface(args):
+def _surface(g, r):
     try:
-        return SurfaceData(args.g, args.r)
+        return SurfaceData(g, r)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -91,7 +91,7 @@ def _render_records(records, fmt, xy, out):
 
 
 def cmd_epoly(args, out):
-    surf = _surface(args)
+    surf = _surface(args.g, args.r)
     records = [_poly_record(n, args.g, args.r, None, args.convention,
                             e_poly(n, surf, args.convention))
                for n in parse_n_range(args.n)]
@@ -100,7 +100,7 @@ def cmd_epoly(args, out):
 
 
 def cmd_component(args, out):
-    surf = _surface(args)
+    surf = _surface(args.g, args.r)
     records = [_poly_record(n, args.g, args.r, args.k, args.convention,
                             e_poly_component(n, surf, args.k, args.convention))
                for n in parse_n_range(args.n)]
@@ -113,7 +113,7 @@ def _exact_str(x):
 
 
 def cmd_euler(args, out):
-    surf = _surface(args)
+    surf = _surface(args.g, args.r)
     values = [(n, euler_char_component(n, surf, args.k, args.convention))
               for n in parse_n_range(args.n)]
     if args.format == "json":
@@ -132,7 +132,7 @@ def cmd_euler(args, out):
 
 
 def cmd_genfun(args, out):
-    surf = _surface(args)
+    surf = _surface(args.g, args.r)
     if args.N < 1:
         raise UsageError("truncation order N must be positive")
     records = [_poly_record(n, args.g, args.r, None, args.convention,
@@ -159,6 +159,7 @@ def _verify_telescope(args, out):
         return 0 if ok else 1
     g, r = args.g, args.r if args.r is not None else 1
     n_max = 6 if args.N is None else args.N
+    _surface(g, r)
     try:
         ok, expect = telescope_check(g, r, n_max)
     except TelescopeRange as exc:

@@ -71,6 +71,7 @@ class NoPrimitiveRoot(ValueError):
 
 _GROUP_BUDGET = 2_000_000      # elements swept in one pass
 _PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
+_F_BLOCK = 1 << 14             # digit strings per block of the brute-force F
 
 
 def _is_prime(m):
@@ -372,7 +373,8 @@ class ClassTable:
         self.sizes = tuple(self.group_order // self._centralizer(lab)
                            for lab in self.labels)
         if sum(self.sizes) != self.group_order:
-            raise AssertionError("class equation failed for n=%d, q=%d" % (n, field.q))
+            raise ExactnessError("class equation failed for n=%d, q=%d"
+                                 % (n, field.q))
         self.dets = tuple(det_mod(self.reps, self.q).tolist())
         self._element_class = None
         self._group = None
@@ -425,7 +427,7 @@ class ClassTable:
         q = self.q
         keys = _class_key(self.reps, q)
         if len(set(keys.tolist())) != len(keys):
-            raise AssertionError("(charpoly, scalar) does not separate the "
+            raise ExactnessError("(charpoly, scalar) does not separate the "
                                  "classes for n=%d, q=%d" % (self.n, q))
         by_key = np.full(2 * q ** self.n, -1, dtype=np.int32)
         by_key[keys] = np.arange(len(keys))
@@ -489,16 +491,24 @@ class ClassTable:
         return K
 
 
-def _digits(count, q):
-    """Every string of count base-q digits, in increasing order, as a
-    (q^count, count) int64 array; reshaped to (-1, n, n) at count = n^2 it
-    lists every n x n matrix in _encode order."""
+def _digit_blocks(count, q, block):
+    """Every string of count base-q digits, in increasing order, as
+    consecutive int64 arrays of at most block rows and count columns."""
     m = q ** count
     if m > _GROUP_BUDGET:
         raise GroupTooLarge("%d matrices at q = %d exceed the sweep budget"
                             % (m, q))
-    return (np.arange(m, dtype=np.int64)[:, None]
-            // q ** np.arange(count - 1, -1, -1) % q)
+    powers = q ** np.arange(count - 1, -1, -1)
+    for lo in range(0, m, block):
+        rows = np.arange(lo, min(lo + block, m), dtype=np.int64)
+        yield rows[:, None] // powers % q
+
+
+def _digits(count, q):
+    """Every string of count base-q digits as one (q^count, count) array;
+    reshaped to (-1, n, n) at count = n^2 it lists every n x n matrix in
+    _encode order."""
+    return next(_digit_blocks(count, q, q ** count))
 
 
 def _encode(M, q):
@@ -552,7 +562,7 @@ def classify(A, table):
             k = kernel_dim(P, q)
             c = (k - prev) // d
             if c == 0:
-                raise AssertionError("rank profile stalled")
+                raise ExactnessError("rank profile stalled")
             col_counts.append(c)
             prev = k
             total += c
@@ -560,7 +570,7 @@ def classify(A, table):
         label.append((f, lam))
     label = tuple(sorted(label))
     if label not in table.index:
-        raise AssertionError("label %r missing from the table" % (label,))
+        raise ExactnessError("label %r missing from the table" % (label,))
     return label
 
 
@@ -721,8 +731,9 @@ def class_fn_F_brute(table):
     B; one stacked product over the p basis symmetric matrices gives its
     matrix M_A for every representative A.  The fixed B are the q^d
     combinations of a basis of the d-dimensional ker(M_A - I), each filled
-    into a symmetric matrix and counted where its determinant is nonzero.
-    The identity has d = p, so _digits refuses exactly where a sweep of
+    into a symmetric matrix and counted where its determinant is nonzero,
+    _F_BLOCK combinations at a time so memory stays flat in q^d.  The
+    identity has d = p, so _digit_blocks refuses exactly where a sweep of
     every symmetric matrix would.
     """
     n, q = table.n, table.q
@@ -739,11 +750,14 @@ def class_fn_F_brute(table):
     values = []
     for M in fixed:
         basis = _nullspace_mod(M, q)
-        upper = _digits(len(basis), q) @ basis % q
-        S = np.zeros((len(upper), n, n), dtype=np.int64)
-        S[:, rows, cols] = upper
-        S[:, cols, rows] = upper
-        values.append(np.count_nonzero(det_mod(S, q)))
+        count = 0
+        for digits in _digit_blocks(len(basis), q, _F_BLOCK):
+            upper = digits @ basis % q
+            S = np.zeros((len(upper), n, n), dtype=np.int64)
+            S[:, rows, cols] = upper
+            S[:, cols, rows] = upper
+            count += np.count_nonzero(det_mod(S, q))
+        values.append(count)
     return ClassFunction(table, values)
 
 

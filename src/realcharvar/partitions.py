@@ -11,26 +11,6 @@ from math import factorial
 from .algebra import HalfPowerPolynomial
 
 
-def as_partition(seq):
-    "Validate and freeze an iterable of parts into a partition tuple."
-    parts = tuple(int(x) for x in seq)
-    if any(p <= 0 for p in parts):
-        raise ValueError("partition parts must be positive")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError("partition parts must be weakly decreasing")
-    return parts
-
-
-def parse_partition(text):
-    'Parse "3+2+1" or "[3,2,1]" (also "3,2,1"); empty string is ().'
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    s = s.replace("+", ",")
-    items = [t for t in (piece.strip() for piece in s.split(",")) if t]
-    return as_partition(sorted((int(t) for t in items), reverse=True))
-
-
 @lru_cache(maxsize=None)
 def all_partitions(n):
     "All partitions of n in descending lexicographic order."
@@ -59,10 +39,6 @@ def all_partitions(n):
 
 def weight(lam):
     return sum(lam)
-
-
-def length(lam):
-    return len(lam)
 
 
 def conjugate(lam):
@@ -123,20 +99,6 @@ def sgn(lam):
 def union(lam, mu):
     "Multiset union: multiplicities add."
     return tuple(sorted(lam + tuple(mu), reverse=True))
-
-
-def stretch(lam, s):
-    "Multiply every part by s (written s.lam)."
-    if s < 1:
-        raise ValueError("stretch factor must be positive")
-    return tuple(part * s for part in lam)
-
-
-def repeat(lam, s):
-    "Union of s copies (written s lam): multiplicities scale by s."
-    if s < 1:
-        raise ValueError("repeat factor must be positive")
-    return tuple(sorted(lam * s, reverse=True))
 
 
 @lru_cache(maxsize=None)

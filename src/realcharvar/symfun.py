@@ -1,10 +1,11 @@
-"""Symmetric-function layer: S_n characters, Schur/power-sum conversion,
-Pieri products, and the multiplicity coefficients attached to partitions.
+"""Symmetric-function layer: S_n characters and the multiplicity
+coefficients a_plus / a_minus attached to partitions.
 
-The coefficients a_plus / a_minus that drive the main formulas are computed
-by three independent routes (closed form, signed character sums against the
-convolution coefficients c_pi / d_pi, and Pieri extraction); the test suite
-pins all three against each other.
+The formulas read only the two closed forms.  The other two routes are
+cross-checks for verify and the tests: signed character sums against the
+convolution coefficients c_pi / d_pi (themselves checked against their
+exponential generating products), and the Pieri rule, which reads a+ and a-
+off a signed count of horizontal strips.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import factorial
 
 from .algebra import exact_int
 from .partitions import (all_partitions, conjugate, multiplicities, sgn,
-                         union, weight, z_pi)
+                         union, weight)
 
 
 class WeightMismatch(ValueError):
@@ -66,188 +67,6 @@ def _mn(lam, pi):
         total += (-1) ** height * _mn(tuple(new_lam), rest)
     _MN_CACHE[key] = total
     return total
-
-
-# -- symmetric functions in two bases ----------------------------------
-
-SCHUR = "schur"
-POWERSUM = "powersum"
-
-
-class SymFunc:
-    """Symmetric function with exact coefficients in one fixed basis.
-
-    terms maps partitions to Fractions; an optional degree bound truncates
-    products.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("basis", "terms", "bound")
-
-    def __init__(self, basis, terms=None, bound=None):
-        if basis not in (SCHUR, POWERSUM):
-            raise ValueError("unknown basis %r" % (basis,))
-        clean = {}
-        if terms:
-            for lam, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if c:
-                    lam = tuple(lam)
-                    if bound is None or weight(lam) <= bound:
-                        clean[lam] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFunc is immutable")
-
-    def coefficient(self, lam):
-        return self.terms.get(tuple(lam), Fraction(0))
-
-    def __add__(self, other):
-        if self.basis != other.basis:
-            raise ValueError("cannot add across bases")
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = terms.get(lam, Fraction(0)) + c
-            if s:
-                terms[lam] = s
-            elif lam in terms:
-                del terms[lam]
-        return SymFunc(self.basis, terms, _merge_bound(self.bound, other.bound))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return SymFunc(self.basis, {lam: c * v for lam, v in self.terms.items()},
-                       self.bound)
-
-    def __eq__(self, other):
-        return (isinstance(other, SymFunc) and self.basis == other.basis
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
-
-    def homogeneous(self, n):
-        "The degree-n component."
-        return SymFunc(self.basis,
-                       {lam: c for lam, c in self.terms.items() if weight(lam) == n},
-                       self.bound)
-
-    def __repr__(self):
-        parts = ["%s*%s[%s]" % (c, "s" if self.basis == SCHUR else "p", ",".join(map(str, lam)))
-                 for lam, c in sorted(self.terms.items())]
-        return "SymFunc(%s)" % (" + ".join(parts) or "0")
-
-
-def _merge_bound(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def power_to_schur(f):
-    "Basis change p_pi = sum_lam chi^lam(pi) s_lam."
-    if f.basis != POWERSUM:
-        raise ValueError("input must be in the power-sum basis")
-    terms = {}
-    for pi, c in f.terms.items():
-        for lam in all_partitions(weight(pi)):
-            v = sn_character(lam, pi)
-            if v:
-                s = terms.get(lam, Fraction(0)) + c * v
-                if s:
-                    terms[lam] = s
-                elif lam in terms:
-                    del terms[lam]
-    return SymFunc(SCHUR, terms, f.bound)
-
-
-def schur_to_power(f):
-    "Basis change s_lam = sum_pi chi^lam(pi)/z_pi p_pi."
-    if f.basis != SCHUR:
-        raise ValueError("input must be in the Schur basis")
-    terms = {}
-    for lam, c in f.terms.items():
-        for pi in all_partitions(weight(lam)):
-            v = sn_character(lam, pi)
-            if v:
-                s = terms.get(pi, Fraction(0)) + c * Fraction(v, z_pi(pi))
-                if s:
-                    terms[pi] = s
-                elif pi in terms:
-                    del terms[pi]
-    return SymFunc(POWERSUM, terms, f.bound)
-
-
-# -- Pieri rule ---------------------------------------------------------
-
-def horizontal_strip_additions(lam, n):
-    """Partitions obtained from lam by adding n boxes, at most one per column.
-
-    These are exactly the mu interlacing lam: mu_1 >= lam_1 >= mu_2 >= ...
-    """
-    lam = tuple(lam)
-    ell = len(lam)
-    if ell == 0:
-        yield (() if n == 0 else (n,))
-        return
-
-    def rec(i, remaining, out):
-        if i == ell:
-            # optional new last row, capped by the last part of lam
-            if remaining == 0:
-                yield tuple(out)
-            elif remaining <= lam[ell - 1]:
-                yield tuple(out + [remaining])
-            return
-        lo = lam[i]
-        hi = lo + remaining if i == 0 else min(lam[i - 1], lo + remaining)
-        for mu_i in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - (mu_i - lo), out + [mu_i])
-
-    yield from rec(0, n, [])
-
-
-def vertical_strip_additions(lam, n):
-    "Partitions obtained from lam by adding n boxes, at most one per row."
-    for mu in horizontal_strip_additions(conjugate(lam), n):
-        yield conjugate(mu)
-
-
-def pieri_row(f, n):
-    "Multiply a Schur-basis function by the complete homogeneous s_(n)."
-    if f.basis != SCHUR:
-        raise ValueError("Pieri products need the Schur basis")
-    if n == 0:
-        return f
-    terms = {}
-    for lam, c in f.terms.items():
-        if f.bound is not None and weight(lam) + n > f.bound:
-            continue
-        for mu in horizontal_strip_additions(lam, n):
-            terms[mu] = terms.get(mu, Fraction(0)) + c
-    return SymFunc(SCHUR, terms, f.bound)
-
-
-def pieri_col(f, n):
-    "Multiply a Schur-basis function by the elementary s_(1^n)."
-    if f.basis != SCHUR:
-        raise ValueError("Pieri products need the Schur basis")
-    if n == 0:
-        return f
-    terms = {}
-    for lam, c in f.terms.items():
-        if f.bound is not None and weight(lam) + n > f.bound:
-            continue
-        for mu in vertical_strip_additions(lam, n):
-            terms[mu] = terms.get(mu, Fraction(0)) + c
-    return SymFunc(SCHUR, terms, f.bound)
 
 
 # -- convolution coefficients c_pi, d_pi --------------------------------
@@ -412,42 +231,22 @@ def a_minus_from_characters(lam):
     return exact_int(total, "a- of %r by characters" % (lam,))
 
 
-@lru_cache(maxsize=None)
-def _schur_sum_times_row_sum(bound):
-    "(sum of all s_mu) * (sum of all s_(n)) truncated at total degree bound."
-    base = SymFunc(SCHUR, {lam: 1 for w in range(bound + 1)
-                           for lam in all_partitions(w)}, bound)
-    total = SymFunc(SCHUR, {}, bound)
-    for n in range(bound + 1):
-        total = total + pieri_row(base, n)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _schur_sum_times_inverse_col_sum(bound):
-    """(sum of all s_mu) * (sum of all s_(1^n))^(-1) truncated.
-
-    The inverse of the elementary-sum series is sum_n (-1)^n s_(n), so this
-    is again a pure Pieri-row computation.
-    """
-    base = SymFunc(SCHUR, {lam: 1 for w in range(bound + 1)
-                           for lam in all_partitions(w)}, bound)
-    total = SymFunc(SCHUR, {}, bound)
-    for n in range(bound + 1):
-        term = pieri_row(base, n)
-        total = total + (term if n % 2 == 0 else term.scale(-1))
-    return total
+def _strip_sum(lam, sign):
+    """Sum of sign^(|nu| - |mu|) over the mu with nu/mu a horizontal strip,
+    nu = lam': by the Pieri rule, the coefficient of s_nu in
+    (sum_mu s_mu)(sum_n sign^n h_n).  Those mu are the partitions that
+    interlace nu, nu_(i+1) <= mu_i <= nu_i."""
+    nu = conjugate(tuple(lam))
+    ranges = [range(low, high + 1) for high, low in zip(nu, nu[1:] + (0,))]
+    return sum(sign ** (weight(nu) - sum(mu)) for mu in iproduct(*ranges))
 
 
 def a_plus_from_pieri(lam):
-    "Pieri extraction: the coefficient of s_{lam'} in (sum s)(sum s_(n))."
-    lam = tuple(lam)
-    f = _schur_sum_times_row_sum(weight(lam))
-    return exact_int(f.coefficient(conjugate(lam)), "a+ of %r by Pieri" % (lam,))
+    "Pieri route: the coefficient of s_{lam'} in (sum s_mu)(sum h_n)."
+    return _strip_sum(lam, 1)
 
 
 def a_minus_from_pieri(lam):
-    "Pieri extraction: the coefficient of s_{lam'} in (sum s)/(sum s_(1^n))."
-    lam = tuple(lam)
-    f = _schur_sum_times_inverse_col_sum(weight(lam))
-    return exact_int(f.coefficient(conjugate(lam)), "a- of %r by Pieri" % (lam,))
+    """Pieri route: the coefficient of s_{lam'} in (sum s_mu)/(sum e_n),
+    where the inverse of sum e_n is sum (-1)^n h_n."""
+    return _strip_sum(lam, -1)

@@ -203,12 +203,26 @@ def test_resource_errors_are_one_line(monkeypatch, exc, line):
     assert (code, out, err) == (1, "", line + "\n")
 
 
+def test_broken_oracle_invariant_is_one_line(monkeypatch):
+    # a wrong centralizer order breaks the class equation of the first
+    # table that verify builds; the CLI reports it without a traceback
+    from realcharvar import fforacle
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    monkeypatch.setattr(fforacle, "centralizer_order", lambda lam, q: 1)
+    code, out, err = _call(["verify", "oracle-algebra"])
+    assert code == 1 and out == ""
+    assert err.startswith("ExactnessError: class equation failed")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "telescope", "--g", "1", "--r", "1", "--N", "0"],
     ["verify", "telescope", "--g", "0", "--r", "1", "--N", "-1"],
     ["verify", "telescope", "--g", "1", "--r", "1", "--N", "-2"],
     ["verify", "telescope", "--N", "0"],
     ["verify", "telescope", "--r", "7"],
+    ["verify", "telescope", "--g", "0", "--r", "2"],
+    ["verify", "telescope", "--g", "1", "--r", "0"],
     ["epoly", "--n", "1-", "--g", "1", "--r", "1"],
     ["epoly", "--n", "abc", "--g", "1", "--r", "1"],
     ["component", "--n", "1..x", "--g", "1", "--r", "1", "--k", "1"],

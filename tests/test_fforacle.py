@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -142,6 +143,36 @@ def test_F_closed_equals_brute_at_gl3_f7():
     closed = class_fn_F_closed(table)
     assert class_fn_F_brute(table) == closed
     assert closed.mean() == 2
+
+
+def test_digit_blocks_list_every_string_once_in_order():
+    # 3^4 = 81 strings in blocks of 10: eight full blocks and a short one
+    blocks = list(fforacle._digit_blocks(4, 3, 10))
+    assert [len(b) for b in blocks] == [10] * 8 + [1]
+    assert np.array_equal(np.concatenate(blocks),
+                          np.array(list(product(range(3), repeat=4))))
+
+
+def test_F_brute_does_not_depend_on_the_block_size(monkeypatch):
+    # the identity of GL_3(F_3) fixes 3^6 = 729 forms; blocks of 100 split
+    # them with a short last block, and every class must count the same
+    table = class_table(3, F3)
+    whole = class_fn_F_brute(table).values
+    monkeypatch.setattr(fforacle, "_F_BLOCK", 100)
+    assert class_fn_F_brute(table).values == whole
+
+
+def test_F_brute_memory_is_flat_in_the_fixed_space():
+    # the identity of GL_3(F_7) fixes all 7^6 symmetric forms; they are
+    # counted in blocks, so the peak stays far below one 7^6-row array
+    table = class_table(3, F7)
+    tracemalloc.start()
+    try:
+        class_fn_F_brute(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 def test_F_brute_refuses_gl3_f13():

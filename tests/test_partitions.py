@@ -1,15 +1,11 @@
 from fractions import Fraction
 from math import factorial
 
-import pytest
-
-from realcharvar.partitions import (all_partitions, as_partition,
-                                    centralizer_order,
+from realcharvar.partitions import (all_partitions, centralizer_order,
                                     centralizer_order_poly, conjugate,
                                     ell_even, ell_odd, hooks, multiplicities,
-                                    n_lambda, parse_partition,
-                                    partition_count, repeat, sgn, stretch,
-                                    union, weight, z_pi)
+                                    n_lambda, partition_count, sgn, union,
+                                    weight, z_pi)
 
 
 def test_all_partitions_small():
@@ -31,21 +27,6 @@ def test_partition_count_pentagonal():
     for n in range(31):
         assert len(all_partitions(n)) == partition_count(n)
     assert partition_count(30) == 5604
-
-
-def test_validation():
-    assert as_partition([3, 2, 2]) == (3, 2, 2)
-    with pytest.raises(ValueError):
-        as_partition([2, 3])
-    with pytest.raises(ValueError):
-        as_partition([1, 0])
-
-
-def test_parse_forms():
-    assert parse_partition("3+2+1") == (3, 2, 1)
-    assert parse_partition("[3,2,1]") == (3, 2, 1)
-    assert parse_partition("1,3,2") == (3, 2, 1)
-    assert parse_partition("") == ()
 
 
 def test_n_lambda():
@@ -93,12 +74,8 @@ def test_conjugate_involution():
             assert conjugate(conjugate(lam)) == lam
 
 
-def test_union_stretch_repeat():
-    assert stretch((2, 1), 3) == (6, 3)
-    assert repeat((2, 1), 2) == (2, 2, 1, 1)
+def test_union():
     assert union((3, 1), (2, 1)) == (3, 2, 1, 1)
-    for lam in all_partitions(5):
-        assert repeat(lam, 3) == union(union(lam, lam), lam)
 
 
 def test_parity_counts():
