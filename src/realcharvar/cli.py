@@ -171,9 +171,18 @@ def _verify_telescope(args, out):
 
 def cmd_verify(args, out):
     known = {name for name, _, _, _ in CRITERIA}
+    if args.suite not in known | {"telescope", "all"}:
+        raise UsageError("unknown suite %r; choose from %s, telescope, all"
+                         % (args.suite, ", ".join(sorted(known))))
+    if args.reports and args.suite != "oracle-main":
+        raise UsageError("verify %s: --reports is for oracle-main only"
+                         % args.suite)
+    if args.suite != "telescope" and (args.g, args.r, args.N) != (None,) * 3:
+        raise UsageError("verify %s: --g, --r and --N are for telescope only"
+                         % args.suite)
     if args.suite == "telescope":
         return _verify_telescope(args, out)
-    if args.suite == "oracle-main" and args.reports:
+    if args.reports:
         from .fforacle import report_line
         from .verify import criterion_oracle_main
         reports = []
@@ -182,14 +191,7 @@ def cmd_verify(args, out):
             out.write(report_line(rep) + "\n")
         out.write("oracle-main %s  %s\n" % ("PASS" if ok else "FAIL", detail))
         return 0 if ok else 1
-    if args.suite == "all":
-        names = None
-    elif args.suite in known:
-        names = {args.suite}
-    else:
-        raise UsageError("unknown suite %r; choose from %s, telescope, all"
-                         % (args.suite, ", ".join(sorted(known))))
-    ok = run_criteria(names, out=out)
+    ok = run_criteria(None if args.suite == "all" else {args.suite}, out=out)
     return 0 if ok else 1
 
 

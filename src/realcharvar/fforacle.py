@@ -4,17 +4,19 @@ Conjugacy classes are labelled by maps from monic irreducible polynomials to
 partitions.  The class functions F (invariant symmetric forms), N (symmetric
 square roots) and C (commutator presentations) are built both from closed
 formulas and from brute force, convolved, and evaluated at scalar classes to
-count points of the representation variety.  Brute-force F enumerates, for
-each class, the fixed subspace of the linear map B -> A B A^T on symmetric
-matrices, found by the module's one Gaussian elimination mod q
-(_nullspace_mod).  Counts are compared against the closed-form
-E-polynomials; mismatches are reported, never suppressed.
+count points of the representation variety.  Brute-force F and N are
+linear counts: for each class they enumerate a fixed subspace (of
+B -> A B A^T on symmetric matrices for F, of B -> A B^T on all matrices for
+N), found by the module's one Gaussian elimination mod q (_nullspace_mod),
+and count its invertible points.  Counts are compared against the
+closed-form E-polynomials; mismatches are reported, never suppressed.
 
 F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
-A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  Every convolution
-step pairs a prefix with one of them, so the kernel only sweeps elements of
-self-inverse classes: K[t, i, c2] counts B in the i-th self-inverse class
-with B^-1 g_t in class c2.
+A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
+self-inverse when inverse_label, which stars each polynomial of the label,
+fixes its label.  Every convolution step pairs a prefix with F or N, so the
+kernel only sweeps elements of self-inverse classes: K[t, i, c2] counts B in
+the i-th self-inverse class with B^-1 g_t in class c2.
 
 A count sorts its atoms (F, or F+ and F-, then N) and memoizes one class
 function per sorted atom tuple on the class table: a 1-tuple is the atom,
@@ -26,10 +28,10 @@ its prefix, so with s >= 1 the first thing built is N.
 
 Matrices are int64 numpy arrays, and the class representatives, the group
 and the symmetric forms are (..., n, n) stacks of them.  numpy carries the
-matrix layer, the group sweeps (element lookup, kernel building, N and C),
-the fixed-subspace enumeration for F and the kernel contraction, whose int64
-range is checked before it runs; all class-function values are exact Python
-integers.
+matrix layer, the fixed-subspace enumerations for F and N, the group sweeps
+(element lookup, kernel building and C, all n <= 2) and the kernel
+contraction, whose int64 range is checked before it runs; all
+class-function values are exact Python integers.
 """
 
 import json
@@ -71,7 +73,7 @@ class NoPrimitiveRoot(ValueError):
 
 _GROUP_BUDGET = 2_000_000      # elements swept in one pass
 _PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
-_F_BLOCK = 1 << 14             # digit strings per block of the brute-force F
+_F_BLOCK = 1 << 14             # digit strings per fixed-subspace block
 
 
 def _is_prime(m):
@@ -232,6 +234,11 @@ def poly_star(f, field):
     inv0 = field.inv(c0)
     rev = tuple(reversed(f))
     return tuple(c * inv0 % q for c in rev)
+
+
+def inverse_label(label, field):
+    "The label of the class of A^-1 for A in the class labelled label."
+    return tuple(sorted((poly_star(f, field), lam) for f, lam in label))
 
 
 @lru_cache(maxsize=None)
@@ -447,11 +454,11 @@ class ClassTable:
         return self._group
 
     def self_inverse_classes(self):
-        "Indices of the classes c with c^-1 in c, ascending; n <= 2."
+        """Indices of the classes c with c^-1 in c, ascending: the labels
+        that inverse_label fixes."""
         if self._self_inverse is None:
-            cls = self.element_class_array()
-            inv = cls[_encode(inverse_mod(self.reps, self.q), self.q)]
-            self._self_inverse = np.flatnonzero(inv == np.arange(len(inv)))
+            self._self_inverse = np.flatnonzero(
+                [inverse_label(lab, self.field) == lab for lab in self.labels])
         return self._self_inverse
 
     def kernel(self):
@@ -660,10 +667,8 @@ def f_closed_poly(label, field):
     for dual pairs.
     """
     q = field.q
-    assign = dict(label)
-    for f, lam in label:
-        if assign.get(poly_star(f, field)) != lam:
-            return HPP()
+    if inverse_label(label, field) != label:
+        return HPP()
     poly = HPP.from_int(1)
     done = set()
     for f, lam in label:
@@ -696,10 +701,8 @@ def f_closed_poly(label, field):
 
 def f_degree_prediction(label, field):
     "Predicted q-degree of F on a symmetric class (None off support)."
-    assign = dict(label)
-    for f, lam in label:
-        if assign.get(poly_star(f, field)) != lam:
-            return None
+    if inverse_label(label, field) != label:
+        return None
     twice = 0
     for f, lam in label:
         d_f = len(f) - 1
@@ -724,40 +727,38 @@ def class_fn_F_closed(table):
     return ClassFunction(table, values)
 
 
+def _count_invertible(image, n, q):
+    """How many invertible n x n matrices B have image(B) = 0 mod q, for a
+    linear map image on (m, n, n) stacks.
+
+    The matrix of image on the entries of B, row by row, is read off the
+    unit matrices.  The q^d combinations of a basis of its d-dimensional
+    kernel are enumerated _F_BLOCK at a time, so memory stays flat in q^d;
+    _digit_blocks refuses a kernel beyond the sweep budget.
+    """
+    units = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
+    basis = _nullspace_mod(image(units).reshape(n * n, -1).T, q)
+    count = 0
+    for digits in _digit_blocks(len(basis), q, _F_BLOCK):
+        B = (digits @ basis % q).reshape(-1, n, n)
+        count += np.count_nonzero(det_mod(B, q))
+    return count
+
+
 def class_fn_F_brute(table):
     """F by brute force: count the invertible symmetric B with A B A^T = B.
 
-    B -> A B A^T is linear on the p = n(n+1)/2 upper-triangle coordinates of
-    B; one stacked product over the p basis symmetric matrices gives its
-    matrix M_A for every representative A.  The fixed B are the q^d
-    combinations of a basis of the d-dimensional ker(M_A - I), each filled
-    into a symmetric matrix and counted where its determinant is nonzero,
-    _F_BLOCK combinations at a time so memory stays flat in q^d.  The
-    identity has d = p, so _digit_blocks refuses exactly where a sweep of
-    every symmetric matrix would.
+    Both conditions are linear in the entries of B, so _count_invertible
+    counts the fixed forms in one kernel.  The identity fixes every
+    symmetric form, so F is refused exactly where a sweep of every
+    symmetric matrix would be.
     """
     n, q = table.n, table.q
-    rows, cols = np.triu_indices(n)
-    p = len(rows)
-    basis_forms = np.zeros((p, n, n), dtype=np.int64)
-    basis_forms[np.arange(p), rows, cols] = 1
-    basis_forms[np.arange(p), cols, rows] = 1
-    A = table.reps[:, None]
-    images = A @ basis_forms @ np.swapaxes(A, -1, -2) % q
-    # M_A[j, k] = entry j of the image of basis form k
-    fixed = (np.swapaxes(images[..., rows, cols], -1, -2)
-             - np.eye(p, dtype=np.int64))
     values = []
-    for M in fixed:
-        basis = _nullspace_mod(M, q)
-        count = 0
-        for digits in _digit_blocks(len(basis), q, _F_BLOCK):
-            upper = digits @ basis % q
-            S = np.zeros((len(upper), n, n), dtype=np.int64)
-            S[:, rows, cols] = upper
-            S[:, cols, rows] = upper
-            count += np.count_nonzero(det_mod(S, q))
-        values.append(count)
+    for A in table.reps:
+        # the entries of A B A^T - B, then those of B - B^T
+        values.append(_count_invertible(lambda B: np.concatenate(
+            [A @ B @ A.T - B, B - np.swapaxes(B, 1, 2)], axis=1), n, q))
     return ClassFunction(table, values)
 
 
@@ -782,17 +783,16 @@ def _per_element(hits, table):
 
 
 def class_fn_N(table):
-    "N by a single sweep: accumulate the class of B (B^T)^(-1) over B."
-    if table.group_order > _GROUP_BUDGET:
-        raise GroupTooLarge("group order %d exceeds the sweep budget"
-                            % table.group_order)
-    if table.n > 2:
-        raise GroupTooLarge("N sweeps are implemented for n <= 2")
-    E, Einv = table._group_arrays()
-    M = E @ np.swapaxes(Einv, -1, -2) % table.q
-    hits = np.bincount(table.element_class_array()[_encode(M, table.q)],
-                       minlength=table.class_count())
-    return _per_element(hits.tolist(), table)
+    """N(A) counts the B with B B^-T = A, that is B = A B^T: the invertible
+    points of the kernel of B -> B - A B^T, counted by _count_invertible
+    with no group sweep."""
+    n, q = table.n, table.q
+    values = []
+    for A, det in zip(table.reps, table.dets):
+        # det(B B^-T) = 1, so N vanishes off determinant 1
+        values.append(_count_invertible(
+            lambda B: B - A @ np.swapaxes(B, 1, 2), n, q) if det == 1 else 0)
+    return ClassFunction(table, values)
 
 
 def class_fn_C_brute(table):

@@ -248,7 +248,8 @@ def criterion_oracle_f():
 
 
 def criterion_oracle_algebra():
-    "Convolution square root of the commutator count; class equations."
+    """Convolution square root of the commutator count; class equations;
+    N counts every group element once."""
     field3 = fforacle.PrimeField(3)
     table = fforacle.class_table(2, field3)
     n_fn = fforacle.class_fn_N(table)
@@ -260,7 +261,11 @@ def criterion_oracle_algebra():
             table = fforacle.class_table(n, field)
             if sum(table.sizes) != table.group_order:
                 return False, "class equation fails at n=%d q=%d" % (n, q)
-    return True, "N*N = C on GL_2(F_3); class equations for n<=3, q in {3,5,7}"
+            # each B gives exactly one A = B B^-T
+            if fforacle.class_fn_N(table).group_sum() != table.group_order:
+                return False, "sum |c| N(c) != |G| at n=%d q=%d" % (n, q)
+    return True, ("N*N = C on GL_2(F_3); class equations and "
+                  "sum |c| N(c) = |G| for n<=3, q in {3,5,7}")
 
 
 ORACLE_MAIN_CASES = ((2, 1), (2, 2), (2, 3), (3, 2))

@@ -228,6 +228,10 @@ def test_broken_oracle_invariant_is_one_line(monkeypatch):
     ["component", "--n", "1..x", "--g", "1", "--r", "1", "--k", "1"],
     ["genfun", "--N", "0", "--g", "1", "--r", "1"],
     ["genfun", "--N", "-3", "--g", "1", "--r", "1"],
+    ["verify", "closed-forms", "--N", "3"],
+    ["verify", "all", "--g", "9"],
+    ["verify", "oracle-rank1", "--reports"],
+    ["verify", "telescope", "--reports"],
 ])
 def test_malformed_numbers_are_usage_errors(argv):
     code, out, err = _call(argv)

@@ -26,8 +26,8 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   count_representation_variety,
                                   delta_identity, det_mod, f_closed_poly,
                                   f_degree_prediction, formula_count,
-                                  group_order, inverse_mod, irreducibles,
-                                  kernel_dim,
+                                  group_order, inverse_label, inverse_mod,
+                                  irreducibles, kernel_dim,
                                   poly_eval_matrix, poly_star,
                                   primitive_roots_of_unity)
 
@@ -65,6 +65,21 @@ def test_poly_star():
     assert fs == ((-3) % q, 1)  # 2^(-1) = 3 mod 5
     # an irreducible quadratic fixed by star: t^2 + 1 over F_3
     assert poly_star((1, 0, 1), F3) == (1, 0, 1)
+
+
+def test_inverse_label_is_the_class_of_the_inverse():
+    for q in (3, 5, 7, 11, 13, 17):
+        for n in (1, 2):
+            table = class_table(n, PrimeField(q))
+            inv = table.element_class_array()[
+                fforacle._encode(inverse_mod(table.reps, q), q)]
+            assert [table.index[inverse_label(lab, table.field)]
+                    for lab in table.labels] == inv.tolist(), (n, q)
+    for field in (F3, F5):
+        table = class_table(3, field)
+        for lab, rep in zip(table.labels, table.reps):
+            assert inverse_label(lab, field) == classify(
+                inverse_mod(rep, field.q), table)
 
 
 def test_class_counts():
@@ -277,9 +292,37 @@ def test_N_examples():
     assert n2.values[t23.scalar_class_index(1)] == 18
 
 
+def _n_sweep(table):
+    "Reference N for n <= 2: the class of B B^-T over every B in the group."
+    E, Einv = table._group_arrays()
+    M = E @ np.swapaxes(Einv, -1, -2) % table.q
+    hits = np.bincount(table.element_class_array()[
+        fforacle._encode(M, table.q)], minlength=table.class_count())
+    assert all(h % size == 0 for h, size in zip(hits.tolist(), table.sizes))
+    return tuple(h // size for h, size in zip(hits.tolist(), table.sizes))
+
+
+def test_N_equals_group_sweep():
+    for q in (3, 5, 7, 11, 13, 17):
+        for n in (1, 2):
+            table = class_table(n, PrimeField(q))
+            assert class_fn_N(table).values == _n_sweep(table), (n, q)
+
+
+def test_N_at_rank3():
+    # each B gives one A = B B^-T, and A is self-inverse with determinant 1
+    for field in (F3, F5, F7):
+        table = class_table(3, field)
+        n_fn = class_fn_N(table)
+        assert n_fn.group_sum() == table.group_order
+        S = set(table.self_inverse_classes().tolist())
+        assert all(c in S and table.dets[c] == 1 for c in n_fn.support())
+
+
 def test_N_group_too_large():
+    # B = B^T at the identity: 13^6 symmetric B exceed the sweep budget
     with pytest.raises(GroupTooLarge):
-        class_fn_N(class_table(3, F5))
+        class_fn_N(class_table(3, PrimeField(13)))
 
 
 def test_convolution_unit_and_commutativity():
@@ -599,13 +642,13 @@ def test_convolve_matches_element_level_convolution():
 
 
 def test_atoms_vanish_off_self_inverse_classes():
-    for q in (3, 5, 7, 13, 17):
-        for n in (1, 2):
-            table = class_table(n, PrimeField(q))
-            S = set(table.self_inverse_classes().tolist())
-            for fn in (class_fn_F_closed(table), *class_fn_F_signed(table),
-                       class_fn_N(table)):
-                assert set(fn.support()) <= S, (n, q)
+    for n, q in [(n, q) for n in (1, 2) for q in (3, 5, 7, 13, 17)] + [
+            (3, 3), (3, 5), (3, 7)]:
+        table = class_table(n, PrimeField(q))
+        S = set(table.self_inverse_classes().tolist())
+        for fn in (class_fn_F_closed(table), *class_fn_F_signed(table),
+                   class_fn_N(table)):
+            assert set(fn.support()) <= S, (n, q)
     table = class_table(2, PrimeField(17))
     S = table.self_inverse_classes().tolist()
     assert len(S) == 20 and sum(table.sizes[c] for c in S) == 5202
@@ -695,10 +738,7 @@ def test_rank3_refusals():
             surf = SurfaceData(g, r)
             for w in [None] + [(-1,) * k + (1,) * (r - k)
                                for k in range(1, r + 1, 2)]:
-                if surf.s >= 1:
-                    with pytest.raises(GroupTooLarge):
-                        count_representation_variety(3, field, surf, xi, w)
-                elif r >= 2:
+                if surf.s >= 1 or r >= 2:
                     with pytest.raises(KernelMissing):
                         count_representation_variety(3, field, surf, xi, w)
                 else:
