@@ -108,26 +108,22 @@ def cmd_component(args, out):
     return 0
 
 
-def _exact_str(x):
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
-
-
 def cmd_euler(args, out):
     surf = _surface(args.g, args.r)
     values = [(n, euler_char_component(n, surf, args.k, args.convention))
               for n in parse_n_range(args.n)]
     if args.format == "json":
         out.write(json.dumps([{"n": n, "g": args.g, "r": args.r, "k": args.k,
-                               "euler": _exact_str(v)} for n, v in values],
+                               "euler": str(v)} for n, v in values],
                              indent=2) + "\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "g", "r", "k", "euler"])
         for n, v in values:
-            writer.writerow([n, args.g, args.r, args.k, _exact_str(v)])
+            writer.writerow([n, args.g, args.r, args.k, v])
     else:
         for n, v in values:
-            out.write("%s\n" % _exact_str(v))
+            out.write("%d\n" % v)
     return 0
 
 

@@ -15,7 +15,9 @@ coefficients of (x+1)^(r-k) (x-1)^k.  The literal multiset sum lives in
 verify (reference_e_value) as the reference the tests compare against.
 For g >= 1 every coefficient is an integer polynomial in q^(1/2), and E_n is
 one exact integer division of (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by
-2^r n for a component); genus 0 is served through rational functions.
+2^r n for a component).  At genus 0 the hooks enter inverted and the same
+assembly is a rational function, which e_poly accepts when its denominator
+is 1: every surface gets one checked route.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -31,7 +33,7 @@ from math import comb
 
 from .algebra import (HalfPowerPolynomial, ONE, Q_MINUS_ONE, RF_ONE,
                       RationalFunction, TruncatedSeries, ZERO, adams, moebius,
-                      pleth_log, poly_divmod, rational_exponent_pow)
+                      pleth_log, rational_exponent_pow)
 from .partitions import all_partitions, conjugate, hooks, n_lambda, weight
 from .symfun import a_minus, a_plus
 
@@ -236,7 +238,12 @@ def _assembled(n, surf, k, conv):
 
 
 def _require_polynomial(value, divisor, what):
-    "value / divisor as a polynomial in q with int coefficients, or NotPolynomial."
+    """value / divisor as a polynomial in q with int coefficients, or
+    NotPolynomial; a rational value (genus 0) needs denominator 1."""
+    if isinstance(value, RationalFunction):
+        if not value.is_polynomial():
+            raise NotPolynomial("%s has a nontrivial denominator" % what)
+        value = value.num
     if not value.is_q_polynomial():
         raise NotPolynomial("%s has odd half powers" % what)
     if any(e < 0 for e in value.terms):
@@ -247,21 +254,19 @@ def _require_polynomial(value, divisor, what):
 
 
 def e_poly_rational(n, surf, conv=MATCHED):
-    """Assembled E-value with no polynomiality check: a polynomial in
-    q^(1/2) for g >= 1 and a rational function at g = 0."""
+    """Assembled E-value with no polynomiality check, a rational function
+    at g = 0; the tests compare it with the reference route."""
     value, divisor = _assembled(n, surf, None, conv)
     return value * Fraction(1, divisor)
 
 
 def e_poly(n, surf, conv=MATCHED):
-    """E-polynomial of the rank-n variety, as a polynomial in q.
+    """E-polynomial of the rank-n variety, as a polynomial in q with int
+    coefficients, for every surface (genus 0 included).
 
-    Requires g >= 1; the genus 0 assembly lives in e_poly_rational.  Raises
-    NotPolynomial if a remainder or a half power survives, which signals a
-    convention bug rather than bad input.
+    Raises NotPolynomial if a denominator, a remainder or a half power
+    survives, which signals a convention bug rather than bad input.
     """
-    if surf.g < 1:
-        raise ValueError("e_poly needs g >= 1; use e_poly_rational for g = 0")
     return _require_polynomial(*_assembled(n, surf, None, conv), "E_%d" % n)
 
 
@@ -272,42 +277,31 @@ def e_poly_component_rational(n, surf, k, conv=MATCHED):
 
 
 def e_poly_component(n, surf, k, conv=MATCHED):
-    "E-polynomial of one path component, indexed by its odd sign count k."
-    if surf.g < 1:
-        raise ValueError("component polynomials need g >= 1")
+    "E-polynomial of one path component, by its odd sign count k; as e_poly."
     return _require_polynomial(*_assembled(n, surf, k, conv), "E_%d^%d" % (n, k))
 
 
 def component_sum_check(n, surf, conv=MATCHED):
     "Check sum over odd k of binomial(r,k) * E_n^k = E_n as polynomials."
-    total = sum((e_poly_component_rational(n, surf, k, conv) * comb(surf.r, k)
+    total = sum((e_poly_component(n, surf, k, conv) * comb(surf.r, k)
                  for k in range(1, surf.r + 1, 2)), ZERO)
-    return total == e_poly_rational(n, surf, conv)
+    return total == e_poly(n, surf, conv)
 
 
 def euler_char_component(n, surf, k, conv=MATCHED):
     """Euler characteristic: E_n^k divided exactly by (q-1)^g, at q = 1.
 
-    Returns an exact Fraction (an integer for g >= 2); raises NotDivisible
-    when (q-1)^g does not divide the component polynomial.
+    With q = 1 + x, E_n^k = sum_j d_j x^j where d_j = sum_e c_e C(e/2, j)
+    over the terms c_e q^(e/2).  (q-1)^g divides E_n^k exactly when
+    d_j = 0 for every j < g, and the quotient at q = 1 is then the int d_g;
+    otherwise NotDivisible.
     """
-    if surf.g == 0:
-        value = e_poly_component_rational(n, surf, k, conv)
-        if value.is_zero():
-            return Fraction(0)
-        try:
-            return value.evaluate(Fraction(1))
-        except ZeroDivisionError:
-            raise NotDivisible("E_%d^%d is singular at q = 1" % (n, k))
-    poly = e_poly_component(n, surf, k, conv)
-    if poly.is_zero():
-        return Fraction(0)
-    for _ in range(surf.g):
-        poly, rem = poly_divmod(poly, Q_MINUS_ONE)
-        if not rem.is_zero():
-            raise NotDivisible("(q-1)^%d does not divide E_%d^%d"
-                               % (surf.g, n, k))
-    return poly.evaluate(Fraction(1))
+    terms = e_poly_component(n, surf, k, conv).terms.items()
+    d = [sum(c * comb(e // 2, j) for e, c in terms)
+         for j in range(surf.g + 1)]
+    if any(d[:-1]):
+        raise NotDivisible("(q-1)^%d does not divide E_%d^%d" % (surf.g, n, k))
+    return d[-1]
 
 
 def gen_function_check(n_max, surf, conv=MATCHED):

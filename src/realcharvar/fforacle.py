@@ -924,12 +924,12 @@ def count_representation_variety(n, field, surf, xi, w=None):
 
 
 def formula_count(n, field, surf, k=None, convention=epoly.MATCHED):
-    "|GL_n(F_q)| times the closed-form E-value at q, as an exact integer."
+    "|GL_n(F_q)| times the closed-form E-polynomial at q, as an exact int."
     q = field.q
-    value = (epoly.e_poly_component_rational(n, surf, k, convention)
-             if k is not None else epoly.e_poly_rational(n, surf, convention))
-    return exact_int(value.evaluate(Fraction(q)) * group_order(n, q),
-                     "the formula count")
+    poly = (epoly.e_poly_component(n, surf, k, convention)
+            if k is not None else epoly.e_poly(n, surf, convention))
+    return group_order(n, q) * sum(c * q ** (e // 2)
+                                   for e, c in poly.terms.items())
 
 
 def compare_with_formula(n, field, surf, k=None, convention=epoly.MATCHED,

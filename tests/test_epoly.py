@@ -4,7 +4,7 @@ import pytest
 
 from realcharvar import epoly
 from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
-                                 RF_ONE, RationalFunction, adams)
+                                 RationalFunction, adams)
 from realcharvar.epoly import (EmptyPartition, KOutOfRange, EvenK, MATCHED,
                                NotPolynomial, SurfaceData, TRANSPOSED,
                                _require_polynomial,
@@ -138,6 +138,14 @@ def test_half_integer_coefficient_is_not_polynomial():
             _require_polynomial(value, divisor, "E")
     assert _require_polynomial(HalfPowerPolynomial({0: 4, 2: 8}), 4, "E") \
         == HalfPowerPolynomial({0: 1, 2: 2})
+    # a genus-0 value is a rational function: a real denominator is refused,
+    # and denominator 1 gives the numerator, divided exactly
+    with pytest.raises(NotPolynomial):
+        _require_polynomial(RationalFunction(ONE, ONE - Q), 1, "E")
+    got = _require_polynomial(RationalFunction(Q * 6 - 2), 2, "E")
+    assert got == Q * 3 - 1
+    assert type(got) is HalfPowerPolynomial
+    assert all(type(c) is int for c in got.terms.values())
 
 
 def _clear_formula_caches():
@@ -200,11 +208,13 @@ def test_log_table_does_not_depend_on_request_order():
 
 
 def test_e_poly_genus_bounds():
-    with pytest.raises(ValueError):
-        e_poly(1, SurfaceData(0, 1))
-    assert e_poly_rational(1, SurfaceData(0, 1)) == RF_ONE
-    for n in range(2, 7):
-        assert e_poly_rational(n, SurfaceData(0, 1)).is_zero()
+    surf = SurfaceData(0, 1)
+    for conv in (MATCHED, TRANSPOSED):
+        assert e_poly(1, surf, conv) == ONE
+        assert e_poly_component(1, surf, 1, conv) == ONE
+        for n in range(2, 7):
+            assert e_poly(n, surf, conv).is_zero()
+            assert e_poly_component(n, surf, 1, conv).is_zero()
 
 
 def test_e_poly_genus_one():
@@ -277,14 +287,13 @@ def test_component_k_independence_odd_rank():
 
 
 def test_euler_characteristics():
-    assert euler_char_component(3, SurfaceData(2, 1), 1) == -1
-    assert euler_char_component(2, SurfaceData(3, 2), 1) == 0
-    assert euler_char_component(5, SurfaceData(3, 1), 1) == -5
-    assert euler_char_component(1, SurfaceData(2, 2), 1) == 1
     # below genus 2 the single-term collapse no longer happens and the
     # honest division value takes over: E_n^1 = q-1 at g=1, r=1
-    assert euler_char_component(3, SurfaceData(1, 1), 1) == 1
-    assert euler_char_component(1, SurfaceData(0, 1), 1) == 1
+    for n, (g, r), want in ((3, (2, 1), -1), (2, (3, 2), 0), (5, (3, 1), -5),
+                            (1, (2, 2), 1), (3, (1, 1), 1), (1, (0, 1), 1),
+                            (2, (0, 1), 0)):
+        got = euler_char_component(n, SurfaceData(g, r), 1)
+        assert type(got) is int and got == want
 
 
 def test_gen_function_small():
