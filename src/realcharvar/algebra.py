@@ -17,6 +17,9 @@ Everything downstream works over three layers built here:
   RationalFunction coefficients, carrying the plethystic operations
   (adams substitution, Exp, Log, rational exponents).
 
+The plethystic log is coded once, as two steps epoly's route shares:
+log_coefficients (the log recurrence) and divisor_sum (the Adams sum).
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -314,12 +317,11 @@ Q_MINUS_ONE = Q - ONE
 
 # -- dense helpers for division and gcd (ordinary polynomials in u) ----
 
-def _to_dense(p):
-    "Return (min_exp, coefficient list from min_exp upward)."
-    lo = p.min_exp()
-    hi = p.max_exp()
-    coeffs = [0] * (hi - lo + 1)
-    for e, c in p.terms.items():
+def _to_dense(terms):
+    "Return (min_exp, coefficient list from min_exp upward) of nonzero terms."
+    lo = min(terms)
+    coeffs = [0] * (max(terms) - lo + 1)
+    for e, c in terms.items():
         coeffs[e - lo] = c
     return lo, coeffs
 
@@ -355,12 +357,6 @@ def _primitive(a):
     return [c // content for c in a] if content > 1 else a
 
 
-def _cleared(a):
-    "The coefficient list times the lcm of its denominators, as ints."
-    den = lcm(*{c.denominator for c in a})
-    return [c.numerator * (den // c.denominator) for c in a]
-
-
 def _dense_prem(a, b):
     """Remainder of the integer list a by the integer list b (b nonzero), up
     to a nonzero integer factor.  Each step scales a by lead(b)/h and takes
@@ -382,12 +378,12 @@ def _dense_prem(a, b):
 
 
 def _dense_gcd(a, b):
-    """Monic gcd over Q of nonzero dense coefficient lists, by a primitive remainder
-    sequence over Z (Brown, J. ACM 18, 1971; Knuth, TAOCP 2, 4.6.1).  Both
-    inputs are cleared of denominators and every remainder is cut to its
-    primitive part, so the coefficients stay small ints; the only division
-    is by the leading coefficient at the end."""
-    a, b = _primitive(_cleared(a)), _primitive(_cleared(b))
+    """Monic gcd over Q of nonzero dense int coefficient lists, by a primitive
+    remainder sequence over Z (Brown, J. ACM 18, 1971; Knuth, TAOCP 2,
+    4.6.1).  Every remainder is cut to its primitive part, so the
+    coefficients stay small ints; the only division is by the leading
+    coefficient at the end."""
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -402,8 +398,8 @@ def poly_divmod(a, b):
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
         return ZERO, ZERO
-    la, da = _to_dense(a)
-    lb, db = _to_dense(b)
+    la, da = _to_dense(a.terms)
+    lb, db = _to_dense(b.terms)
     # work with the ordinary parts; carry the exponent shift on the quotient
     qd, rd = _dense_divmod(da, db)
     quotient = _from_dense(la - lb, qd)
@@ -417,8 +413,9 @@ def poly_gcd(a, b):
         return b
     if b.is_zero():
         return a
-    _, da = _to_dense(a)
-    _, db = _to_dense(b)
+    # the gcd over Q is that of the operands cleared of denominators
+    _, da = _to_dense(_lift(a.terms)[1])
+    _, db = _to_dense(_lift(b.terms)[1])
     g = _dense_gcd(da, db)
     return _from_dense(0, g)
 
@@ -700,36 +697,39 @@ class TruncatedSeries:
         return "TruncatedSeries(%s)" % (" + ".join(parts) or "0")
 
 
-def _psi(v, d):
-    "Coefficient-wise adams plus T-degree dilation: T-degree j goes to d*j."
-    out = {}
-    for j in range(1, v.order + 1):
-        if d * j > v.order:
-            break
-        c = v.coeffs[j]
-        if not c.is_zero():
-            out[d * j] = adams(c, d)
-    series = TruncatedSeries(v.order, out)
-    # degree 0 untouched on purpose: callers only feed constant-free input
-    return series
+def log_coefficients(a, c, w):
+    """Extend c through c[w] by c_m = m a(m) - sum_{0<k<m} c_k a(m-k), so that
+    c_m = m [T^m] log(1 + sum_m a(m) T^m); returns c.  c[0] is the caller's
+    zero, and a product with a zero factor is skipped."""
+    for m in range(len(c), w + 1):
+        acc = a(m) * m
+        for k in range(1, m):
+            b = a(m - k)
+            if not c[k].is_zero() and not b.is_zero():
+                acc = acc - c[k] * b
+        c.append(acc)
+    return c
+
+
+def divisor_sum(n, coefficient, weight):
+    """sum over d | n of weight(d) * adams(coefficient(n/d), d), the step
+    that turns a log or a series into its plethystic form; a d with
+    weight(d) = 0 is skipped."""
+    total = ZERO
+    for d in range(1, n + 1):
+        if n % d == 0:
+            w = weight(d)
+            if w:
+                total = total + adams(coefficient(n // d), d) * w
+    return total
 
 
 def formal_log(f):
-    """Formal logarithm of a series with constant coefficient 1.
-
-    Uses the recurrence c_w = w f_w - sum_{k<w} c_k f_{w-k}, where
-    c_w = w [T^w] log f, so it costs O(order^2) coefficient products.
-    """
+    "Formal logarithm of a series with constant coefficient 1: c_w / w."
     if not f.coeffs[0].is_one():
         raise ConstantTermNotOne("log needs constant coefficient 1")
     n = f.order
-    c = [RF_ZERO] * (n + 1)
-    for w in range(1, n + 1):
-        acc = f.coeffs[w] * w
-        for k in range(1, w):
-            if not c[k].is_zero() and not f.coeffs[w - k].is_zero():
-                acc = acc - c[k] * f.coeffs[w - k]
-        c[w] = acc
+    c = log_coefficients(f.coeffs.__getitem__, [RF_ZERO], n)
     return TruncatedSeries(n, [RF_ZERO] + [c[w] * Fraction(1, w)
                                            for w in range(1, n + 1)])
 
@@ -763,28 +763,24 @@ def pleth_exp(v):
     if not v.coeffs[0].is_zero():
         raise NonzeroConstantTerm("plethystic Exp needs zero constant coefficient")
     n = v.order
-    w = TruncatedSeries(n)
-    for d in range(1, n + 1):
-        w = w + _psi(v, d) * Fraction(1, d)
-    return formal_exp(w)
+    return formal_exp(TruncatedSeries(n, {
+        m: divisor_sum(m, v.coeffs.__getitem__, lambda d: Fraction(1, d))
+        for m in range(1, n + 1)}))
 
 
 def pleth_log(f):
     """Plethystic logarithm, the inverse of pleth_exp.
 
-    Computed as sum_d (mu(d)/d) * psi_d(log f); the input must have constant
-    coefficient one.
+    Its T^m coefficient is (1/m) sum_{d|m} mu(d) psi_d(c_(m/d)), with c the
+    log coefficients of f; the input must have constant coefficient one.
     """
     if not f.coeffs[0].is_one():
         raise ConstantTermNotOne("plethystic Log needs constant coefficient 1")
     n = f.order
-    l = formal_log(f)
-    out = TruncatedSeries(n)
-    for d in range(1, n + 1):
-        m = moebius(d)
-        if m:
-            out = out + _psi(l, d) * Fraction(m, d)
-    return out
+    c = log_coefficients(f.coeffs.__getitem__, [RF_ZERO], n)
+    return TruncatedSeries(n, [RF_ZERO] + [
+        divisor_sum(m, c.__getitem__, moebius) * Fraction(1, m)
+        for m in range(1, n + 1)])
 
 
 def rational_exponent_pow(f, c):
@@ -814,11 +810,11 @@ def _format_monomial(e):
     return "q^(%d/2)" % e
 
 
-def format_poly(p, descending=True):
-    "Human-readable rendering, q-descending by default."
+def format_poly(p):
+    "Human-readable rendering, q-descending."
     if p.is_zero():
         return "0"
-    exps = sorted(p.terms, reverse=descending)
+    exps = sorted(p.terms, reverse=True)
     pieces = []
     for i, e in enumerate(exps):
         sign, body = _format_coeff(p.terms[e], i == 0)

@@ -15,9 +15,6 @@ from .algebra import HalfPowerPolynomial, format_poly, format_poly_latex
 from .epoly import (CONVENTIONS, MATCHED, SurfaceData, e_poly,
                     e_poly_component, euler_char_component,
                     gen_function_check)
-from .verify import (CRITERIA, TelescopeRange,
-                     criterion_genus_specializations, run_criteria,
-                     telescope_check)
 
 
 class UsageError(ValueError):
@@ -147,6 +144,8 @@ def cmd_genfun(args, out):
 
 def _verify_telescope(args, out):
     "One degenerate family with explicit parameters, or both by default."
+    from .verify import (TelescopeRange, criterion_genus_specializations,
+                         telescope_check)
     if args.g is None:
         if args.r is not None or args.N is not None:
             raise UsageError("verify telescope: --r and --N need --g")
@@ -166,6 +165,10 @@ def _verify_telescope(args, out):
 
 
 def cmd_verify(args, out):
+    # verify loads the finite-field oracle and numpy, which the formula
+    # commands do without
+    from .fforacle import report_line
+    from .verify import CRITERIA, criterion_oracle_main, run_criteria
     known = {name for name, _, _, _ in CRITERIA}
     if args.suite not in known | {"telescope", "all"}:
         raise UsageError("unknown suite %r; choose from %s, telescope, all"
@@ -179,8 +182,6 @@ def cmd_verify(args, out):
     if args.suite == "telescope":
         return _verify_telescope(args, out)
     if args.reports:
-        from .fforacle import report_line
-        from .verify import criterion_oracle_main
         reports = []
         ok, detail = criterion_oracle_main(collect=reports)
         for rep in reports:

@@ -11,8 +11,11 @@ c^(j)_w = w [T^w] log A_j,
 
 where A_j = 1 + sum_lam a+(lam)^j a-(lam)^(r-j) H_lam^(g-1) T^|lam| and
 psi_d is the Adams map q -> q^d.  Components weight the same logs by the
-coefficients of (x+1)^(r-k) (x-1)^k.  The literal multiset sum lives in
-verify (reference_e_value) as the reference the tests compare against.
+coefficients of (x+1)^(r-k) (x-1)^k.  The log coefficients come from
+algebra.log_coefficients and the odd-divisor sum from algebra.divisor_sum,
+the two steps algebra.pleth_log runs for the product identity check.  The
+literal multiset sum lives in verify (reference_e_value) as the reference
+the tests compare against.
 For g >= 1 every coefficient is an integer polynomial in q^(1/2), and E_n is
 one exact integer division of (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by
 2^r n for a component).  At genus 0 the hooks enter inverted and the same
@@ -32,8 +35,9 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import (HalfPowerPolynomial, ONE, Q_MINUS_ONE, RF_ONE,
-                      RationalFunction, TruncatedSeries, ZERO, adams, moebius,
-                      pleth_log, rational_exponent_pow)
+                      RationalFunction, TruncatedSeries, ZERO, adams,
+                      divisor_sum, log_coefficients, moebius, pleth_log,
+                      rational_exponent_pow)
 from .partitions import all_partitions, conjugate, hooks, n_lambda, weight
 from .symfun import a_minus, a_plus
 
@@ -168,7 +172,7 @@ def _series_coefficient(w, e, j, r, conv):
                 for (ap, am), hook_sum in _hook_sums(w, e, conv)), ZERO)
 
 
-def _partition_series(order, e, j, r, conv, scale=1):
+def _partition_series(order, e, j, r, conv, scale):
     "1 + sum_w psi_scale(A_j coefficient w) T^(scale*w), truncated at order."
     coeffs = {scale * w: adams(_series_coefficient(w, e, j, r, conv), scale)
               for w in range(1, order // scale + 1)}
@@ -180,22 +184,11 @@ _LOG_TABLES = {}
 
 
 def _log_coefficient(w, *key):
-    """c_w = w [T^w] log A_j for key (e, j, r, conv), from the recurrence
-    c_w = w a_w - sum_{0<k<w} c_k a_(w-k).  One table per key holds c_0 = 0,
-    c_1, ...; it grows in order of w, and every rank reads the same table."""
+    """c_w = w [T^w] log A_j for key (e, j, r, conv), by algebra's log
+    recurrence.  One table per key holds c_0 = 0, c_1, ...; it grows in
+    order of w, and every rank reads the same table."""
     c = _LOG_TABLES.setdefault(key, [ZERO])
-    while len(c) <= w:
-        m = len(c)
-        c.append(_series_coefficient(m, *key) * m - sum(
-            (c[k] * _series_coefficient(m - k, *key) for k in range(1, m)), ZERO))
-    return c[w]
-
-
-def _moebius_sum(n, coefficient, odd_only):
-    "sum over d | n (odd d only if odd_only) of mu(d) psi_d(coefficient(n/d))."
-    divisors = [d for d in range(1, n + 1, 2 if odd_only else 1) if n % d == 0]
-    return sum((adams(coefficient(n // d), d) * moebius(d)
-                for d in divisors if moebius(d)), ZERO)
+    return log_coefficients(lambda m: _series_coefficient(m, *key), c, w)[w]
 
 
 def _n_v(n, surf, k, conv):
@@ -216,7 +209,7 @@ def _n_v(n, surf, k, conv):
         return sum((_log_coefficient(w, e, j, r, conv) * b
                     for j, b in weights.items() if b), ZERO)
 
-    return _moebius_sum(n, coefficient, odd_only=True)
+    return divisor_sum(n, coefficient, lambda d: moebius(d) if d % 2 else 0)
 
 
 def v_n(n, surf, conv=MATCHED):
@@ -336,9 +329,8 @@ def complex_curve_e_poly(n, g):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    n_coefficient = _moebius_sum(
-        n, lambda w: _log_coefficient(w, 2 * g - 2, 0, 0, MATCHED),
-        odd_only=False)
+    n_coefficient = divisor_sum(
+        n, lambda w: _log_coefficient(w, 2 * g - 2, 0, 0, MATCHED), moebius)
     mono = HalfPowerPolynomial.u_power(2 * n * n * (g - 1))
     return (RationalFunction(Q_MINUS_ONE ** 2 * mono) * n_coefficient
             * Fraction(1, n))

@@ -268,15 +268,16 @@ def criterion_oracle_algebra():
 
 
 ORACLE_MAIN_CASES = ((2, 1), (2, 2), (2, 3), (3, 2))
+ORACLE_MAIN_QS = (5, 13)
 
 
-def criterion_oracle_main(qs=(5, 13), collect=None):
+def criterion_oracle_main(collect=None):
     """Rank-2 counts against the formula, components, roots, and conventions.
 
     When collect is a list, every comparison report is appended to it.
     """
     transposed_failed = False
-    for q in qs:
+    for q in ORACLE_MAIN_QS:
         field = fforacle.PrimeField(q)
         roots = fforacle.primitive_roots_of_unity(field, 4)
         for g, r in ORACLE_MAIN_CASES:
@@ -309,7 +310,8 @@ def criterion_oracle_main(qs=(5, 13), collect=None):
                     transposed_failed = True
     if not transposed_failed:
         return False, "transposed convention never failed with r >= 2"
-    return True, "matched agrees everywhere (q in %s); transposed refuted" % (qs,)
+    return True, "matched agrees everywhere (q in %s); transposed refuted" % (
+        ORACLE_MAIN_QS,)
 
 
 def criterion_oracle_rank1():

@@ -1,14 +1,17 @@
 """Property tests for the exact arithmetic in algebra: products against a
 schoolbook Fraction product, the gcd against divisibility, and the
 canonical form of rational functions, on Laurent polynomials drawn with int
-and Fraction coefficients."""
+and Fraction coefficients; and the series log, Log and Exp against the
+psi-series forms they replaced, on series with rational coefficients."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from realcharvar.algebra import (HalfPowerPolynomial, RationalFunction, U,
-                                 poly_divmod, poly_gcd)
+from realcharvar.algebra import (ONE, RF_ONE, RF_ZERO, HalfPowerPolynomial,
+                                 RationalFunction, TruncatedSeries, U, adams,
+                                 formal_exp, formal_log, moebius, pleth_exp,
+                                 pleth_log, poly_divmod, poly_gcd)
 
 PROPERTIES = settings(max_examples=50, deadline=None, database=None,
                       derandomize=True)
@@ -109,3 +112,72 @@ def test_sums_and_products_stay_canonical(pairs):
     num = schoolbook(schoolbook(n1, d2), d3) + schoolbook(schoolbook(n2, n3), d1)
     den = schoolbook(schoolbook(d1, d2), d3)
     assert schoolbook(value.num, den) == schoolbook(num, value.den)
+
+
+# -- the series layer against the psi-series forms -----------------------
+
+def reference_formal_log(f):
+    "log f by its own copy of the recurrence c_w = w f_w - sum c_k f_(w-k)."
+    n = f.order
+    c = [RF_ZERO] * (n + 1)
+    for w in range(1, n + 1):
+        acc = f.coeffs[w] * w
+        for k in range(1, w):
+            acc = acc - c[k] * f.coeffs[w - k]
+        c[w] = acc
+    return TruncatedSeries(n, [RF_ZERO] + [c[w] * Fraction(1, w)
+                                           for w in range(1, n + 1)])
+
+
+def psi(v, d):
+    "Coefficient-wise adams plus T-degree dilation: T-degree j goes to d*j."
+    return TruncatedSeries(v.order, {d * j: adams(v.coeffs[j], d)
+                                     for j in range(1, v.order // d + 1)})
+
+
+def reference_pleth_exp(v):
+    "exp(sum_d psi_d(v)/d), summed as series."
+    w = TruncatedSeries(v.order)
+    for d in range(1, v.order + 1):
+        w = w + psi(v, d) * Fraction(1, d)
+    return formal_exp(w)
+
+
+def reference_pleth_log(f):
+    "sum_d (mu(d)/d) psi_d(log f), summed as series."
+    log = reference_formal_log(f)
+    out = TruncatedSeries(f.order)
+    for d in range(1, f.order + 1):
+        if moebius(d):
+            out = out + psi(log, d) * Fraction(moebius(d), d)
+    return out
+
+
+small_polynomials = st.dictionaries(st.integers(-2, 2), coefficients,
+                                    max_size=3).map(HalfPowerPolynomial)
+# zero, polynomial, and the (1 - q^h) denominators of the genus-0 series
+series_coefficients = st.one_of(
+    st.just(RF_ZERO),
+    small_polynomials.map(RationalFunction),
+    st.builds(lambda p, h: RationalFunction(p, ONE - U ** (2 * h)),
+              small_polynomials, st.integers(1, 2)))
+
+
+def series(constant):
+    return st.integers(1, 5).flatmap(lambda order: st.lists(
+        series_coefficients, min_size=order, max_size=order).map(
+            lambda cs: TruncatedSeries(order, [constant] + cs)))
+
+
+@settings(PROPERTIES, max_examples=25)
+@given(series(RF_ZERO))
+def test_pleth_exp_matches_the_psi_series_reference(v):
+    assert pleth_exp(v) == reference_pleth_exp(v)
+
+
+@settings(PROPERTIES, max_examples=25)
+@given(series(RF_ONE))
+def test_log_and_pleth_log_match_the_references(f):
+    assert formal_log(f) == reference_formal_log(f)
+    assert pleth_log(f) == reference_pleth_log(f)
+    assert formal_exp(formal_log(f)) == f

@@ -57,4 +57,6 @@ def test_traced_worker_sees_the_rational_arithmetic(tmp_path):
         calls[name] = calls.get(name, 0) + 1
     assert calls.get("algebra.poly_mul", 0) > 0
     assert calls.get("algebra.poly_gcd", 0) > 0
+    assert calls.get("algebra.pleth_log", 0) > 0
+    assert calls.get("algebra.formal_log", 0) > 0
     assert trace["counters"]["algebra.poly_mul.coeff_products"] > 0

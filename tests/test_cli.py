@@ -109,6 +109,31 @@ def test_genfun_check_line():
     assert "log-product identity at N=3: pass" in out
 
 
+def test_formula_commands_do_not_load_numpy():
+    "Only verify needs the finite-field oracle and with it numpy."
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import realcharvar
+    src = str(pathlib.Path(realcharvar.__file__).resolve().parents[1])
+    script = (
+        "import sys, contextlib, io\n"
+        "import realcharvar.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['epoly', '--n', '1-2', '--g', '1', '--r', '1'],\n"
+        "                 ['euler', '--n', '2', '--g', '1', '--r', '1',\n"
+        "                  '--k', '1'],\n"
+        "                 ['genfun', '--N', '2', '--g', '1', '--r', '1']):\n"
+        "        assert realcharvar.cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bad_component_index():
     code, out = run_cli(["component", "--n", "2", "--g", "2", "--r", "2",
                          "--k", "2"])
