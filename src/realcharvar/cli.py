@@ -47,15 +47,18 @@ def _surface(g, r):
         raise UsageError(str(exc))
 
 
-def _poly_record(n, g, r, k, convention, poly):
-    return {
+def _poly_records(args, surf, ns):
+    "One record per rank n: E_n, or the component E_n^k when args.k is set."
+    k, conv = args.k, args.convention
+    return [{
         "n": n,
-        "g": g,
-        "r": r,
+        "g": args.g,
+        "r": args.r,
         "k": k,
-        "convention": convention,
-        "poly": poly.to_triples(),
-    }
+        "convention": conv,
+        "poly": (e_poly(n, surf, conv) if k is None
+                 else e_poly_component(n, surf, k, conv)).to_triples(),
+    } for n in ns]
 
 
 def _render_records(records, fmt, xy, out):
@@ -88,20 +91,10 @@ def _render_records(records, fmt, xy, out):
 
 
 def cmd_epoly(args, out):
+    "E_n, or with --k the component E_n^k, for each rank of --n."
     surf = _surface(args.g, args.r)
-    records = [_poly_record(n, args.g, args.r, None, args.convention,
-                            e_poly(n, surf, args.convention))
-               for n in parse_n_range(args.n)]
-    _render_records(records, args.format, args.xy, out)
-    return 0
-
-
-def cmd_component(args, out):
-    surf = _surface(args.g, args.r)
-    records = [_poly_record(n, args.g, args.r, args.k, args.convention,
-                            e_poly_component(n, surf, args.k, args.convention))
-               for n in parse_n_range(args.n)]
-    _render_records(records, args.format, args.xy, out)
+    _render_records(_poly_records(args, surf, parse_n_range(args.n)),
+                    args.format, args.xy, out)
     return 0
 
 
@@ -128,9 +121,7 @@ def cmd_genfun(args, out):
     surf = _surface(args.g, args.r)
     if args.N < 1:
         raise UsageError("truncation order N must be positive")
-    records = [_poly_record(n, args.g, args.r, None, args.convention,
-                            e_poly(n, surf, args.convention))
-               for n in range(1, args.N + 1)]
+    records = _poly_records(args, surf, range(1, args.N + 1))
     ok = gen_function_check(args.N, surf, args.convention)
     if args.format == "json":
         out.write(json.dumps({"check": ok, "results": records}, indent=2) + "\n")
@@ -212,6 +203,8 @@ def build_parser():
         if with_k:
             p.add_argument("--k", type=int, required=True,
                            help="odd component index, k <= r")
+        else:
+            p.set_defaults(k=None)
         p.add_argument("--convention", choices=CONVENTIONS, default=MATCHED)
         p.add_argument("--format", choices=("text", "json", "csv", "latex"),
                        default="text")
@@ -224,7 +217,7 @@ def build_parser():
 
     p = sub.add_parser("component", help="E-polynomial of one component")
     common(p, with_k=True)
-    p.set_defaults(func=cmd_component)
+    p.set_defaults(func=cmd_epoly)
 
     p = sub.add_parser("euler", help="Euler characteristic of a component")
     common(p, with_k=True)

@@ -15,8 +15,10 @@ F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
 A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
 self-inverse when inverse_label, which stars each polynomial of the label,
 fixes its label.  Every convolution step pairs a prefix with F or N, so the
-kernel only sweeps elements of self-inverse classes: K[t, i, c2] counts B in
-the i-th self-inverse class with B^-1 g_t in class c2.
+kernel only needs the self-inverse classes: K[t, i, c2] counts B in the i-th
+self-inverse class with B^-1 g_t in class c2.  That class is closed under
+inversion, so the kernel counts B g_t instead, over the self-inverse entries
+of the element lookup, with no copy of the group and no inverses.
 
 A count sorts its atoms (F, or F+ and F-, then N) and memoizes one class
 function per sorted atom tuple on the class table: a 1-tuple is the atom,
@@ -26,12 +28,12 @@ share its convolutions, whatever order they arrive in, and the count reads
 only the scalar target of the last step.  The last atom is built before
 its prefix, so with s >= 1 the first thing built is N.
 
-Matrices are int64 numpy arrays, and the class representatives, the group
-and the symmetric forms are (..., n, n) stacks of them.  numpy carries the
-matrix layer, the fixed-subspace enumerations for F and N, the group sweeps
-(element lookup, kernel building and C, all n <= 2) and the kernel
-contraction, whose int64 range is checked before it runs; all
-class-function values are exact Python integers.
+Matrices are int64 numpy arrays, and the class representatives and the
+fixed-subspace points are (..., n, n) stacks of them.  numpy carries the
+matrix layer, the fixed-subspace enumerations for F and N, the element
+lookup and the kernel built from it (n <= 2), the kernel contraction, whose
+int64 range is checked before it runs, and the reference sweep of every
+commutator for C; all class-function values are exact Python integers.
 """
 
 import json
@@ -384,7 +386,6 @@ class ClassTable:
                                  % (n, field.q))
         self.dets = tuple(det_mod(self.reps, self.q).tolist())
         self._element_class = None
-        self._group = None
         self._self_inverse = None
         self._kernel = None
         self._conv_cache = {}
@@ -444,14 +445,12 @@ class ClassTable:
 
     def _group_arrays(self):
         """(elements, inverses) of GL_n(F_q) as (m, n, n) int64 arrays, in
-        _encode order; n <= 2.  Built once and shared by the sweeps."""
-        if self._group is None:
-            if self.n > 2:
-                raise KernelMissing("group arrays for n <= 2 only")
-            A = _digits(self.n ** 2, self.q).reshape(-1, self.n, self.n)
-            E = A[det_mod(A, self.q) != 0]
-            self._group = (E, inverse_mod(E, self.q))
-        return self._group
+        _encode order; n <= 2.  Built afresh for the reference sweeps."""
+        if self.n > 2:
+            raise KernelMissing("group arrays for n <= 2 only")
+        A = _digits(self.n ** 2, self.q).reshape(-1, self.n, self.n)
+        E = A[det_mod(A, self.q) != 0]
+        return E, inverse_mod(E, self.q)
 
     def self_inverse_classes(self):
         """Indices of the classes c with c^-1 in c, ascending: the labels
@@ -465,32 +464,38 @@ class ClassTable:
         """Convolution kernel K[t, i, c2] on the self-inverse classes S =
         self_inverse_classes(); n <= 2.
 
-        K[t][i][c2] counts B in class S[i] with B^(-1) g_t in class c2, one
-        sweep of the elements of S per target class t.  An entry is at most
-        |GL_2(F_q)|, below 2^31 within the sweep budget, so int32.
+        K[t][i][c2] counts B in class S[i] with B^(-1) g_t in class c2.  S[i]
+        is closed under B -> B^-1, so this is also the count of B in S[i]
+        with B g_t in c2, and the rows come from element_class_array alone:
+        its self-inverse entries, decoded from their positions, times each
+        g_t.  An entry is at most |GL_2(F_q)|, below 2^31 within the sweep
+        budget, so int32.
         """
         if self._kernel is not None:
             return self._kernel
         n, q = self.n, self.q
         S = self.self_inverse_classes()
-        E, Einv = self._group_arrays()
         cls = self.element_class_array()
         C = len(self.labels)
         slot = np.full(C, -1, dtype=np.int64)
         slot[S] = np.arange(len(S))
-        i = slot[cls[_encode(E, q)]]
-        Binv = Einv[i >= 0]
-        i = i[i >= 0]
+        # drop the singular entries (-1) before slot reads them as the last
+        # class, then keep the elements of S
+        pos = np.flatnonzero(cls >= 0)
+        i = slot[cls[pos]]
+        pos, i = pos[i >= 0], i[i >= 0]
+        B = (pos[:, None] // q ** np.arange(n * n - 1, -1, -1) % q).reshape(
+            -1, n, n)
         K = np.zeros((C, len(S), C), dtype=np.int32)
         for t, g in enumerate(self.reps):
-            # digits of B^(-1) g_t by elementwise column products, which
-            # measured faster here than a stacked int64 matmul
+            # digits of B g_t by elementwise column products, which measured
+            # faster here than a stacked int64 matmul
             enc = 0
             for r in range(n):
                 for j in range(n):
-                    entry = Binv[:, r, 0] * g[0, j]
+                    entry = B[:, r, 0] * g[0, j]
                     for k in range(1, n):
-                        entry += Binv[:, r, k] * g[k, j]
+                        entry += B[:, r, k] * g[k, j]
                     enc = enc * q + entry % q
             pair = i * C + cls[enc]
             K[t] = np.bincount(pair, minlength=len(S) * C).reshape(len(S), C)
@@ -937,23 +942,18 @@ def compare_with_formula(n, field, surf, k=None, convention=epoly.MATCHED,
     """Count points and compare against the closed formula.
 
     Returns a report dict; the equality flag is computed, never assumed.
+    The formula goes first, so epoly's EvenK and KOutOfRange refuse a bad k
+    before any class table is built.
     """
+    formula = formula_count(n, field, surf, k, convention)
     if xi is None:
         roots = primitive_roots_of_unity(field, 2 * n)
         if not roots:
             raise NoPrimitiveRoot("no primitive %dth root mod %d"
                                   % (2 * n, field.q))
         xi = roots[0]
-    if k is None:
-        counted = count_representation_variety(n, field, surf, xi)
-    else:
-        if k % 2 == 0:
-            raise epoly.EvenK("component index k must be odd")
-        if not 1 <= k <= surf.r:
-            raise epoly.KOutOfRange("k must be at most r")
-        w = (-1,) * k + (1,) * (surf.r - k)
-        counted = count_representation_variety(n, field, surf, xi, w)
-    formula = formula_count(n, field, surf, k, convention)
+    w = None if k is None else (-1,) * k + (1,) * (surf.r - k)
+    counted = count_representation_variety(n, field, surf, xi, w)
     return {
         "n": n,
         "q": field.q,

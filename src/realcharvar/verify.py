@@ -249,11 +249,11 @@ def criterion_oracle_f():
 def criterion_oracle_algebra():
     """Convolution square root of the commutator count; class equations;
     N counts every group element once."""
-    field3 = fforacle.PrimeField(3)
-    table = fforacle.class_table(2, field3)
-    n_fn = fforacle.class_fn_N(table)
-    if fforacle.convolve(n_fn, n_fn, table) != fforacle.class_fn_C_brute(table):
-        return False, "N*N != C on GL_2(F_3)"
+    for q in (3, 5):
+        table = fforacle.class_table(2, fforacle.PrimeField(q))
+        n_fn = fforacle.class_fn_N(table)
+        if fforacle.convolve(n_fn, n_fn, table) != fforacle.class_fn_C_brute(table):
+            return False, "N*N != C on GL_2(F_%d)" % q
     for q in (3, 5, 7):
         field = fforacle.PrimeField(q)
         for n in (1, 2, 3):
@@ -263,7 +263,7 @@ def criterion_oracle_algebra():
             # each B gives exactly one A = B B^-T
             if fforacle.class_fn_N(table).group_sum() != table.group_order:
                 return False, "sum |c| N(c) != |G| at n=%d q=%d" % (n, q)
-    return True, ("N*N = C on GL_2(F_3); class equations and "
+    return True, ("N*N = C on GL_2(F_q), q in {3,5}; class equations and "
                   "sum |c| N(c) = |G| for n<=3, q in {3,5,7}")
 
 

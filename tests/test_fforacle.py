@@ -13,7 +13,8 @@ import pytest
 
 from realcharvar import fforacle
 from realcharvar.algebra import ExactnessError, moebius
-from realcharvar.epoly import MATCHED, TRANSPOSED, SurfaceData
+from realcharvar.epoly import (MATCHED, TRANSPOSED, EvenK, KOutOfRange,
+                               SurfaceData)
 from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   KernelMissing, NoPrimitiveRoot, PrimeField,
                                   SingularMatrix, UnsupportedRank,
@@ -336,9 +337,10 @@ def test_convolution_unit_and_commutativity():
 
 
 def test_N_squared_is_commutator_count():
-    table = class_table(2, F3)
-    n_fn = class_fn_N(table)
-    assert convolve(n_fn, n_fn, table) == class_fn_C_brute(table)
+    for field in (F3, F5):
+        table = class_table(2, field)
+        n_fn = class_fn_N(table)
+        assert convolve(n_fn, n_fn, table) == class_fn_C_brute(table), field
 
 
 def test_signed_split():
@@ -505,6 +507,17 @@ def test_transposed_convention_fails():
                                     convention=MATCHED)["equal"]
 
 
+def test_compare_with_formula_leaves_k_to_epoly(monkeypatch):
+    # epoly refuses a bad k before the oracle builds anything
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    surf = SurfaceData(2, 2)
+    with pytest.raises(EvenK):
+        compare_with_formula(2, F5, surf, k=2)
+    with pytest.raises(KOutOfRange, match="need 1 <= k <= r = 2, got k = 3"):
+        compare_with_formula(2, F5, surf, k=3)
+    assert fforacle._TABLES == {}
+
+
 def test_report_fields():
     rep = compare_with_formula(2, F5, SurfaceData(2, 1))
     assert set(rep) == {"n", "q", "g", "r", "k", "xi", "counted", "formula",
@@ -623,6 +636,44 @@ def test_kernel_is_the_self_inverse_slice_of_the_dense_kernel():
         K = table.kernel()
         assert K.dtype == np.int32 and K.shape == (C, len(S), C)
         assert (K == dense[:, S, :]).all()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the kernel must not sweep the group")
+
+
+def test_kernel_reads_the_class_lookup(monkeypatch):
+    # K comes from the element lookup alone: no group copy, determinant or
+    # inverse, and still the self-inverse slice of the dense kernel
+    for field in (F3, F5):
+        q = field.q
+        table = ClassTable(2, field)
+        table.element_class_array()
+        cls = _element_classes(table)
+        reps = _tuple_reps(table)
+        C = table.class_count()
+        S = table.self_inverse_classes().tolist()
+        dense = np.zeros((C, C, C), dtype=np.int64)
+        for t, g in enumerate(reps):
+            for B, c1 in cls.items():
+                dense[t, c1, cls[_mul2(_inv2(B, q), g, q)]] += 1
+        with monkeypatch.context() as m:
+            m.setattr(ClassTable, "_group_arrays", _refuse)
+            m.setattr(fforacle, "det_mod", _refuse)
+            m.setattr(fforacle, "inverse_mod", _refuse)
+            K = table.kernel()
+        assert (K == dense[:, S, :]).all(), q
+    # at GL_2(F_17) the peak is the 288 x 20 x 288 int32 kernel, 6.6 MB
+    table = ClassTable(2, PrimeField(17))
+    table.element_class_array()
+    tracemalloc.start()
+    try:
+        K = table.kernel()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.nbytes == 288 * 20 * 288 * 4
+    assert peak < 9_000_000, peak
 
 
 def test_convolve_matches_element_level_convolution():
