@@ -240,7 +240,9 @@ class HalfPowerPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals, so hashes as, its int or Fraction
+        return hash(self.constant_coeff() if self.terms.keys() <= {0}
+                    else frozenset(self.terms.items()))
 
     def evaluate(self, q0):
         """Evaluate at a rational value of q.
@@ -534,14 +536,12 @@ class RationalFunction:
             other = _coerce_rf(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        # canonical form makes structural equality sound; keep the
-        # cross-multiplication fallback as a belt-and-braces identity
-        if self.num == other.num and self.den == other.den:
-            return True
-        return self.num * other.den == other.num * self.den
+        # canonical forms make equality structural
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial equals, so hashes as, its numerator
+        return hash(self.num if self.den.is_one() else (self.num, self.den))
 
     def evaluate(self, q0):
         d = self.den.evaluate(q0)
@@ -830,22 +830,21 @@ def format_poly(p):
     return " ".join(pieces)
 
 
-def format_poly_latex(p, xy=False):
-    "LaTeX rendering, q-descending; optionally substitute q = xy."
+def format_poly_latex(p):
+    "LaTeX rendering, q-descending."
     if p.is_zero():
         return "0"
-    var = "xy" if xy else "q"
     pieces = []
     for i, e in enumerate(sorted(p.terms, reverse=True)):
         sign, body = _format_coeff(p.terms[e], i == 0)
         if e == 0:
             mono = ""
         elif e == 2:
-            mono = var
+            mono = "q"
         elif e % 2 == 0:
-            mono = "%s^{%d}" % (var, e // 2)
+            mono = "q^{%d}" % (e // 2)
         else:
-            mono = "%s^{%d/2}" % (var, e)
+            mono = "q^{%d/2}" % e
         if mono and body == "1":
             body = ""
         pieces.append(sign + body + mono)

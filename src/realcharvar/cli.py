@@ -57,13 +57,14 @@ def _poly_records(args, surf, ns):
         "k": k,
         "convention": conv,
         "poly": (e_poly(n, surf, conv) if k is None
-                 else e_poly_component(n, surf, k, conv)).to_triples(),
+                 else e_poly_component(n, surf, k, conv)),
     } for n in ns]
 
 
 def _render_records(records, fmt, xy, out):
     if fmt == "json":
-        out.write(json.dumps(records, indent=2) + "\n")
+        out.write(json.dumps(records, indent=2,
+                             default=HalfPowerPolynomial.to_triples) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -71,23 +72,20 @@ def _render_records(records, fmt, xy, out):
         for rec in records:
             writer.writerow([rec["n"], rec["g"], rec["r"],
                              "" if rec["k"] is None else rec["k"],
-                             rec["convention"], json.dumps(rec["poly"])])
+                             rec["convention"],
+                             json.dumps(rec["poly"].to_triples())])
         return
     for rec in records:
-        poly = HalfPowerPolynomial.from_triples(rec["poly"])
         if fmt == "latex":
             sup = "" if rec["k"] is None else "^{(%d)}" % rec["k"]
-            out.write("E_{%d}%s = %s\n" % (rec["n"], sup,
-                                           format_poly_latex(poly, xy=xy)))
+            line = "E_{%d}%s = %s\n" % (rec["n"], sup,
+                                        format_poly_latex(rec["poly"]))
         else:
             sup = "" if rec["k"] is None else "^(%d)" % rec["k"]
-            var = "xy" if xy else "q"
-            body = format_poly(poly)
-            if xy:
-                body = body.replace("q", "xy")
-            out.write("E_%d%s(%s; g=%d, r=%d, %s) = %s\n"
-                      % (rec["n"], sup, var, rec["g"], rec["r"],
-                         rec["convention"], body))
+            line = ("E_%d%s(q; g=%d, r=%d, %s) = %s\n"
+                    % (rec["n"], sup, rec["g"], rec["r"], rec["convention"],
+                       format_poly(rec["poly"])))
+        out.write(line.replace("q", "xy") if xy else line)
 
 
 def cmd_epoly(args, out):
@@ -124,7 +122,8 @@ def cmd_genfun(args, out):
     records = _poly_records(args, surf, range(1, args.N + 1))
     ok = gen_function_check(args.N, surf, args.convention)
     if args.format == "json":
-        out.write(json.dumps({"check": ok, "results": records}, indent=2) + "\n")
+        out.write(json.dumps({"check": ok, "results": records}, indent=2,
+                             default=HalfPowerPolynomial.to_triples) + "\n")
     else:
         _render_records(records, args.format, args.xy, out)
         if args.format == "text":

@@ -217,13 +217,19 @@ def v_n(n, surf, conv=MATCHED):
     return _n_v(n, surf, None, conv) * Fraction(1, n)
 
 
-def _assembled(n, surf, k, conv):
-    """(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, and the divisor that turns it into
-    E_n (k None: 2n) or into the component E_n^k (2^r n)."""
+def check_component(k, surf):
+    """Refuse a component index that is even (EvenK) or outside 1 <= k <= r
+    (KOutOfRange); k None, the whole variety, passes."""
     if k is not None and k % 2 == 0:
         raise EvenK("component index k must be odd")
     if k is not None and not 1 <= k <= surf.r:
         raise KOutOfRange("need 1 <= k <= r = %d, got k = %d" % (surf.r, k))
+
+
+def _assembled(n, surf, k, conv):
+    """(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, and the divisor that turns it into
+    E_n (k None: 2n) or into the component E_n^k (2^r n)."""
+    check_component(k, surf)
     e = n * n * (surf.g - 1)
     prefactor = Q_MINUS_ONE * HalfPowerPolynomial.u_power(e, (-1) ** (e % 2))
     return (prefactor * _n_v(n, surf, k, conv),
@@ -329,6 +335,8 @@ def complex_curve_e_poly(n, g):
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if g < 0:
+        raise ValueError("genus must be non-negative")
     n_coefficient = divisor_sum(
         n, lambda w: _log_coefficient(w, 2 * g - 2, 0, 0, MATCHED), moebius)
     mono = HalfPowerPolynomial.u_power(2 * n * n * (g - 1))

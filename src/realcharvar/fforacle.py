@@ -37,10 +37,9 @@ commutator for C; all class-function values are exact Python integers.
 """
 
 import json
-import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -124,7 +123,7 @@ class PrimeField:
 #
 # det_mod, inverse_mod, charpoly_mod and poly_eval_matrix take one matrix or
 # an (..., n, n) int64 stack with n <= 3 and reduce mod q after every
-# cofactor or Horner step, so no intermediate exceeds n q^2.
+# product, so every product stays below q^2.
 
 def _stack(A):
     "A as an int64 array whose last two axes are n x n, n <= 3."
@@ -135,14 +134,13 @@ def _stack(A):
 
 
 def _det(A, q):
-    "Cofactor expansion along row 0; the 0 x 0 determinant is 1."
-    n = A.shape[-1]
-    if n == 0:
-        return np.ones(A.shape[:-2], dtype=np.int64)
+    "The Leibniz sum over the n! <= 6 column permutations, mod q."
     total = 0
-    for j in range(n):
-        minor = np.delete(A[..., 1:, :], j, axis=-1)
-        total = total + (-1) ** j * A[..., 0, j] * _det(minor, q)
+    for perm in permutations(range(A.shape[-1])):
+        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term = term * A[..., i, j] % q
+        total = total + term
     return total % q
 
 
@@ -152,20 +150,15 @@ def det_mod(A, q):
 
 
 def inverse_mod(A, q):
-    """Inverse mod q of a matrix or of each matrix in a stack: the adjugate
-    times the inverse of the determinant.  Raises SingularMatrix if any
-    matrix is singular."""
-    A = _stack(A)
-    n = A.shape[-1]
-    det = _det(A, q)
-    if np.any(det == 0):
+    """Inverse mod q of a matrix or of each matrix in a stack, by
+    Cayley-Hamilton: for the characteristic polynomial t^n + ... + c_1 t +
+    c_0, A^-1 = -c_0^-1 (A^(n-1) + ... + c_1).  Raises SingularMatrix if any
+    matrix is singular (c_0 = 0)."""
+    c = charpoly_mod(A, q)
+    if np.any(c[..., 0] == 0):
         raise SingularMatrix("matrix is not invertible")
-    adj = np.empty_like(A)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(A, i, axis=-2), j, axis=-1)
-            adj[..., j, i] = (-1) ** (i + j) * _det(minor, q)
-    return adj * _inverse_table(q)[det][..., None, None] % q
+    scale = -_inverse_table(q)[c[..., 0]] % q
+    return poly_eval_matrix(c[..., 1:], A, q) * scale[..., None, None] % q
 
 
 @lru_cache(maxsize=None)
@@ -445,12 +438,12 @@ class ClassTable:
 
     def _group_arrays(self):
         """(elements, inverses) of GL_n(F_q) as (m, n, n) int64 arrays, in
-        _encode order; n <= 2.  Built afresh for the reference sweeps."""
-        if self.n > 2:
-            raise KernelMissing("group arrays for n <= 2 only")
-        A = _digits(self.n ** 2, self.q).reshape(-1, self.n, self.n)
-        E = A[det_mod(A, self.q) != 0]
-        return E, inverse_mod(E, self.q)
+        _encode order; n <= 2: the element lookup's classified positions,
+        decoded, built afresh for the reference sweeps."""
+        n, q = self.n, self.q
+        E = _decode(np.flatnonzero(self.element_class_array() >= 0), n * n,
+                    q).reshape(-1, n, n)
+        return E, inverse_mod(E, q)
 
     def self_inverse_classes(self):
         """Indices of the classes c with c^-1 in c, ascending: the labels
@@ -484,8 +477,7 @@ class ClassTable:
         pos = np.flatnonzero(cls >= 0)
         i = slot[cls[pos]]
         pos, i = pos[i >= 0], i[i >= 0]
-        B = (pos[:, None] // q ** np.arange(n * n - 1, -1, -1) % q).reshape(
-            -1, n, n)
+        B = _decode(pos, n * n, q).reshape(-1, n, n)
         K = np.zeros((C, len(S), C), dtype=np.int32)
         for t, g in enumerate(self.reps):
             # digits of B g_t by elementwise column products, which measured
@@ -510,10 +502,9 @@ def _digit_blocks(count, q, block):
     if m > _GROUP_BUDGET:
         raise GroupTooLarge("%d matrices at q = %d exceed the sweep budget"
                             % (m, q))
-    powers = q ** np.arange(count - 1, -1, -1)
     for lo in range(0, m, block):
-        rows = np.arange(lo, min(lo + block, m), dtype=np.int64)
-        yield rows[:, None] // powers % q
+        yield _decode(np.arange(lo, min(lo + block, m), dtype=np.int64),
+                      count, q)
 
 
 def _digits(count, q):
@@ -527,6 +518,12 @@ def _encode(M, q):
     "Base-q digit string of the entries, row by row, of each matrix in a stack."
     n = M.shape[-1]
     return M.reshape(M.shape[:-2] + (n * n,)) @ q ** np.arange(n * n - 1, -1, -1)
+
+
+def _decode(codes, count, q):
+    """The count base-q digits of each code, most significant first, as a
+    (len(codes), count) array; _encode's inverse at count = n^2."""
+    return codes[:, None] // q ** np.arange(count - 1, -1, -1) % q
 
 
 def _class_key(A, q):
@@ -896,31 +893,22 @@ def primitive_roots_of_unity(field, order):
                  if next(k for k in range(1, q) if pow(x, k, q) == 1) == order)
 
 
-def count_representation_variety(n, field, surf, xi, w=None):
+def count_representation_variety(n, field, surf, xi, k=None):
     """Exact count of the rank-n representation variety over F_q.
 
-    Evaluates the convolution of r copies of F (or the signed pieces given a
-    sign tuple w) and g - r + 1 copies of N at the scalar class of xi, which
-    must be a primitive 2n-th root of unity.
+    Evaluates the convolution of r copies of F (for the component k: k of
+    F-, the determinant -1 part, and r - k of F+) and g - r + 1 copies of N
+    at the scalar class of xi, which must be a primitive 2n-th root of
+    unity.  epoly.check_component refuses a bad k before any table is built.
     """
+    epoly.check_component(k, surf)
     if xi % field.q not in primitive_roots_of_unity(field, 2 * n):
         raise NoPrimitiveRoot("xi = %d is not a primitive %dth root mod %d"
                               % (xi, 2 * n, field.q))
     table = class_table(n, field)
-    s = surf.s
-    if w is not None:
-        w = tuple(w)
-        if len(w) != surf.r:
-            raise ValueError("sign tuple length must be r")
-        if any(x not in (1, -1) for x in w):
-            raise ValueError("sign tuple entries must be +-1")
-        # xi^n = -1 for a primitive 2n-th root, so the product is fixed
-        if math.prod(w) != -1:
-            raise ValueError("sign tuple must have product -1")
-        atoms = tuple("F+" if x == 1 else "F-" for x in w) + ("N",) * s
-    else:
-        atoms = ("F",) * surf.r + ("N",) * s
-    atoms = tuple(sorted(atoms))
+    atoms = (("F",) * surf.r if k is None
+             else ("F-",) * k + ("F+",) * (surf.r - k))
+    atoms = tuple(sorted(atoms + ("N",) * surf.s))
     target = table.scalar_class_index(xi)
     if len(atoms) == 1:
         return _convolution(table, atoms).values[target]
@@ -939,11 +927,12 @@ def formula_count(n, field, surf, k=None, convention=epoly.MATCHED):
 
 def compare_with_formula(n, field, surf, k=None, convention=epoly.MATCHED,
                          xi=None):
-    """Count points and compare against the closed formula.
+    """Count points of the variety, or of its component k, and compare
+    against the closed formula.
 
     Returns a report dict; the equality flag is computed, never assumed.
-    The formula goes first, so epoly's EvenK and KOutOfRange refuse a bad k
-    before any class table is built.
+    Both sides refuse a bad k through epoly.check_component before any
+    class table is built.
     """
     formula = formula_count(n, field, surf, k, convention)
     if xi is None:
@@ -952,8 +941,7 @@ def compare_with_formula(n, field, surf, k=None, convention=epoly.MATCHED,
             raise NoPrimitiveRoot("no primitive %dth root mod %d"
                                   % (2 * n, field.q))
         xi = roots[0]
-    w = None if k is None else (-1,) * k + (1,) * (surf.r - k)
-    counted = count_representation_variety(n, field, surf, xi, w)
+    counted = count_representation_variety(n, field, surf, xi, k)
     return {
         "n": n,
         "q": field.q,

@@ -114,6 +114,28 @@ def test_sums_and_products_stay_canonical(pairs):
     assert schoolbook(value.num, den) == schoolbook(num, value.den)
 
 
+@settings(PROPERTIES, max_examples=25)
+@given(polynomials, nonzero, nonzero, coefficients)
+def test_equal_values_hash_equal(p, d, e, c):
+    # each group builds one value by different routes; across all of them,
+    # a == b must imply hash(a) == hash(b)
+    const = HalfPowerPolynomial({0: c})
+    groups = [
+        [c, Fraction(c), const, RationalFunction(c),
+         RationalFunction(const * d, d), (const + p) - p],
+        [p, HalfPowerPolynomial.from_triples(p.to_triples()),
+         RationalFunction(p), RationalFunction(p * d, d)],
+        [RationalFunction(p, d), RationalFunction(p * e, d * e),
+         RationalFunction(p) / RationalFunction(d)],
+    ]
+    for group in groups:
+        assert all(a == group[0] for a in group)
+    values = [a for group in groups for a in group]
+    for a in values:
+        for b in values:
+            assert a != b or hash(a) == hash(b), (a, b)
+
+
 # -- the series layer against the psi-series forms -----------------------
 
 def reference_formal_log(f):

@@ -316,6 +316,11 @@ def test_complex_curve_anchor():
         assert complex_curve_e_poly(n, 1) == RationalFunction(Q_MINUS_ONE ** 2)
 
 
+def test_complex_curve_refuses_a_negative_genus():
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        complex_curve_e_poly(2, -1)
+
+
 def test_telescope_range():
     assert telescope_check(0, 1, 1)[0] and telescope_check(1, 2, 1)[0]
     for g, n_max in ((0, 0), (0, -1), (1, 0), (1, -2), (2, 3)):

@@ -476,22 +476,30 @@ def test_count_rank2_components():
 
 
 def test_sign_tuples_decompose_total():
-    # g=2, r=2: the two components w = (+,-) and (-,+) carry equal counts
-    # and sum to the full count
+    # g=2, r=2: the two sign tuples (+,-) and (-,+) both lie in the
+    # component k = 1, and the two copies of it sum to the full count
     surf = SurfaceData(2, 2)
     total = count_representation_variety(2, F5, surf, 2)
-    c1 = count_representation_variety(2, F5, surf, 2, w=(1, -1))
-    c2 = count_representation_variety(2, F5, surf, 2, w=(-1, 1))
-    assert c1 == c2
-    assert c1 + c2 == total
+    c1 = count_representation_variety(2, F5, surf, 2, k=1)
+    assert 2 * c1 == total
 
 
 def test_sign_tuple_validation():
     surf = SurfaceData(2, 2)
     with pytest.raises(ValueError):
-        count_representation_variety(2, F5, surf, 2, w=(1, 1))  # product +1
+        count_representation_variety(2, F5, surf, 2, k=0)  # product +1
     with pytest.raises(ValueError):
-        count_representation_variety(2, F5, surf, 2, w=(1,))  # wrong length
+        count_representation_variety(2, F5, surf, 2, k=3)  # more than r
+
+
+def test_count_refuses_a_bad_k_before_building_a_table(monkeypatch):
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    surf = SurfaceData(2, 2)
+    with pytest.raises(EvenK):
+        count_representation_variety(2, F5, surf, 2, k=2)
+    with pytest.raises(KOutOfRange, match="need 1 <= k <= r = 2, got k = 3"):
+        count_representation_variety(2, F5, surf, 2, k=3)
+    assert fforacle._TABLES == {}
 
 
 def test_transposed_convention_fails():
@@ -577,6 +585,62 @@ def test_charpoly_mod_cayley_hamilton():
     polys = charpoly_mod(els, q)
     assert (polys[:, -1] == 1).all()
     assert not poly_eval_matrix(polys, els, q).any()
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("a refused helper was called")
+
+
+def _cofactor_det(A):
+    "Reference determinant of a stack, exact in int64: cofactors on row 0."
+    n = A.shape[-1]
+    if n == 1:
+        return A[..., 0, 0]
+    return sum((-1) ** j * A[..., 0, j]
+               * _cofactor_det(A[..., 1:, [c for c in range(n) if c != j]])
+               for j in range(n))
+
+
+def test_matrix_layer_copies_no_minors(monkeypatch):
+    # with numpy.delete refused, det_mod matches the cofactor reference on
+    # every matrix, charpoly_mod(A) matches det(x - A) at x = 0, ..., n - 1
+    # (n points fix a monic polynomial of degree n), and inverse_mod
+    # inverts every element of the group
+    monkeypatch.setattr(fforacle.np, "delete", _refused)
+    for q in (3, 5):
+        for n in (1, 2, 3):
+            eye = np.eye(n, dtype=np.int64)
+            group = 0
+            for digits in fforacle._digit_blocks(n * n, q, 1 << 16):
+                A = digits.reshape(-1, n, n)
+                det = det_mod(A, q)
+                assert (det == _cofactor_det(A) % q).all(), (n, q)
+                c = charpoly_mod(A, q)
+                for x in range(n):
+                    at_x = c @ x ** np.arange(n + 1)
+                    assert (at_x % q == _cofactor_det(x * eye - A) % q).all()
+                E = A[det != 0]
+                group += len(E)
+                assert (np.einsum("mij,mjk->mik", E, inverse_mod(E, q)) % q
+                        == eye).all(), (n, q)
+            assert group == group_order(n, q)
+            with pytest.raises(SingularMatrix):
+                inverse_mod(np.zeros((n, n), dtype=np.int64), q)
+
+
+def test_group_arrays_decode_the_class_lookup(monkeypatch):
+    for field in (F3, F5):
+        q = field.q
+        table = ClassTable(2, field)
+        table.element_class_array()
+        want = _all_invertible(2, q)
+        with monkeypatch.context() as m:
+            m.setattr(fforacle, "det_mod", _refused)
+            E, Einv = table._group_arrays()
+        assert (E == want).all() and len(E) == group_order(2, q)
+        assert (np.diff(fforacle._encode(E, q)) > 0).all()
+        product_ = np.einsum("mij,mjk->mik", E, Einv) % q
+        assert (product_ == np.eye(2, dtype=np.int64)).all()
 
 
 def _macwilliams(n, q):
@@ -755,8 +819,7 @@ def _rank2_count_requests():
             for g in range(4):
                 for r in range(1, g + 2):
                     reqs.append((field, SurfaceData(g, r), xi, None))
-                    reqs += [(field, SurfaceData(g, r), xi,
-                              (-1,) * k + (1,) * (r - k))
+                    reqs += [(field, SurfaceData(g, r), xi, k)
                              for k in range(1, r + 1, 2)]
     return reqs
 
@@ -787,11 +850,10 @@ def test_rank3_refusals():
     for g in range(4):
         for r in range(1, g + 2):
             surf = SurfaceData(g, r)
-            for w in [None] + [(-1,) * k + (1,) * (r - k)
-                               for k in range(1, r + 1, 2)]:
+            for k in [None, *range(1, r + 1, 2)]:
                 if surf.s >= 1 or r >= 2:
                     with pytest.raises(KernelMissing):
-                        count_representation_variety(3, field, surf, xi, w)
+                        count_representation_variety(3, field, surf, xi, k)
                 else:
                     assert count_representation_variety(
-                        3, field, surf, xi, w) == 0
+                        3, field, surf, xi, k) == 0
