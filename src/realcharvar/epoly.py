@@ -32,13 +32,16 @@ oracle adjudicates between them empirically; matched is the default.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement, groupby
+from itertools import product as iproduct
 from math import comb
 
 from .algebra import (HalfPowerPolynomial, ONE, Q_MINUS_ONE, RF_ONE,
                       RationalFunction, TruncatedSeries, ZERO, adams,
                       divisor_sum, log_coefficients, moebius, pleth_log,
                       rational_exponent_pow)
-from .partitions import all_partitions, conjugate, hooks, n_lambda, weight
+from .partitions import (all_partitions, conjugate, hooks, multiplicities,
+                         n_lambda, weight)
 from .symfun import a_minus, a_plus
 
 
@@ -110,38 +113,20 @@ def hook_polynomial(lam):
 def partition_multisets(w):
     """Multisets of nonempty partitions with total weight w.
 
-    Each multiset is a tuple of (partition, multiplicity) pairs; partitions
-    are drawn in descending weight and descending lexicographic order, so the
-    enumeration is deterministic.  Only the reference route in verify sums
-    over these; the production route takes a truncated log instead.
+    Each multiset is a tuple of (partition, multiplicity) pairs in descending
+    weight, then descending lexicographic order.  The weights of its
+    partitions, repeated by multiplicity, form a partition mu of w; for each
+    part size s of mu, of multiplicity m, the multiset holds m partitions of
+    s chosen with repetition.  Only the reference route in verify sums over
+    these; the production route takes a truncated log instead.
     """
-    pool = []
-    for size in range(w, 0, -1):
-        pool.extend(all_partitions(size))
-    # the pool descends in weight, so from first_fitting[s] on every
-    # partition has weight <= s
-    first_fitting = {}
-    for i in range(len(pool) - 1, -1, -1):
-        first_fitting[weight(pool[i])] = i
-
     out = []
-    # depth-first with an explicit stack, so the rank is not capped by the
-    # recursion limit: each state holds the pool index the next partition may
-    # start from, the weight still to fill, and the pairs chosen so far;
-    # children are pushed reversed so they pop in the order listed
-    stack = [(0, w, ())]
-    while stack:
-        i, remaining, acc = stack.pop()
-        if remaining == 0:
-            out.append(acc)
-            continue
-        children = []
-        for j in range(len(pool) - 1, max(i, first_fitting[remaining]) - 1, -1):
-            lam = pool[j]
-            for m in range(1, remaining // weight(lam) + 1):
-                children.append((j + 1, remaining - m * weight(lam),
-                                 acc + ((lam, m),)))
-        stack.extend(reversed(children))
+    for mu in all_partitions(w):
+        picks = [combinations_with_replacement(all_partitions(s), m)
+                 for s, m in multiplicities(mu).items()]
+        for pick in iproduct(*picks):
+            out.append(tuple((lam, len(list(run)))
+                             for lam, run in groupby(chain(*pick))))
     return tuple(out)
 
 

@@ -14,19 +14,21 @@ closed-form E-polynomials; mismatches are reported, never suppressed.
 F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
 A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
 self-inverse when inverse_label, which stars each polynomial of the label,
-fixes its label.  Every convolution step pairs a prefix with F or N, so the
-kernel only needs the self-inverse classes: K[t, i, c2] counts B in the i-th
-self-inverse class with B^-1 g_t in class c2.  That class is closed under
-inversion, so the kernel counts B g_t instead, over the self-inverse entries
-of the element lookup, with no copy of the group and no inverses.
+fixes its label.  The kernel (n <= 2) builds prefixes only, and each of its
+steps pairs a prefix with F or N, so it only needs the self-inverse classes:
+K[t, i, c2] counts B in the i-th self-inverse class with B^-1 g_t in class
+c2.  That class is closed under inversion, so the kernel counts B g_t
+instead, over the self-inverse entries of the element lookup, with no copy
+of the group and no inverses.
 
 A count sorts its atoms (F, or F+ and F-, then N) and memoizes one class
-function per sorted atom tuple on the class table: a 1-tuple is the atom,
-with F built once per table and F+/F- split from it, and a longer tuple is
-its prefix convolved with its last atom.  Requests that share a prefix
-share its convolutions, whatever order they arrive in, and the count reads
-only the scalar target of the last step.  The last atom is built before
-its prefix, so with s >= 1 the first thing built is N.
+function per sorted atom tuple on the class table: () is the identity
+delta, a 1-tuple the atom (F built once per table, F+/F- split from it),
+and a longer tuple its prefix convolved with its last atom, which is built
+first.  Requests that share a prefix share its convolutions, whatever
+order they arrive in.  The target xi I is central, so every count, at every
+rank, ends in one class sum (prefix * last)(xi I) = sum_c |c| prefix(c)
+last(xi c^-1), with the class of xi c^-1 read off c's label (shift_map).
 
 Matrices are int64 numpy arrays, and the class representatives and the
 fixed-subspace points are (..., n, n) stacks of them.  numpy carries the
@@ -184,13 +186,15 @@ def charpoly_mod(A, q):
 
 
 def poly_eval_matrix(f, A, q):
-    """f(A) mod q by Horner's rule on a matrix or a stack; f is ascending
-    coefficients, or an (..., d + 1) array with one row per matrix."""
+    """f(A) mod q by Horner's rule from f_d I, on a matrix or a stack; f is
+    ascending coefficients, or an (..., d + 1) array with one row per
+    matrix."""
     A = _stack(A)
     f = np.asarray(f, dtype=np.int64)
     eye = np.eye(A.shape[-1], dtype=np.int64)
-    acc = np.zeros_like(A)
-    for k in range(f.shape[-1] - 1, -1, -1):
+    shape = np.broadcast_shapes(f.shape[:-1] + eye.shape, A.shape)
+    acc = np.broadcast_to(f[..., -1, None, None] * eye % q, shape).copy()
+    for k in range(f.shape[-1] - 2, -1, -1):
         acc = (acc @ A + f[..., k, None, None] * eye) % q
     return acc
 
@@ -229,6 +233,12 @@ def poly_star(f, field):
     inv0 = field.inv(c0)
     rev = tuple(reversed(f))
     return tuple(c * inv0 % q for c in rev)
+
+
+def poly_scale_roots(f, a, q):
+    "The monic polynomial whose roots are a times those of f: f_i a^(d-i)."
+    d = len(f) - 1
+    return tuple(c * pow(a, d - i, q) % q for i, c in enumerate(f))
 
 
 def inverse_label(label, field):
@@ -382,6 +392,7 @@ class ClassTable:
         self._self_inverse = None
         self._kernel = None
         self._conv_cache = {}
+        self._shift = {}
 
     def _representative(self, label):
         "Companion matrices of f^part, one per part of lam, on the diagonal."
@@ -410,6 +421,17 @@ class ClassTable:
         lam = (1,) * self.n
         label = ((((-a) % self.q, 1), lam),)
         return self.index[label]
+
+    def shift_map(self, xi):
+        """shift[c] = index of the class of xi c^-1, cached per xi: the label
+        of c^-1 with every root times xi and every partition kept."""
+        xi %= self.q
+        if xi not in self._shift:
+            self._shift[xi] = tuple(self.index[tuple(sorted(
+                (poly_scale_roots(f, xi, self.q), lam)
+                for f, lam in inverse_label(label, self.field)))]
+                for label in self.labels)
+        return self._shift[xi]
 
     # -- element lookup, group arrays and the kernel (n <= 2, numpy) ------
 
@@ -819,8 +841,8 @@ def class_fn_C_brute(table):
 _INT64_MAX = 2 ** 63 - 1
 
 
-def _convolve_through_kernel(phi, psi, table, targets):
-    """(phi * psi)(g_t) for a target index, or an array of them for a slice.
+def convolve(phi, psi, table):
+    """Full convolution of two class functions through the kernel.
 
     Class functions commute under convolution, so a is the factor that
     vanishes off the self-inverse classes S (the smaller in absolute value
@@ -845,29 +867,26 @@ def _convolve_through_kernel(phi, psi, table, targets):
                              % (top, table.group_order))
     a_S = np.array(a.values, dtype=np.int64)[S]
     # einsum contracts the int32 kernel without an int64 copy of it
-    W = np.einsum("i,...ic->...c", a_S, table.kernel()[targets])
-    return W.astype(object) @ np.array(b.values, dtype=object)
+    W = np.einsum("i,tic->tc", a_S, table.kernel())
+    return ClassFunction(table, W.astype(object) @ np.array(b.values,
+                                                            dtype=object))
 
 
 def convolve_at(phi, psi, table, target):
-    "One value of the convolution (phi * psi)(representative of target)."
-    return int(_convolve_through_kernel(phi, psi, table, target))
-
-
-def convolve(phi, psi, table):
-    "Full convolution of two class functions through the kernel."
-    return ClassFunction(table, _convolve_through_kernel(phi, psi, table,
-                                                         slice(None)))
+    "(phi * psi)(representative of target), read off the full convolution."
+    return convolve(phi, psi, table).values[target]
 
 
 def _convolution(table, atoms):
     """The class function atom_1 * ... * atom_k of a sorted atom tuple,
-    memoized in table._conv_cache.  A 1-tuple is the atom itself; a longer
-    tuple convolves its prefix with its last atom, which is built first."""
+    memoized in table._conv_cache.  () is the identity delta, a 1-tuple the
+    atom, and a longer tuple its prefix convolved with its last atom."""
     fn = table._conv_cache.get(atoms)
     if fn is not None:
         return fn
-    if len(atoms) > 1:
+    if not atoms:
+        fn = delta_identity(table)
+    elif len(atoms) > 1:
         last = _convolution(table, atoms[-1:])
         fn = convolve(_convolution(table, atoms[:-1]), last, table)
     elif atoms == ("F",):
@@ -898,8 +917,10 @@ def count_representation_variety(n, field, surf, xi, k=None):
 
     Evaluates the convolution of r copies of F (for the component k: k of
     F-, the determinant -1 part, and r - k of F+) and g - r + 1 copies of N
-    at the scalar class of xi, which must be a primitive 2n-th root of
-    unity.  epoly.check_component refuses a bad k before any table is built.
+    at xi I, for xi a primitive 2n-th root of unity, as the class sum of the
+    sorted atoms' prefix and last atom over shift_map(xi); a prefix of two
+    or more atoms needs the kernel (n <= 2).  epoly.check_component refuses
+    a bad k before any table is built.
     """
     epoly.check_component(k, surf)
     if xi % field.q not in primitive_roots_of_unity(field, 2 * n):
@@ -909,11 +930,10 @@ def count_representation_variety(n, field, surf, xi, k=None):
     atoms = (("F",) * surf.r if k is None
              else ("F-",) * k + ("F+",) * (surf.r - k))
     atoms = tuple(sorted(atoms + ("N",) * surf.s))
-    target = table.scalar_class_index(xi)
-    if len(atoms) == 1:
-        return _convolution(table, atoms).values[target]
-    last = _convolution(table, atoms[-1:])
-    return convolve_at(_convolution(table, atoms[:-1]), last, table, target)
+    last = _convolution(table, atoms[-1:]).values
+    prefix = _convolution(table, atoms[:-1]).values
+    return sum(size * p * last[c] for size, p, c
+               in zip(table.sizes, prefix, table.shift_map(xi)) if p)
 
 
 def formula_count(n, field, surf, k=None, convention=epoly.MATCHED):

@@ -24,9 +24,6 @@ class WeightMismatch(ValueError):
 
 # -- Murnaghan-Nakayama via beta-sets ----------------------------------
 
-_MN_CACHE = {}
-
-
 def sn_character(lam, pi):
     """Irreducible symmetric-group character value chi^lam on cycle type pi.
 
@@ -37,13 +34,10 @@ def sn_character(lam, pi):
     return _mn(tuple(lam), tuple(pi))
 
 
+@lru_cache(maxsize=None)
 def _mn(lam, pi):
     if not pi:
         return 1
-    key = (lam, pi)
-    cached = _MN_CACHE.get(key)
-    if cached is not None:
-        return cached
     t = pi[0]
     rest = pi[1:]
     # beta-set: strictly decreasing first-column hook lengths
@@ -65,7 +59,6 @@ def _mn(lam, pi):
             if part > 0:
                 new_lam.append(part)
         total += (-1) ** height * _mn(tuple(new_lam), rest)
-    _MN_CACHE[key] = total
     return total
 
 

@@ -1,7 +1,8 @@
 """The benchmark's traced mode (bench/worker.py with trace 1) wraps package
 functions and methods by name and reads the kernel's nbytes.  This drives a
-traced worker with one rank-2 count and one CLI call, so a refactor that
-breaks the wrapping fails here rather than in a benchmark run."""
+traced worker with one three-atom rank-2 count (a count of two atoms builds
+no kernel) and one CLI call, so a refactor that breaks the wrapping fails
+here rather than in a benchmark run."""
 
 import json
 import os
@@ -15,7 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 def test_traced_worker_serves_a_count_and_a_cli_call(tmp_path):
     spans = tmp_path / "spans.json"
     requests = [
-        {"op": "count", "args": [2, 5, 1, 1, 2], "id": 0},
+        {"op": "count", "args": [2, 5, 2, 1, 2], "id": 0},
         {"op": "cli", "args": ["epoly", "--n", "2", "--g", "1", "--r", "1"],
          "id": 1},
         {"op": "exit"},
@@ -29,7 +30,7 @@ def test_traced_worker_serves_a_count_and_a_cli_call(tmp_path):
     assert proc.returncode == 0, proc.stderr
     ready, count, cli, done = map(json.loads, proc.stdout.splitlines())
     assert ready["ready"] and "maxrss_kb" in done
-    assert count == {"id": 0, "value": 480 * 4}
+    assert count == {"id": 0, "value": 480 * 1984}
     assert cli["value"]["exit"] == 0
     assert cli["value"]["stdout"].startswith("E_2(q; g=1, r=1, matched) = ")
     counters = json.loads(spans.read_text())["counters"]

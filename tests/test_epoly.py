@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from realcharvar.epoly import (EmptyPartition, KOutOfRange, EvenK, MATCHED,
                                e_poly_rational, euler_char_component,
                                gen_function_check, hook_polynomial,
                                complex_curve_e_poly, partition_multisets, v_n)
+from realcharvar.partitions import all_partitions
 from realcharvar.verify import (TelescopeRange, closed_form_e1,
                                 closed_form_e2, closed_form_e3,
                                 reference_e_value, telescope_check)
@@ -59,6 +61,27 @@ def test_partition_multisets():
     # T^17 coefficient of prod_n (1-T^n)^(-p(n)); deeper than the recursion
     # limit would allow a recursive enumeration to go
     assert len(partition_multisets(17)) == 57100
+
+
+def _sequences(w):
+    "Every ordered sequence of nonempty partitions of total weight w."
+    if w == 0:
+        yield ()
+        return
+    for s in range(1, w + 1):
+        for lam in all_partitions(s):
+            for rest in _sequences(w - s):
+                yield (lam,) + rest
+
+
+def test_partition_multisets_match_brute_force():
+    # each multiset once, its pairs in descending weight, then descending lex
+    for w in range(7):
+        want = {tuple(sorted(Counter(seq).items(), reverse=True,
+                             key=lambda pair: (sum(pair[0]), pair[0])))
+                for seq in _sequences(w)}
+        got = partition_multisets(w)
+        assert len(got) == len(set(got)) and set(got) == want, w
 
 
 def test_v_n_examples():

@@ -845,15 +845,73 @@ def test_counts_do_not_depend_on_request_order(monkeypatch):
 
 
 def test_rank3_refusals():
+    # the count's last step is a class sum, so only a prefix of two or more
+    # atoms (r + s >= 3) needs the kernel, which stops at n = 2
     field = PrimeField(7)
     xi = primitive_roots_of_unity(field, 6)[0]
     for g in range(4):
         for r in range(1, g + 2):
             surf = SurfaceData(g, r)
             for k in [None, *range(1, r + 1, 2)]:
-                if surf.s >= 1 or r >= 2:
+                if r + surf.s >= 3:
                     with pytest.raises(KernelMissing):
                         count_representation_variety(3, field, surf, xi, k)
                 else:
                     assert count_representation_variety(
-                        3, field, surf, xi, k) == 0
+                        3, field, surf, xi, k) == formula_count(
+                            3, field, surf, k)
+
+
+def _surfaces(g_max):
+    "Every (g, r) with g <= g_max and every k: None and each odd k <= r."
+    return [(SurfaceData(g, r), k) for g in range(g_max + 1)
+            for r in range(1, g + 2) for k in [None, *range(1, r + 1, 2)]]
+
+
+def test_rank3_counts_equal_the_formula():
+    # an independent witness at odd rank: every count of at most two atoms
+    # at GL_3(F_7), and the (1, 2) counts at GL_3(F_13), which need no N;
+    # N's fixed-subspace sweep is refused there
+    for q, surfaces in ((7, _surfaces(1)),
+                        (13, [(SurfaceData(1, 2), None),
+                              (SurfaceData(1, 2), 1)])):
+        field = PrimeField(q)
+        for xi in primitive_roots_of_unity(field, 6):
+            for surf, k in surfaces:
+                count = count_representation_variety(3, field, surf, xi, k)
+                assert count == formula_count(3, field, surf, k), (q, xi)
+                rep = compare_with_formula(3, field, surf, k=k, xi=xi)
+                assert rep["equal"] and rep["counted"] == count, rep
+    with pytest.raises(GroupTooLarge):
+        count_representation_variety(3, PrimeField(13), SurfaceData(1, 1), 4)
+
+
+def test_counts_of_two_atoms_build_no_kernel(monkeypatch):
+    for q in (5, 13):
+        monkeypatch.setattr(fforacle, "_TABLES", {})
+        field = PrimeField(q)
+        for xi in primitive_roots_of_unity(field, 4):
+            for surf, k in _surfaces(1):
+                count = count_representation_variety(2, field, surf, xi, k)
+                assert count == formula_count(2, field, surf, k), (q, xi)
+        assert class_table(2, field)._kernel is None, q
+
+
+def test_class_sum_matches_the_kernel():
+    for n, q in product((1, 2), (3, 5, 13)):
+        field = PrimeField(q)
+        table = class_table(n, field)
+        plus, minus = class_fn_F_signed(table)
+        atom = {"F": class_fn_F_closed(table), "F+": plus, "F-": minus,
+                "N": class_fn_N(table)}
+        for xi in primitive_roots_of_unity(field, 2 * n):
+            target = table.scalar_class_index(xi)
+            for surf, k in _surfaces(1):
+                atoms = (["F"] * surf.r if k is None
+                         else ["F-"] * k + ["F+"] * (surf.r - k))
+                # one atom has the identity delta for its prefix
+                *prefix, last = sorted(atoms + ["N"] * surf.s)
+                first = atom[prefix[0]] if prefix else delta_identity(table)
+                assert count_representation_variety(
+                    n, field, surf, xi, k) == convolve_at(
+                        first, atom[last], table, target), (n, q, xi, k)
