@@ -17,8 +17,9 @@ Everything downstream works over three layers built here:
   RationalFunction coefficients, carrying the plethystic operations
   (adams substitution, Exp, Log, rational exponents).
 
-The plethystic log is coded once, as two steps epoly's route shares:
-log_coefficients (the log recurrence) and divisor_sum (the Adams sum).
+The plethystic log is coded once, as two steps epoly's genus-0 route
+shares: log_coefficients (the log recurrence) and divisor_sum (the Adams
+sum).  At g >= 1 epoly runs the same recurrence on Kronecker-packed ints.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -125,6 +126,13 @@ class HalfPowerPolynomial:
     def q_power(cls, k, coeff=1):
         "Monomial coeff * q**k."
         return cls({2 * k: _frac(coeff)})
+
+    @classmethod
+    def from_dense(cls, lo, coeffs):
+        """Coefficients of u**lo, u**(lo+1), ... from a list of exact
+        coefficients (int or Fraction) that arithmetic made; the zeros are
+        dropped and nothing is checked."""
+        return cls._raw({lo + i: c for i, c in enumerate(coeffs) if c})
 
     @classmethod
     def from_triples(cls, triples):
@@ -328,10 +336,6 @@ def _to_dense(terms):
     return lo, coeffs
 
 
-def _from_dense(lo, coeffs):
-    return HalfPowerPolynomial._raw({lo + i: c for i, c in enumerate(coeffs) if c})
-
-
 def _dense_trim(a):
     while a and not a[-1]:
         a.pop()
@@ -404,8 +408,8 @@ def poly_divmod(a, b):
     lb, db = _to_dense(b.terms)
     # work with the ordinary parts; carry the exponent shift on the quotient
     qd, rd = _dense_divmod(da, db)
-    quotient = _from_dense(la - lb, qd)
-    remainder = _from_dense(la, rd)
+    quotient = HalfPowerPolynomial.from_dense(la - lb, qd)
+    remainder = HalfPowerPolynomial.from_dense(la, rd)
     return quotient, remainder
 
 
@@ -419,7 +423,7 @@ def poly_gcd(a, b):
     _, da = _to_dense(_lift(a.terms)[1])
     _, db = _to_dense(_lift(b.terms)[1])
     g = _dense_gcd(da, db)
-    return _from_dense(0, g)
+    return HalfPowerPolynomial.from_dense(0, g)
 
 
 class RationalFunction:

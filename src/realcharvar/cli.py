@@ -12,7 +12,7 @@ import sys
 from functools import lru_cache
 
 from .algebra import HalfPowerPolynomial, format_poly, format_poly_latex
-from .epoly import (CONVENTIONS, MATCHED, SurfaceData, e_poly,
+from .epoly import (CONVENTIONS, MATCHED, SurfaceData, check_cost, e_poly,
                     e_poly_component, euler_char_component,
                     gen_function_check)
 
@@ -40,11 +40,15 @@ def parse_n_range(text):
     return list(range(lo, hi + 1))
 
 
-def _surface(g, r):
+def _surface(g, r, top):
+    """The surface, with the top rank checked against the cost limit before
+    any rank is computed."""
     try:
-        return SurfaceData(g, r)
+        surf = SurfaceData(g, r)
     except ValueError as exc:
         raise UsageError(str(exc))
+    check_cost(top, surf)
+    return surf
 
 
 def _poly_records(args, surf, ns):
@@ -90,16 +94,17 @@ def _render_records(records, fmt, xy, out):
 
 def cmd_epoly(args, out):
     "E_n, or with --k the component E_n^k, for each rank of --n."
-    surf = _surface(args.g, args.r)
-    _render_records(_poly_records(args, surf, parse_n_range(args.n)),
-                    args.format, args.xy, out)
+    ns = parse_n_range(args.n)
+    surf = _surface(args.g, args.r, ns[-1])
+    _render_records(_poly_records(args, surf, ns), args.format, args.xy, out)
     return 0
 
 
 def cmd_euler(args, out):
-    surf = _surface(args.g, args.r)
+    ns = parse_n_range(args.n)
+    surf = _surface(args.g, args.r, ns[-1])
     values = [(n, euler_char_component(n, surf, args.k, args.convention))
-              for n in parse_n_range(args.n)]
+              for n in ns]
     if args.format == "json":
         out.write(json.dumps([{"n": n, "g": args.g, "r": args.r, "k": args.k,
                                "euler": str(v)} for n, v in values],
@@ -116,7 +121,7 @@ def cmd_euler(args, out):
 
 
 def cmd_genfun(args, out):
-    surf = _surface(args.g, args.r)
+    surf = _surface(args.g, args.r, args.N)
     if args.N < 1:
         raise UsageError("truncation order N must be positive")
     records = _poly_records(args, surf, range(1, args.N + 1))
@@ -144,7 +149,7 @@ def _verify_telescope(args, out):
         return 0 if ok else 1
     g, r = args.g, args.r if args.r is not None else 1
     n_max = 6 if args.N is None else args.N
-    _surface(g, r)
+    _surface(g, r, n_max)
     try:
         ok, expect = telescope_check(g, r, n_max)
     except TelescopeRange as exc:

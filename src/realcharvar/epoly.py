@@ -11,16 +11,28 @@ c^(j)_w = w [T^w] log A_j,
 
 where A_j = 1 + sum_lam a+(lam)^j a-(lam)^(r-j) H_lam^(g-1) T^|lam| and
 psi_d is the Adams map q -> q^d.  Components weight the same logs by the
-coefficients of (x+1)^(r-k) (x-1)^k.  The log coefficients come from
-algebra.log_coefficients and the odd-divisor sum from algebra.divisor_sum,
-the two steps algebra.pleth_log runs for the product identity check.  The
+coefficients of (x+1)^(r-k) (x-1)^k.  The c_w follow from the log recurrence
+c_w = w A_w - sum_{0<k<w} c_k A_(w-k), which divides by nothing.  The
 literal multiset sum lives in verify (reference_e_value) as the reference
 the tests compare against.
-For g >= 1 every coefficient is an integer polynomial in q^(1/2), and E_n is
-one exact integer division of (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by
-2^r n for a component).  At genus 0 the hooks enter inverted and the same
-assembly is a rational function, which e_poly accepts when its denominator
-is 1: every surface gets one checked route.
+
+For g >= 1 every coefficient is an integer Laurent polynomial in
+u = q^(1/2), and one table per (g-1, r, convention) holds A_j and c^(j) for
+every j <= r as Kronecker-packed ints (u -> 2^B; Harvey, J. Symbolic Comput.
+44, 2009): the weight-w coefficient sits at offset (g-1) w^2, its lowest
+u-exponent, so a product of weights k and w-k is aligned by one shift.  A
+hook factor (1 - u^(2h)) enters as g-1 steps p -= p << 2hB, and the width B
+comes from l1 norms carried through the log recurrence.  The table grows
+one weight at a time in any request order, serves every rank and the
+product side of the identity check, and is never rebuilt; at g = 1 its
+entries are plain ints.  n V_n combines the packed c^(j) by the b_j, unpacks
+the digits once per odd d | n for the Adams sum, and E_n is one exact
+integer division of (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by 2^r n for a
+component).  At genus 0 the hooks enter inverted and the same assembly is a
+rational function, from algebra.log_coefficients and algebra.divisor_sum,
+which e_poly accepts when its denominator is 1: every surface gets one
+checked route.  Requests whose predicted cost exceeds a stated budget are
+refused with CostLimit before any work.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -34,14 +46,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iproduct
-from math import comb
+from math import comb, inf
 
-from .algebra import (HalfPowerPolynomial, ONE, Q_MINUS_ONE, RF_ONE,
-                      RationalFunction, TruncatedSeries, ZERO, adams,
+from .algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q_MINUS_ONE,
+                      RF_ONE, RationalFunction, TruncatedSeries, ZERO, adams,
                       divisor_sum, log_coefficients, moebius, pleth_log,
                       rational_exponent_pow)
 from .partitions import (all_partitions, conjugate, hooks, multiplicities,
-                         n_lambda, weight)
+                         n_lambda, partition_count, weight)
 from .symfun import a_minus, a_plus
 
 
@@ -70,6 +82,10 @@ class KOutOfRange(ValueError):
     "Component index must satisfy k <= r."
 
 
+class CostLimit(ValueError):
+    "A request whose predicted cost exceeds the formula side's budget."
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """Genus g and number r of fixed circles; 1 <= r <= g+1."""
@@ -92,6 +108,12 @@ def _check_convention(conv):
     if conv not in CONVENTIONS:
         raise ValueError("unknown pairing convention %r" % (conv,))
     return conv
+
+
+def _check_request(n, conv):
+    if n < 1:
+        raise ValueError("n must be positive")
+    _check_convention(conv)
 
 
 @lru_cache(maxsize=None)
@@ -132,27 +154,245 @@ def partition_multisets(w):
 
 @lru_cache(maxsize=None)
 def _hook_sums(w, e, conv):
-    """Partitions of w grouped by (a+, a-), each group with its sum of H^e.
-
-    H is the hook polynomial the convention pairs with the partition.  The
-    sum is a polynomial for e >= 0 and a rational function for e < 0.  No
-    hook is built when e = 0; the sum is then the size of the group.
-    """
+    """Genus 0 (e < 0): partitions of w grouped by (a+, a-), each group with
+    its sum of H^e, a rational function; H is the hook polynomial the
+    convention pairs with the partition."""
     sums = {}
     for lam in all_partitions(w):
-        if e:
-            hook = hook_polynomial(lam if conv == MATCHED else conjugate(lam))
-            term = (hook if e > 0 else RationalFunction(hook)) ** e
-        else:
-            term = ONE
+        hook = hook_polynomial(lam if conv == MATCHED else conjugate(lam))
+        term = RationalFunction(hook) ** e
         key = (a_plus(lam), a_minus(lam))
         sums[key] = sums[key] + term if key in sums else term
     return tuple(sums.items())
 
 
+def _unpack(packed, count, width):
+    """The count signed digits, width bits each, of a Kronecker-packed int,
+    lowest first; one digit is the int itself.  Each digit is biased by
+    2^(width-1) so that the digits are plain byte fields."""
+    if count == 1:
+        return [packed]
+    size, half = width // 8, 1 << (width - 1)
+    biased = packed + _bias(count, width)
+    if biased < 0 or biased.bit_length() > count * width:
+        raise ExactnessError("a packed value overflows %d digits of %d bits"
+                             % (count, width))
+    raw = biased.to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, count * size, size)]
+
+
+def _pack(digits, width):
+    "Inverse of _unpack for digits below 2^(width-1) in absolute value."
+    size, half = width // 8, 1 << (width - 1)
+    raw = b"".join((d + half).to_bytes(size, "little") for d in digits)
+    return int.from_bytes(raw, "little") - _bias(len(digits), width)
+
+
+def _bias(count, width):
+    "sum over i < count of 2^(width-1) 2^(width i)."
+    digit = (1 << (width - 1)).to_bytes(width // 8, "little")
+    return int.from_bytes(digit * count, "little")
+
+
+def _group_totals(e, r, top):
+    """sum over |lam| = w of a+^r 2^(e w), for w = 0..top: a bound on the l1
+    norm of the T^w coefficient of every A_j, since a+^j a-^(r-j) <= a+^r
+    and each of the e w hook factors (1 - u^(2h)) has l1 norm 2.  With
+    a+ = prod (m + 1) over the part multiplicities m, the sum is the T^w
+    coefficient of prod over part sizes i of sum_m (m+1)^r T^(i m)."""
+    totals = [1] + [0] * top
+    for i in range(1, top + 1):
+        old = totals[:]
+        for m in range(1, top // i + 1):
+            f = (m + 1) ** r
+            for w in range(i * m, top + 1):
+                totals[w] += f * old[w - i * m]
+    return [t << (e * w) for w, t in enumerate(totals)]
+
+
+def _width(e, r, top):
+    """Bits per packed digit that hold, at every weight w <= top, each
+    coefficient of sum_j b_j c^(j)_w with sum |b_j| <= 2^r (the totals and
+    every component): the l1 norms of the A_j bound those of the c^(j)
+    through c_w = w A_w - sum_k c_k A_(w-k).  A whole number of bytes, so
+    that digits unpack as byte fields."""
+    a, c = _group_totals(e, r, top), [0]
+    for w in range(1, top + 1):
+        c.append(w * a[w] + sum(c[k] * a[w - k] for k in range(1, w)))
+    return -(-((max(c) << r).bit_length() + 1) // 8) * 8
+
+
+# The cost limit.  At g >= 1 a table grown to weight N costs, in word
+# operations: per partition of every weight w <= N about PARTITION_WORDS
+# for its enumeration and coefficients, plus e w steps p -= p << 2hB on at
+# most s_w words, s_w = B (2 e w^2 + 1) / 64 the packed width times the
+# digit count; and per j <= r, w products of at most s_w words at weight w,
+# each about s_w^1.585 by Karatsuba.  WORD_BUDGET is about 5 s on 2 vCPUs
+# with Python 3.11.  PACKED_BITS caps one packed coefficient, and with it
+# every stored entry and each answer's coefficient list.  Genus 0 takes the
+# rational route, whose cost doubles per rank, and stops at GENUS0_RANKS.
+PARTITION_WORDS = 4 * 10 ** 4
+WORD_BUDGET = 10 ** 10
+PACKED_BITS = 2 ** 20
+GENUS0_RANKS = 12
+
+
+@lru_cache(maxsize=None)
+def _check_cost(w, e, r):
+    """Refuse (CostLimit) growing the series at e = g - 1 and r to weight w;
+    a request that passes is not predicted again.  Two lower bounds come
+    first, so that a far-off request is refused without building its width:
+    the width is at least e w bits, and every partition up to weight w is
+    enumerated."""
+    if e < 0:
+        if w > GENUS0_RANKS:
+            raise CostLimit("genus 0 answers ranks up to %d, not %d"
+                            % (GENUS0_RANKS, w))
+        return
+    too_wide = CostLimit("rank %d at g = %d: a packed coefficient would "
+                         "exceed %d bits" % (w, e + 1, PACKED_BITS))
+    too_costly = CostLimit("rank %d at g = %d, r = %d: the predicted work "
+                           "exceeds the budget of %.0e word operations"
+                           % (w, e + 1, r, WORD_BUDGET))
+    if e * w * (2 * e * w * w + 1) > PACKED_BITS:
+        raise too_wide
+    work = 0
+    for m in range(1, w + 1):
+        work += partition_count(m) * PARTITION_WORDS
+        if work > WORD_BUDGET:
+            raise too_costly
+    if e:
+        width = _width(e, r, w)
+        if width * (2 * e * w * w + 1) > PACKED_BITS:
+            raise too_wide
+        for m in range(1, w + 1):
+            words = width * (2 * e * m * m + 1) / 64
+            work += (partition_count(m) * e * m * words
+                     + (r + 1) * m * words ** 1.585)
+        if work > WORD_BUDGET:
+            raise too_costly
+
+
+def check_cost(n, surf):
+    """Refuse (CostLimit) a rank-n request at surf whose predicted cost
+    exceeds the budget, before any work."""
+    _check_cost(n, surf.g - 1, surf.r)
+
+
+class _LogTable:
+    """The partition series A_j and their log coefficients c^(j)_w, for
+    j = 0..r, at one (e, r, conv) with e = g - 1 >= 0.
+
+    Each T^w coefficient is a Kronecker-packed int: the coefficient of
+    u^(i - e w^2) is digit i, of self.width bits, and e w^2 bounds the
+    lowest u-exponent at weight w, so 2 e w^2 + 1 digits hold it.  At e = 0
+    every coefficient is a plain int, with one digit.  Both series grow one
+    weight at a time, in any request order.  The l1 bound proves the width
+    for every weight up to self.cap; a weight past the cap re-spaces every
+    stored entry to the width proved for a cap a quarter beyond it, and
+    nothing is recomputed.
+    """
+
+    def __init__(self, e, r, conv):
+        self.e, self.r, self.conv = e, r, conv
+        self.width = 0
+        self.cap = 0 if e else inf
+        self.series = [[0] for _ in range(r + 1)]
+        self.logs = [[0] for _ in range(r + 1)]
+
+    def digit_count(self, w):
+        return 2 * self.e * w * w + 1
+
+    def _widen(self, w):
+        cap = w + w // 4 + 2
+        width = _width(self.e, self.r, cap)
+        for entries in self.series + self.logs:
+            for m in range(1, len(entries)):
+                entries[m] = _pack(_unpack(entries[m], self.digit_count(m),
+                                           self.width), width)
+        self.width, self.cap = width, cap
+
+    def _grow_series(self, w):
+        """A_j(m) for every m <= w: sum over |lam| = m of a+^j a-^(r-j)
+        H^e, each hook factor entering as e steps p -= p << 2hB.  lam and
+        its conjugate have the same hooks, so both conventions build the
+        same product; the convention sets only its offset."""
+        e, r = self.e, self.r
+        if w >= len(self.series[0]):
+            _check_cost(w, e, r)
+        for m in range(len(self.series[0]), w + 1):
+            if m > self.cap:
+                self._widen(m)
+            width, groups, products = self.width, {}, {}
+            for lam in all_partitions(m):
+                term = 1
+                if e:
+                    lam_hooks = tuple(hooks(lam))
+                    product = products.get(lam_hooks)
+                    if product is None:
+                        product = 1
+                        for h in reversed(lam_hooks):
+                            for _ in range(e):
+                                product -= product << (2 * h * width)
+                        products[lam_hooks] = product
+                    paired = lam if self.conv == MATCHED else conjugate(lam)
+                    term = product << (
+                        e * (m * m - m - 2 * n_lambda(paired)) * width)
+                key = (a_plus(lam), a_minus(lam))
+                groups[key] = groups.get(key, 0) + term
+            for j, entries in enumerate(self.series):
+                entries.append(sum(total * ap ** j * am ** (r - j)
+                                   for (ap, am), total in groups.items()))
+
+    def series_at(self, j, w):
+        "Packed A_j(w)."
+        self._grow_series(w)
+        return self.series[j][w]
+
+    def log_at(self, j, w):
+        """Packed c^(j)_w, by c_m = m A_m - sum_k c_k A_(m-k): the product
+        of weights k and m - k sits at offset e (k^2 + (m-k)^2), so a shift
+        of 2 e k (m-k) digits aligns it with weight m."""
+        self._grow_series(w)
+        a, c = self.series[j], self.logs[j]
+        width, e = self.width, self.e
+        for m in range(len(c), w + 1):
+            acc = m * a[m]
+            for k in range(1, m):
+                if c[k] and a[m - k]:
+                    acc -= (c[k] * a[m - k]) << (2 * e * k * (m - k) * width)
+            c.append(acc)
+        return c[w]
+
+    def polynomial(self, packed, w):
+        "An unpacked weight-w coefficient as a Laurent polynomial in u."
+        return HalfPowerPolynomial.from_dense(
+            -self.e * w * w, _unpack(packed, self.digit_count(w), self.width))
+
+    def combined(self, weights, w):
+        "The digits of sum_j b_j c^(j)_w, for weights {j: b_j}."
+        return _unpack(sum(self.log_at(j, w) * b for j, b in weights.items()),
+                       self.digit_count(w), self.width)
+
+
+_LOG_TABLES = {}
+
+
+def _log_table(e, r, conv):
+    "The one packed table per (e, r, conv), e >= 0."
+    table = _LOG_TABLES.get((e, r, conv))
+    if table is None:
+        table = _LOG_TABLES[e, r, conv] = _LogTable(e, r, conv)
+    return table
+
+
 @lru_cache(maxsize=None)
 def _series_coefficient(w, e, j, r, conv):
     "T^w coefficient of the partition series A_j: sum_{|lam|=w} a+^j a-^(r-j) H^e."
+    if e >= 0:
+        table = _log_table(e, r, conv)
+        return table.polynomial(table.series_at(j, w), w)
     return sum((hook_sum * (ap ** j * am ** (r - j))
                 for (ap, am), hook_sum in _hook_sums(w, e, conv)), ZERO)
 
@@ -165,15 +405,48 @@ def _partition_series(order, e, j, r, conv, scale):
     return TruncatedSeries(order, coeffs)
 
 
-_LOG_TABLES = {}
+_RATIONAL_LOGS = {}
 
 
-def _log_coefficient(w, *key):
-    """c_w = w [T^w] log A_j for key (e, j, r, conv), by algebra's log
-    recurrence.  One table per key holds c_0 = 0, c_1, ...; it grows in
-    order of w, and every rank reads the same table."""
-    c = _LOG_TABLES.setdefault(key, [ZERO])
-    return log_coefficients(lambda m: _series_coefficient(m, *key), c, w)[w]
+def _log_coefficient(w, e, j, r, conv):
+    """c_w = w [T^w] log A_j: read off the packed table for e >= 0; at genus
+    0 by algebra's log recurrence, in one rational table per (e, j, r, conv)
+    that grows in order of w."""
+    if e >= 0:
+        table = _log_table(e, r, conv)
+        return table.polynomial(table.log_at(j, w), w)
+    _check_cost(w, e, r)
+    c = _RATIONAL_LOGS.setdefault((e, j, r, conv), [ZERO])
+    return log_coefficients(
+        lambda m: _series_coefficient(m, e, j, r, conv), c, w)[w]
+
+
+def _component_weights(r, k):
+    """b_j, the coefficients of x^j in x^r - 1 for the total (k None) and in
+    (x+1)^(r-k) (x-1)^k for the component k, with the zeros dropped."""
+    if k is None:
+        return {r: 1, 0: -1}
+    weights = {j: sum(comb(r - k, j - l) * comb(k, l) * (-1) ** (k - l)
+                      for l in range(min(j, k) + 1)) for j in range(r + 1)}
+    return {j: b for j, b in weights.items() if b}
+
+
+def _n_v_coefficients(n, e, r, k, conv):
+    """n V_n for e >= 0 as its list of coefficients, of u^(i - e n^2) at
+    index i: the digits of sum_j b_j c^(j)_(n/d) are unpacked once per odd
+    d | n and added in at psi_d, the exponents times d."""
+    _check_request(n, conv)
+    table = _log_table(e, r, conv)
+    weights = _component_weights(r, k)
+    out = table.combined(weights, n)
+    for d in range(3, n + 1, 2):
+        mu = moebius(d) if n % d == 0 else 0
+        if mu:
+            m = n // d
+            start = e * m * m * d * (d - 1)
+            for i, x in enumerate(table.combined(weights, m)):
+                out[start + d * i] += mu * x
+    return out
 
 
 def _n_v(n, surf, k, conv):
@@ -182,17 +455,16 @@ def _n_v(n, surf, k, conv):
     (x+1)^(r-k) (x-1)^k for the component k.  Expanding log A_j over
     multisets of partitions gives the closed formula's multiset coefficients
     (-1)^(m-1) (m-1)!/prod mult!."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_convention(conv)
     e, r = surf.g - 1, surf.r
-    weights = {r: 1, 0: -1} if k is None else {
-        j: sum(comb(r - k, j - l) * comb(k, l) * (-1) ** (k - l)
-               for l in range(min(j, k) + 1)) for j in range(r + 1)}
+    if e >= 0:
+        return HalfPowerPolynomial.from_dense(
+            -e * n * n, _n_v_coefficients(n, e, r, k, conv))
+    _check_request(n, conv)
+    weights = _component_weights(r, k)
 
     def coefficient(w):
         return sum((_log_coefficient(w, e, j, r, conv) * b
-                    for j, b in weights.items() if b), ZERO)
+                    for j, b in weights.items()), ZERO)
 
     return divisor_sum(n, coefficient, lambda d: moebius(d) if d % 2 else 0)
 
@@ -213,12 +485,20 @@ def check_component(k, surf):
 
 def _assembled(n, surf, k, conv):
     """(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, and the divisor that turns it into
-    E_n (k None: 2n) or into the component E_n^k (2^r n)."""
+    E_n (k None: 2n) or into the component E_n^k (2^r n).  For g >= 1 the
+    prefactor acts on the coefficient list of n V_n: (-u)^(e n^2) moves
+    index i to u^i, and q - 1 = u^2 - 1 takes each coefficient from the one
+    two places below."""
     check_component(k, surf)
+    divisor = (2 if k is None else 2 ** surf.r) * n
     e = n * n * (surf.g - 1)
-    prefactor = Q_MINUS_ONE * HalfPowerPolynomial.u_power(e, (-1) ** (e % 2))
-    return (prefactor * _n_v(n, surf, k, conv),
-            (2 if k is None else 2 ** surf.r) * n)
+    sign = (-1) ** (e % 2)
+    if not surf.g:
+        prefactor = Q_MINUS_ONE * HalfPowerPolynomial.u_power(e, sign)
+        return prefactor * _n_v(n, surf, k, conv), divisor
+    v = _n_v_coefficients(n, surf.g - 1, surf.r, k, conv)
+    return HalfPowerPolynomial.from_dense(0, [
+        sign * (a - b) for a, b in zip([0, 0] + v, v + [0, 0])]), divisor
 
 
 def _require_polynomial(value, divisor, what):

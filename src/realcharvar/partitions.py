@@ -128,6 +128,7 @@ def centralizer_order(lam, q):
     return total
 
 
+@lru_cache(maxsize=None)
 def partition_count(n):
     "p(n) via Euler's pentagonal-number recurrence."
     table = [1] + [0] * n

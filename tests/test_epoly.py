@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from realcharvar import epoly
-from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
-                                 RationalFunction, adams)
-from realcharvar.epoly import (EmptyPartition, KOutOfRange, EvenK, MATCHED,
+from realcharvar.algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
+                                 Q_MINUS_ONE, RationalFunction, adams)
+from realcharvar.epoly import (CostLimit, EmptyPartition, GENUS0_RANKS,
+                               KOutOfRange, EvenK, MATCHED,
                                NotPolynomial, SurfaceData, TRANSPOSED,
-                               _require_polynomial,
+                               _require_polynomial, check_cost,
                                component_sum_check, e_poly,
                                e_poly_component, e_poly_component_rational,
                                e_poly_rational, euler_char_component,
                                gen_function_check, hook_polynomial,
                                complex_curve_e_poly, partition_multisets, v_n)
 from realcharvar.partitions import all_partitions
+from realcharvar.symfun import a_plus
 from realcharvar.verify import (TelescopeRange, closed_form_e1,
                                 closed_form_e2, closed_form_e3,
                                 reference_e_value, telescope_check)
@@ -174,6 +176,7 @@ def test_half_integer_coefficient_is_not_polynomial():
 def _clear_formula_caches():
     "Drop the hook polynomials, partition series and log tables."
     epoly._LOG_TABLES.clear()
+    epoly._RATIONAL_LOGS.clear()
     for fn in (hook_polynomial, epoly._hook_sums, epoly._series_coefficient):
         fn.cache_clear()
 
@@ -210,12 +213,73 @@ def test_log_tables_hold_int_polynomials():
     surf = SurfaceData(2, 3)
     e_poly(6, surf)
     e_poly_component(6, surf, 3, TRANSPOSED)
-    tables = [c for (e, j, r, conv), c in epoly._LOG_TABLES.items() if e >= 0]
+    tables = [(table, logs) for table in epoly._LOG_TABLES.values()
+              for logs in table.logs if len(logs) > 1]
     assert len(tables) >= 4
-    for table in tables:
-        for c in table:
-            assert type(c) is HalfPowerPolynomial
-            assert all(type(x) is int for x in c.terms.values())
+    for table, logs in tables:
+        for w, c in enumerate(logs):
+            assert type(c) is int
+            poly = table.polynomial(c, w)
+            assert all(type(x) is int for x in poly.terms.values())
+
+
+def _table_contents(table):
+    "Every stored series and log coefficient, unpacked."
+    return [[table.polynomial(c, w) for w, c in enumerate(entries)]
+            for entries in table.series + table.logs]
+
+
+def test_packed_digits_round_trip_and_refuse_an_overflow():
+    digits = [5, -128, 127, 0, -1]
+    assert epoly._unpack(epoly._pack(digits, 8), 5, 8) == digits
+    assert epoly._unpack(epoly._pack(digits, 16), 5, 16) == digits
+    assert epoly._unpack(-7 << 99, 1, 8) == [-7 << 99]  # one digit: the int
+    for packed in (1 << 40, -(1 << 40)):
+        with pytest.raises(ExactnessError):
+            epoly._unpack(packed, 5, 8)
+
+
+def test_width_bound_counts_every_partition():
+    "The l1 bound's group totals equal the sums over the partitions."
+    for e, r in ((0, 1), (1, 2), (3, 3)):
+        want = [sum(a_plus(lam) ** r for lam in all_partitions(w)) << (e * w)
+                for w in range(11)]
+        assert epoly._group_totals(e, r, 10) == want
+
+
+def test_packed_table_grows_in_any_order_without_a_rebuild(monkeypatch):
+    surf, key = SurfaceData(4, 3), (3, 3, MATCHED)
+    hooked = Counter()
+    real_hooks = epoly.hooks
+
+    def spy_hooks(lam):
+        hooked[sum(lam)] += 1
+        return real_hooks(lam)
+
+    monkeypatch.setattr(epoly, "hooks", spy_hooks)
+
+    def run(order):
+        _clear_formula_caches()
+        hooked.clear()
+        values = {n: (e_poly(n, surf), e_poly_component(n, surf, 1),
+                      e_poly_component(n, surf, 3)) for n in order}
+        return values, epoly._LOG_TABLES[key]
+
+    ascending, table = run(range(1, 10))
+    contents = _table_contents(table)
+    shuffled, table = run((7, 2, 9, 4, 1, 8, 3, 6, 5))
+    assert shuffled == ascending
+    assert _table_contents(table) == contents
+    # every partition's hook product is built once, whatever the order
+    assert hooked == {w: len(all_partitions(w)) for w in range(1, 10)}
+    # a larger rank builds only the new weights and keeps the old entries,
+    # re-spaced to a wider digit
+    width = table.width
+    hooked.clear()
+    e_poly(14, surf)
+    assert epoly._LOG_TABLES[key] is table and table.width > width
+    assert hooked == {w: len(all_partitions(w)) for w in range(10, 15)}
+    assert [entries[:10] for entries in _table_contents(table)] == contents
 
 
 def test_log_table_does_not_depend_on_request_order():
@@ -228,6 +292,25 @@ def test_log_table_does_not_depend_on_request_order():
         late = (e_poly(n, surf), e_poly_component(n, surf, 1))
         _clear_formula_caches()
         assert (e_poly(n, surf), e_poly_component(n, surf, 1)) == late
+
+
+def test_cost_limit_answers_the_supported_ranks():
+    "Ranks 1-20 at g <= 4 and 1-24 at g = 2 pass; the next steps do not."
+    assert issubclass(CostLimit, ValueError)
+    for g in range(5):
+        for r in range(1, g + 2):
+            check_cost({0: GENUS0_RANKS, 2: 24}.get(g, 20), SurfaceData(g, r))
+    for n, g, r in ((GENUS0_RANKS + 1, 0, 1), (40, 3, 2), (60, 1, 1),
+                    (3, 200, 1)):
+        with pytest.raises(CostLimit):
+            check_cost(n, SurfaceData(g, r))
+    # the library refuses as the command line does, before any work
+    _clear_formula_caches()
+    with pytest.raises(CostLimit):
+        e_poly(40, SurfaceData(3, 2))
+    with pytest.raises(CostLimit):
+        e_poly_component(GENUS0_RANKS + 1, SurfaceData(0, 1), 1)
+    assert epoly._LOG_TABLES[2, 2, MATCHED].series == [[0]] * 3
 
 
 def test_e_poly_genus_bounds():

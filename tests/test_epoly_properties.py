@@ -1,6 +1,8 @@
 """Property tests for the formula side: integrality, the binomial component
 sum, k-independence at odd rank, the Euler characteristics and the genus-1
-constants, on requests drawn with n <= 8 and g <= 4 in both conventions.
+constants, on requests drawn with n <= 12 (n <= 8 at genus 0, whose rational
+route doubles its cost per rank) and g <= 5 in both conventions; and the
+packed log tables against the multiset reference for n <= 8 and g <= 4.
 The Euler characteristic's binomial sums are checked against the route they
 replaced, g exact divisions by q-1 and then evaluation at q = 1."""
 
@@ -15,18 +17,20 @@ from realcharvar.algebra import (HalfPowerPolynomial, Q_MINUS_ONE, moebius,
                                  poly_divmod)
 from realcharvar.epoly import (CONVENTIONS, NotDivisible, SurfaceData,
                                e_poly, e_poly_component, euler_char_component)
+from realcharvar.verify import reference_e_value
 
 PROPERTIES = settings(max_examples=50, deadline=None, database=None,
                       derandomize=True)
 
 
 @st.composite
-def requests(draw, min_g=0, max_g=4):
-    "(n, surface, odd k <= r, convention) with n <= 8 and min_g <= g <= max_g."
+def requests(draw, min_g=0, max_g=5, max_n=12):
+    """(n, surface, odd k <= r, convention) with min_g <= g <= max_g and
+    n <= max_n, n <= 8 at genus 0."""
     g = draw(st.integers(min_g, max_g))
     r = draw(st.integers(1, g + 1))
     k = draw(st.sampled_from(range(1, r + 1, 2)))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n if g else min(max_n, 8)))
     return n, SurfaceData(g, r), k, draw(st.sampled_from(CONVENTIONS))
 
 
@@ -46,6 +50,16 @@ def test_coefficients_are_ints_at_even_nonnegative_exponents(request):
     for poly in (e_poly(n, surf, conv), e_poly_component(n, surf, k, conv)):
         assert all(type(c) is int for c in poly.terms.values())
         assert all(e >= 0 and e % 2 == 0 for e in poly.terms)
+
+
+@PROPERTIES
+@given(requests(min_g=1, max_g=4, max_n=8))
+def test_packed_route_matches_the_multiset_reference(request):
+    n, surf, _, conv = request
+    assert e_poly(n, surf, conv) == reference_e_value(n, surf, conv)
+    for k in range(1, surf.r + 1, 2):
+        assert e_poly_component(n, surf, k, conv) == \
+            reference_e_value(n, surf, conv, k)
 
 
 @PROPERTIES
