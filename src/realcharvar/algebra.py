@@ -17,9 +17,8 @@ Everything downstream works over three layers built here:
   RationalFunction coefficients, carrying the plethystic operations
   (adams substitution, Exp, Log, rational exponents).
 
-The plethystic log is coded once, as two steps epoly's genus-0 route
-shares: log_coefficients (the log recurrence) and divisor_sum (the Adams
-sum).  At g >= 1 epoly runs the same recurrence on Kronecker-packed ints.
+The plethystic log is coded once, as log_coefficients (the log recurrence)
+and divisor_sum (the Adams sum); epoly runs the recurrence on packed ints.
 
 All values are immutable after construction and all operations are pure.
 """

@@ -22,7 +22,8 @@ class UsageError(ValueError):
 
 
 def parse_n_range(text):
-    'A rank or rank range: "3", "1-4", or "1..4".'
+    """A rank or rank range, "3", "1-4", or "1..4", as a range: the ranks
+    are not listed, so that the cost limit sees the top rank first."""
     text = text.strip()
     bounds = [text]
     for sep in ("..", "-"):
@@ -37,7 +38,7 @@ def parse_n_range(text):
         raise UsageError("rank must be positive")
     if lo < 1 or hi < lo:
         raise UsageError("bad rank range %r" % text)
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _surface(g, r, top):

@@ -16,23 +16,23 @@ c_w = w A_w - sum_{0<k<w} c_k A_(w-k), which divides by nothing.  The
 literal multiset sum lives in verify (reference_e_value) as the reference
 the tests compare against.
 
-For g >= 1 every coefficient is an integer Laurent polynomial in
-u = q^(1/2), and one table per (g-1, r, convention) holds A_j and c^(j) for
-every j <= r as Kronecker-packed ints (u -> 2^B; Harvey, J. Symbolic Comput.
-44, 2009): the weight-w coefficient sits at offset (g-1) w^2, its lowest
-u-exponent, so a product of weights k and w-k is aligned by one shift.  A
-hook factor (1 - u^(2h)) enters as g-1 steps p -= p << 2hB, and the width B
-comes from l1 norms carried through the log recurrence.  The table grows
-one weight at a time in any request order, serves every rank and the
-product side of the identity check, and is never rebuilt; at g = 1 its
-entries are plain ints.  n V_n combines the packed c^(j) by the b_j, unpacks
-the digits once per odd d | n for the Adams sum, and E_n is one exact
-integer division of (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by 2^r n for a
-component).  At genus 0 the hooks enter inverted and the same assembly is a
-rational function, from algebra.log_coefficients and algebra.divisor_sum,
-which e_poly accepts when its denominator is 1: every surface gets one
-checked route.  Requests whose predicted cost exceeds a stated budget are
-refused with CostLimit before any work.
+For every genus, with e = g - 1, m = max(0, -e) and D_w = prod over i <= w
+of (1 - q^i), D_w^m A_j(w) and D_w^m c^(j)_w are integer Laurent
+polynomials in u = q^(1/2): at genus 0 every hook product divides D_w, by
+the q-hook-length formula (Stanley, EC2, Cor. 7.21.5).  One table per
+(e, r, convention) holds them for every j <= r as Kronecker-packed ints
+(u -> 2^B; Harvey, J. Symbolic Comput. 44, 2009): the weight-w coefficient
+sits at offset |e| w^2, a bound on its u-exponents, so a product of
+weights k and w-k is aligned by one shift.  A hook factor (1 - u^(2h))
+enters as |e| steps p -= p << 2hB, and the width B comes from l1 norms
+carried through the log recurrence.  The table grows one weight at a time
+in any request order, serves every rank and the product side of the
+identity check, and is never rebuilt; at g = 1 its entries are plain ints.
+n V_n combines the packed c^(j) by the b_j, unpacks the digits once per odd
+d | n for the Adams sum, and E_n is one exact integer division of
+(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by 2^r n for a component), over
+D_n^m at genus 0, where e_poly requires it to cancel.  Requests whose
+predicted cost exceeds a stated budget are refused with CostLimit first.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -46,11 +46,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iproduct
-from math import comb, inf
+from math import comb, factorial, inf, isqrt
 
 from .algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q_MINUS_ONE,
-                      RF_ONE, RationalFunction, TruncatedSeries, ZERO, adams,
-                      divisor_sum, log_coefficients, moebius, pleth_log,
+                      RF_ONE, RationalFunction, TruncatedSeries, U, ZERO,
+                      adams, divisor_sum, moebius, pleth_log,
                       rational_exponent_pow)
 from .partitions import (all_partitions, conjugate, hooks, multiplicities,
                          n_lambda, partition_count, weight)
@@ -152,20 +152,6 @@ def partition_multisets(w):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _hook_sums(w, e, conv):
-    """Genus 0 (e < 0): partitions of w grouped by (a+, a-), each group with
-    its sum of H^e, a rational function; H is the hook polynomial the
-    convention pairs with the partition."""
-    sums = {}
-    for lam in all_partitions(w):
-        hook = hook_polynomial(lam if conv == MATCHED else conjugate(lam))
-        term = RationalFunction(hook) ** e
-        key = (a_plus(lam), a_minus(lam))
-        sums[key] = sums[key] + term if key in sums else term
-    return tuple(sums.items())
-
-
 def _unpack(packed, count, width):
     """The count signed digits, width bits each, of a Kronecker-packed int,
     lowest first; one digit is the int itself.  Each digit is biased by
@@ -196,11 +182,13 @@ def _bias(count, width):
 
 
 def _group_totals(e, r, top):
-    """sum over |lam| = w of a+^r 2^(e w), for w = 0..top: a bound on the l1
-    norm of the T^w coefficient of every A_j, since a+^j a-^(r-j) <= a+^r
-    and each of the e w hook factors (1 - u^(2h)) has l1 norm 2.  With
-    a+ = prod (m + 1) over the part multiplicities m, the sum is the T^w
-    coefficient of prod over part sizes i of sum_m (m+1)^r T^(i m)."""
+    """sum over |lam| = w of a+^r times an l1 bound on the hook part, for
+    w = 0..top, bounds the l1 norm of each D_w^m A_j (a+^j a-^(r-j) <= a+^r):
+    the e w factors (1 - u^(2h)) have norm 2 each, and at e < 0,
+    D_w / prod (1 - q^h) counts the standard tableaux of shape lam by major
+    index (Stanley, EC2, Cor. 7.21.5), norm f^lam <= sqrt(w!).  With
+    a+ = prod (m + 1) over the part multiplicities m, the sum of a+^r is the
+    T^w coefficient of prod over part sizes i of sum_m (m+1)^r T^(i m)."""
     totals = [1] + [0] * top
     for i in range(1, top + 1):
         old = totals[:]
@@ -208,18 +196,21 @@ def _group_totals(e, r, top):
             f = (m + 1) ** r
             for w in range(i * m, top + 1):
                 totals[w] += f * old[w - i * m]
-    return [t << (e * w) for w, t in enumerate(totals)]
+    return [t << (e * w) if e >= 0 else t * isqrt(factorial(w)) ** -e
+            for w, t in enumerate(totals)]
 
 
 def _width(e, r, top):
     """Bits per packed digit that hold, at every weight w <= top, each
-    coefficient of sum_j b_j c^(j)_w with sum |b_j| <= 2^r (the totals and
-    every component): the l1 norms of the A_j bound those of the c^(j)
-    through c_w = w A_w - sum_k c_k A_(w-k).  A whole number of bytes, so
-    that digits unpack as byte fields."""
-    a, c = _group_totals(e, r, top), [0]
+    coefficient of sum_j b_j D_w^m c^(j)_w with sum |b_j| <= 2^r (the totals
+    and every component): l1 norms carried through c_w = w A_w - sum_k c_k
+    A_(w-k), at genus 0 times (D_w / (D_k D_(w-k)))^m, a Gaussian binomial
+    of l1 norm C(w, k)^m.  A whole number of bytes, so that digits unpack
+    as byte fields."""
+    a, c, m = _group_totals(e, r, top), [0], max(0, -e)
     for w in range(1, top + 1):
-        c.append(w * a[w] + sum(c[k] * a[w - k] for k in range(1, w)))
+        c.append(w * a[w] + sum(c[k] * a[w - k] * comb(w, k) ** m
+                                for k in range(1, w)))
     return -(-((max(c) << r).bit_length() + 1) // 8) * 8
 
 
@@ -230,8 +221,8 @@ def _width(e, r, top):
 # digit count; and per j <= r, w products of at most s_w words at weight w,
 # each about s_w^1.585 by Karatsuba.  WORD_BUDGET is about 5 s on 2 vCPUs
 # with Python 3.11.  PACKED_BITS caps one packed coefficient, and with it
-# every stored entry and each answer's coefficient list.  Genus 0 takes the
-# rational route, whose cost doubles per rank, and stops at GENUS0_RANKS.
+# every stored entry and each answer's coefficient list.  Genus 0, whose
+# divisions by hook products this does not count, stops at GENUS0_RANKS.
 PARTITION_WORDS = 4 * 10 ** 4
 WORD_BUDGET = 10 ** 10
 PACKED_BITS = 2 ** 20
@@ -280,65 +271,95 @@ def check_cost(n, surf):
     _check_cost(n, surf.g - 1, surf.r)
 
 
+def _packed_product(exponents, times, width):
+    """prod over h in exponents of (1 - u^(2h))^times, packed at offset 0
+    with digits of width bits: times steps p -= p << 2hB per h."""
+    packed = 1
+    for h in exponents:
+        for _ in range(times):
+            packed -= packed << (2 * h * width)
+    return packed
+
+
+def _over_denominator(poly, e, w):
+    """poly / D_w^(-e) as a RationalFunction for e < 0, with
+    D_w = prod over i <= w of (1 - q^i) = u^w H_(w); poly for e >= 0."""
+    if e >= 0:
+        return poly
+    return RationalFunction(poly, (U ** w * hook_polynomial((w,))) ** -e)
+
+
 class _LogTable:
     """The partition series A_j and their log coefficients c^(j)_w, for
-    j = 0..r, at one (e, r, conv) with e = g - 1 >= 0.
+    j = 0..r, at one (e, r, conv) with e = g - 1, times D_w^m, m = max(0, -e).
 
     Each T^w coefficient is a Kronecker-packed int: the coefficient of
-    u^(i - e w^2) is digit i, of self.width bits, and e w^2 bounds the
-    lowest u-exponent at weight w, so 2 e w^2 + 1 digits hold it.  At e = 0
+    u^(i - |e| w^2) is digit i, of self.width bits, and |e| w^2 bounds the
+    u-exponents at weight w, so 2 |e| w^2 + 1 digits hold them.  At e = 0
     every coefficient is a plain int, with one digit.  Both series grow one
     weight at a time, in any request order.  The l1 bound proves the width
     for every weight up to self.cap; a weight past the cap re-spaces every
-    stored entry to the width proved for a cap a quarter beyond it, and
-    nothing is recomputed.
+    stored entry to the width proved for a cap a quarter beyond it; only the
+    packed D_w^m in self.denominators are rebuilt, no entry.
     """
 
     def __init__(self, e, r, conv):
         self.e, self.r, self.conv = e, r, conv
+        self.m = max(0, -e)
         self.width = 0
         self.cap = 0 if e else inf
         self.series = [[0] for _ in range(r + 1)]
         self.logs = [[0] for _ in range(r + 1)]
+        self.denominators = [1]
 
     def digit_count(self, w):
-        return 2 * self.e * w * w + 1
+        return 2 * abs(self.e) * w * w + 1
 
     def _widen(self, w):
         cap = w + w // 4 + 2
         width = _width(self.e, self.r, cap)
         for entries in self.series + self.logs:
-            for m in range(1, len(entries)):
-                entries[m] = _pack(_unpack(entries[m], self.digit_count(m),
+            for v in range(1, len(entries)):
+                entries[v] = _pack(_unpack(entries[v], self.digit_count(v),
                                            self.width), width)
         self.width, self.cap = width, cap
+        self.denominators = [_packed_product(range(1, v + 1), self.m, width)
+                             for v in range(len(self.denominators))]
 
-    def _grow_series(self, w):
-        """A_j(m) for every m <= w: sum over |lam| = m of a+^j a-^(r-j)
-        H^e, each hook factor entering as e steps p -= p << 2hB.  lam and
-        its conjugate have the same hooks, so both conventions build the
+    def _grow_series(self, top):
+        """D_w^m A_j(w) for every w <= top: sum over |lam| = w of a+^j
+        a-^(r-j) D_w^m H^e, each hook factor entering as |e| steps
+        p -= p << 2hB and, at genus 0, their product dividing D_w^m.  lam
+        and its conjugate have the same hooks, so both conventions build the
         same product; the convention sets only its offset."""
         e, r = self.e, self.r
-        if w >= len(self.series[0]):
-            _check_cost(w, e, r)
-        for m in range(len(self.series[0]), w + 1):
-            if m > self.cap:
-                self._widen(m)
+        if top >= len(self.series[0]):
+            _check_cost(top, e, r)
+        for w in range(len(self.series[0]), top + 1):
+            if w > self.cap:
+                self._widen(w)
             width, groups, products = self.width, {}, {}
-            for lam in all_partitions(m):
+            if self.m:
+                self.denominators.append(
+                    _packed_product(range(1, w + 1), self.m, width))
+            for lam in all_partitions(w):
                 term = 1
                 if e:
                     lam_hooks = tuple(hooks(lam))
                     product = products.get(lam_hooks)
                     if product is None:
-                        product = 1
-                        for h in reversed(lam_hooks):
-                            for _ in range(e):
-                                product -= product << (2 * h * width)
+                        product = _packed_product(reversed(lam_hooks),
+                                                  abs(e), width)
+                        if self.m:
+                            product, rest = divmod(self.denominators[w],
+                                                   product)
+                            if rest:
+                                raise ExactnessError(
+                                    "hook product does not divide D_%d" % w)
                         products[lam_hooks] = product
                     paired = lam if self.conv == MATCHED else conjugate(lam)
-                    term = product << (
-                        e * (m * m - m - 2 * n_lambda(paired)) * width)
+                    term = product << ((abs(e) * w * w - e * (
+                        w + 2 * n_lambda(paired))) * width)
                 key = (a_plus(lam), a_minus(lam))
                 groups[key] = groups.get(key, 0) + term
             for j, entries in enumerate(self.series):
@@ -346,32 +367,37 @@ class _LogTable:
                                    for (ap, am), total in groups.items()))
 
     def series_at(self, j, w):
-        "Packed A_j(w)."
+        "Packed D_w^m A_j(w)."
         self._grow_series(w)
         return self.series[j][w]
 
-    def log_at(self, j, w):
-        """Packed c^(j)_w, by c_m = m A_m - sum_k c_k A_(m-k): the product
-        of weights k and m - k sits at offset e (k^2 + (m-k)^2), so a shift
-        of 2 e k (m-k) digits aligns it with weight m."""
-        self._grow_series(w)
-        a, c = self.series[j], self.logs[j]
-        width, e = self.width, self.e
-        for m in range(len(c), w + 1):
-            acc = m * a[m]
-            for k in range(1, m):
-                if c[k] and a[m - k]:
-                    acc -= (c[k] * a[m - k]) << (2 * e * k * (m - k) * width)
+    def log_at(self, j, top):
+        """Packed D_w^m c^(j)_w, by c_w = w A_w - sum_k c_k A_(w-k): the
+        product of weights k and w - k sits at offset |e| (k^2 + (w-k)^2),
+        so a shift of 2 |e| k (w-k) digits aligns it with weight w, and
+        (D_w / (D_k D_(w-k)))^m puts it over D_w^m."""
+        self._grow_series(top)
+        a, c, dens = self.series[j], self.logs[j], self.denominators
+        width, e = self.width, abs(self.e)
+        for w in range(len(c), top + 1):
+            acc = w * a[w]
+            for k in range(1, w):
+                if c[k] and a[w - k]:
+                    product = c[k] * a[w - k]
+                    if self.m:
+                        product *= dens[w] // (dens[k] * dens[w - k])
+                    acc -= product << (2 * e * k * (w - k) * width)
             c.append(acc)
-        return c[w]
+        return c[top]
 
     def polynomial(self, packed, w):
         "An unpacked weight-w coefficient as a Laurent polynomial in u."
         return HalfPowerPolynomial.from_dense(
-            -self.e * w * w, _unpack(packed, self.digit_count(w), self.width))
+            -abs(self.e) * w * w,
+            _unpack(packed, self.digit_count(w), self.width))
 
     def combined(self, weights, w):
-        "The digits of sum_j b_j c^(j)_w, for weights {j: b_j}."
+        "The digits of sum_j b_j D_w^m c^(j)_w, for weights {j: b_j}."
         return _unpack(sum(self.log_at(j, w) * b for j, b in weights.items()),
                        self.digit_count(w), self.width)
 
@@ -380,7 +406,7 @@ _LOG_TABLES = {}
 
 
 def _log_table(e, r, conv):
-    "The one packed table per (e, r, conv), e >= 0."
+    "The one packed table per (e, r, conv)."
     table = _LOG_TABLES.get((e, r, conv))
     if table is None:
         table = _LOG_TABLES[e, r, conv] = _LogTable(e, r, conv)
@@ -390,11 +416,8 @@ def _log_table(e, r, conv):
 @lru_cache(maxsize=None)
 def _series_coefficient(w, e, j, r, conv):
     "T^w coefficient of the partition series A_j: sum_{|lam|=w} a+^j a-^(r-j) H^e."
-    if e >= 0:
-        table = _log_table(e, r, conv)
-        return table.polynomial(table.series_at(j, w), w)
-    return sum((hook_sum * (ap ** j * am ** (r - j))
-                for (ap, am), hook_sum in _hook_sums(w, e, conv)), ZERO)
+    table = _log_table(e, r, conv)
+    return _over_denominator(table.polynomial(table.series_at(j, w), w), e, w)
 
 
 def _partition_series(order, e, j, r, conv, scale):
@@ -403,22 +426,6 @@ def _partition_series(order, e, j, r, conv, scale):
               for w in range(1, order // scale + 1)}
     coeffs[0] = RF_ONE
     return TruncatedSeries(order, coeffs)
-
-
-_RATIONAL_LOGS = {}
-
-
-def _log_coefficient(w, e, j, r, conv):
-    """c_w = w [T^w] log A_j: read off the packed table for e >= 0; at genus
-    0 by algebra's log recurrence, in one rational table per (e, j, r, conv)
-    that grows in order of w."""
-    if e >= 0:
-        table = _log_table(e, r, conv)
-        return table.polynomial(table.log_at(j, w), w)
-    _check_cost(w, e, r)
-    c = _RATIONAL_LOGS.setdefault((e, j, r, conv), [ZERO])
-    return log_coefficients(
-        lambda m: _series_coefficient(m, e, j, r, conv), c, w)[w]
 
 
 def _component_weights(r, k):
@@ -432,9 +439,14 @@ def _component_weights(r, k):
 
 
 def _n_v_coefficients(n, e, r, k, conv):
-    """n V_n for e >= 0 as its list of coefficients, of u^(i - e n^2) at
-    index i: the digits of sum_j b_j c^(j)_(n/d) are unpacked once per odd
-    d | n and added in at psi_d, the exponents times d."""
+    """D_n^m n V_n as its list of coefficients, of u^(i - |e| n^2) at index
+    i.  n V_n = sum over odd d | n of mu(d) psi_d(sum_j b_j c^(j)_(n/d)),
+    with b_j the coefficients of x^j in x^r - 1 for the total (k None) and
+    in (x+1)^(r-k) (x-1)^k for the component k; expanding log A_j over
+    multisets of partitions gives the closed formula's multiset coefficients
+    (-1)^(m-1) (m-1)!/prod mult!.  Each sum_j b_j D_w^m c^(j)_w, w = n/d,
+    is unpacked once and added in at psi_d, the exponents times d, times
+    the factors (1 - q^i)^m of D_n^m with d not dividing i."""
     _check_request(n, conv)
     table = _log_table(e, r, conv)
     weights = _component_weights(r, k)
@@ -442,36 +454,24 @@ def _n_v_coefficients(n, e, r, k, conv):
     for d in range(3, n + 1, 2):
         mu = moebius(d) if n % d == 0 else 0
         if mu:
-            m = n // d
-            start = e * m * m * d * (d - 1)
-            for i, x in enumerate(table.combined(weights, m)):
-                out[start + d * i] += mu * x
+            start = abs(e) * n * n * (d - 1) // d
+            digits = table.combined(weights, n // d)
+            term = [0] * len(out)
+            term[start:start + d * len(digits):d] = digits
+            for i in range(1, n + 1):
+                for _ in range(table.m if i % d else 0):
+                    term[2 * i:] = [a - b for a, b in zip(term[2 * i:], term)]
+            out = [x + mu * y for x, y in zip(out, term)]
     return out
 
 
-def _n_v(n, surf, k, conv):
-    """n V_n = sum over odd d | n of mu(d) psi_d(sum_j b_j c^(j)_(n/d)), with
-    b_j the coefficients of x^j in x^r - 1 for the total (k None) and in
-    (x+1)^(r-k) (x-1)^k for the component k.  Expanding log A_j over
-    multisets of partitions gives the closed formula's multiset coefficients
-    (-1)^(m-1) (m-1)!/prod mult!."""
-    e, r = surf.g - 1, surf.r
-    if e >= 0:
-        return HalfPowerPolynomial.from_dense(
-            -e * n * n, _n_v_coefficients(n, e, r, k, conv))
-    _check_request(n, conv)
-    weights = _component_weights(r, k)
-
-    def coefficient(w):
-        return sum((_log_coefficient(w, e, j, r, conv) * b
-                    for j, b in weights.items()), ZERO)
-
-    return divisor_sum(n, coefficient, lambda d: moebius(d) if d % 2 else 0)
-
-
 def v_n(n, surf, conv=MATCHED):
-    "The rank-n inner sum V_n, for the weights a+^r - a-^r."
-    return _n_v(n, surf, None, conv) * Fraction(1, n)
+    """The rank-n inner sum V_n, for the weights a+^r - a-^r; at genus 0 a
+    rational function over D_n^m."""
+    e = surf.g - 1
+    n_v = HalfPowerPolynomial.from_dense(
+        -abs(e) * n * n, _n_v_coefficients(n, e, surf.r, None, conv))
+    return _over_denominator(n_v, e, n) * Fraction(1, n)
 
 
 def check_component(k, surf):
@@ -485,20 +485,18 @@ def check_component(k, surf):
 
 def _assembled(n, surf, k, conv):
     """(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, and the divisor that turns it into
-    E_n (k None: 2n) or into the component E_n^k (2^r n).  For g >= 1 the
-    prefactor acts on the coefficient list of n V_n: (-u)^(e n^2) moves
-    index i to u^i, and q - 1 = u^2 - 1 takes each coefficient from the one
-    two places below."""
+    E_n (k None: 2n) or into the component E_n^k (2^r n).  The prefactor
+    acts on the coefficient list of D_n^m n V_n: (-u)^(e n^2) moves index i
+    to u^(i + (e - |e|) n^2), and q - 1 = u^2 - 1 takes each coefficient
+    from the one two places below; at genus 0 the value is over D_n^m."""
     check_component(k, surf)
     divisor = (2 if k is None else 2 ** surf.r) * n
-    e = n * n * (surf.g - 1)
-    sign = (-1) ** (e % 2)
-    if not surf.g:
-        prefactor = Q_MINUS_ONE * HalfPowerPolynomial.u_power(e, sign)
-        return prefactor * _n_v(n, surf, k, conv), divisor
-    v = _n_v_coefficients(n, surf.g - 1, surf.r, k, conv)
-    return HalfPowerPolynomial.from_dense(0, [
-        sign * (a - b) for a, b in zip([0, 0] + v, v + [0, 0])]), divisor
+    e = surf.g - 1
+    sign = (-1) ** (e * n * n % 2)
+    v = _n_v_coefficients(n, e, surf.r, k, conv)
+    value = HalfPowerPolynomial.from_dense((e - abs(e)) * n * n, [
+        sign * (a - b) for a, b in zip([0, 0] + v, v + [0, 0])])
+    return _over_denominator(value, e, n), divisor
 
 
 def _require_polynomial(value, divisor, what):
@@ -602,8 +600,10 @@ def complex_curve_e_poly(n, g):
         raise ValueError("n must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    n_coefficient = divisor_sum(
-        n, lambda w: _log_coefficient(w, 2 * g - 2, 0, 0, MATCHED), moebius)
+    e = 2 * g - 2
+    table = _log_table(e, 0, MATCHED)
+    n_coefficient = divisor_sum(n, lambda w: _over_denominator(
+        table.polynomial(table.log_at(0, w), w), e, w), moebius)
     mono = HalfPowerPolynomial.u_power(2 * n * n * (g - 1))
     return (RationalFunction(Q_MINUS_ONE ** 2 * mono) * n_coefficient
             * Fraction(1, n))

@@ -18,9 +18,9 @@ def run_cli(argv):
 
 
 def test_parse_n_range():
-    assert parse_n_range("3") == [3]
-    assert parse_n_range("1-4") == [1, 2, 3, 4]
-    assert parse_n_range("2..3") == [2, 3]
+    assert list(parse_n_range("3")) == [3]
+    assert list(parse_n_range("1-4")) == [1, 2, 3, 4]
+    assert list(parse_n_range("2..3")) == [2, 3]
     for text in ("1-", "abc", "-", "1..x", "2-1", "0-3"):
         with pytest.raises(UsageError, match="bad rank range"):
             parse_n_range(text)
@@ -263,6 +263,24 @@ def test_costly_requests_are_refused_before_any_rank(argv, start):
     assert time.perf_counter() - started < 1
     assert (code, out) == (1, "")
     assert err.startswith(start) and err.count("\n") == 1
+
+
+def test_a_huge_rank_range_is_refused_without_listing_its_ranks():
+    import tracemalloc
+    started = time.perf_counter()
+    code, out, err = _call(["epoly", "--n", "1-100000000", "--g", "1",
+                            "--r", "1"])
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("CostLimit: rank 100000000 at g = 1, r = 1")
+    assert err.count("\n") == 1
+    tracemalloc.start()
+    try:
+        ranks = parse_n_range("1-100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks[-1] == 100000000 and peak < 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [

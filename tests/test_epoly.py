@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from realcharvar import epoly
+from realcharvar import algebra, epoly
 from realcharvar.algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
-                                 Q_MINUS_ONE, RationalFunction, adams)
+                                 Q_MINUS_ONE, RF_ZERO, RationalFunction, adams,
+                                 log_coefficients)
 from realcharvar.epoly import (CostLimit, EmptyPartition, GENUS0_RANKS,
                                KOutOfRange, EvenK, MATCHED,
                                NotPolynomial, SurfaceData, TRANSPOSED,
@@ -15,8 +16,8 @@ from realcharvar.epoly import (CostLimit, EmptyPartition, GENUS0_RANKS,
                                e_poly_rational, euler_char_component,
                                gen_function_check, hook_polynomial,
                                complex_curve_e_poly, partition_multisets, v_n)
-from realcharvar.partitions import all_partitions
-from realcharvar.symfun import a_plus
+from realcharvar.partitions import all_partitions, conjugate
+from realcharvar.symfun import a_minus, a_plus
 from realcharvar.verify import (TelescopeRange, closed_form_e1,
                                 closed_form_e2, closed_form_e3,
                                 reference_e_value, telescope_check)
@@ -176,8 +177,7 @@ def test_half_integer_coefficient_is_not_polynomial():
 def _clear_formula_caches():
     "Drop the hook polynomials, partition series and log tables."
     epoly._LOG_TABLES.clear()
-    epoly._RATIONAL_LOGS.clear()
-    for fn in (hook_polynomial, epoly._hook_sums, epoly._series_coefficient):
+    for fn in (hook_polynomial, epoly._series_coefficient):
         fn.cache_clear()
 
 
@@ -237,6 +237,72 @@ def test_packed_digits_round_trip_and_refuse_an_overflow():
     for packed in (1 << 40, -(1 << 40)):
         with pytest.raises(ExactnessError):
             epoly._unpack(packed, 5, 8)
+
+
+def _genus0_reference(e, r, conv, j, top):
+    """The partition series A_j and its log coefficients c_w for w <= top,
+    as sums of rational functions, one term per partition."""
+    series = [RF_ZERO]
+    for w in range(1, top + 1):
+        total = RF_ZERO
+        for lam in all_partitions(w):
+            hook = hook_polynomial(lam if conv == MATCHED else conjugate(lam))
+            total = total + (RationalFunction(hook) ** e
+                             * (a_plus(lam) ** j * a_minus(lam) ** (r - j)))
+        series.append(total)
+    return series, log_coefficients(series.__getitem__, [RF_ZERO], top)
+
+
+def test_genus0_table_matches_the_per_partition_sums():
+    "D_w^m A_j(w) and D_w^m c^(j)_w, over D_w^m, are the rational sums."
+    _clear_formula_caches()
+    for e, r, convs in ((-1, 1, (MATCHED, TRANSPOSED)), (-2, 0, (MATCHED,))):
+        bound = epoly._group_totals(e, r, 8)
+        for conv in convs:
+            table = epoly._log_table(e, r, conv)
+            for j in range(r + 1):
+                series, logs = _genus0_reference(e, r, conv, j, 8)
+                for w in range(1, 9):
+                    a = table.polynomial(table.series_at(j, w), w)
+                    c = table.polynomial(table.log_at(j, w), w)
+                    for poly, want in ((a, series[w]), (c, logs[w])):
+                        assert all(type(x) is int for x in poly.terms.values())
+                        assert epoly._over_denominator(poly, e, w) == want, \
+                            (e, r, conv, j, w)
+                    # the l1 bound that proves the width holds
+                    assert sum(map(abs, a.terms.values())) <= bound[w]
+
+
+def test_genus0_hook_division_refuses_a_remainder(monkeypatch):
+    # a hook of w + 1 does not divide D_w = (1 - q) ... (1 - q^w)
+    monkeypatch.setattr(epoly, "hooks", lambda lam: [sum(lam) + 1])
+    with pytest.raises(ExactnessError, match="does not divide D_1"):
+        epoly._LogTable(-1, 1, MATCHED).series_at(0, 2)
+
+
+def test_genus0_route_adds_no_rational_functions(monkeypatch):
+    "Genus 0 takes the packed table: no rational sum, log or Adams sum."
+    calls = []
+
+    def spy(name):
+        def refuse(*args):
+            calls.append(name)
+            raise AssertionError("%s called" % name)
+        return refuse
+
+    _clear_formula_caches()
+    monkeypatch.setattr(RationalFunction, "__add__", spy("add"))
+    monkeypatch.setattr(RationalFunction, "__radd__", spy("add"))
+    for module in (algebra, epoly):
+        for name in ("log_coefficients", "divisor_sum"):
+            monkeypatch.setattr(module, name, spy(name), raising=False)
+    surf = SurfaceData(0, 1)
+    for conv in (MATCHED, TRANSPOSED):
+        for n in range(1, GENUS0_RANKS + 1):
+            assert e_poly(n, surf, conv) == (ONE if n == 1 else 0)
+            e_poly_component(n, surf, 1, conv)
+            euler_char_component(n, surf, 1, conv)
+    assert calls == []
 
 
 def test_width_bound_counts_every_partition():
