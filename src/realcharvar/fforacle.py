@@ -1,41 +1,44 @@
 """Independent finite-field verification over GL_n(F_q), n <= 3.
 
 Conjugacy classes are labelled by maps from monic irreducible polynomials to
-partitions.  The class functions F (invariant symmetric forms), N (symmetric
-square roots) and C (commutator presentations) are built both from closed
-formulas and from brute force, convolved, and evaluated at scalar classes to
-count points of the representation variety.  Brute-force F and N are
-linear counts: for each class they enumerate a fixed subspace (of
-B -> A B A^T on symmetric matrices for F, of B -> A B^T on all matrices for
-N), found by the module's one Gaussian elimination mod q (_nullspace_mod),
-and count its invertible points.  Counts are compared against the
-closed-form E-polynomials; mismatches are reported, never suppressed.
+partitions.  The class functions F (invariant symmetric forms) and N
+(symmetric square roots) are built both from closed formulas and from brute
+force, and combined at scalar classes to count points of the representation
+variety.  Brute-force F and N are linear counts: for each class they
+enumerate a fixed subspace (of B -> A B A^T on symmetric matrices for F, of
+B -> A B^T on all matrices for N), found by the module's one Gaussian
+elimination mod q (_nullspace_mod), and count its invertible points.  Counts
+are compared against the closed-form E-polynomials; mismatches are
+reported, never suppressed.  The reference routes that only verify and the
+tests read (classify, the commutator count C) live in ffreference.
 
 F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
 A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
 self-inverse when inverse_label, which stars each polynomial of the label,
-fixes its label.  The kernel (n <= 2) builds prefixes only, and each of its
-steps pairs a prefix with F or N, so it only needs the self-inverse classes:
-K[t, i, c2] counts B in the i-th self-inverse class with B^-1 g_t in class
-c2.  That class is closed under inversion, so the kernel counts B g_t
-instead, over the self-inverse entries of the element lookup, with no copy
-of the group and no inverses.
+fixes its label.
 
-A count sorts its atoms (F, or F+ and F-, then N) and memoizes one class
-function per sorted atom tuple on the class table: () is the identity
-delta, a 1-tuple the atom (F built once per table, F+/F- split from it),
-and a longer tuple its prefix convolved with its last atom, which is built
-first.  Requests that share a prefix share its convolutions, whatever
-order they arrive in.  The target xi I is central, so every count, at every
-rank, ends in one class sum (prefix * last)(xi I) = sum_c |c| prefix(c)
-last(xi c^-1), with the class of xi c^-1 read off c's label (shift_map).
+A count sorts its atoms (F, or F+ and F-, then N), and F is built once per
+table, F+/F- split from it.  At n <= 2 the count is one character sum mod
+primes (characters.count), imported on the first such count.  At n = 3 it
+is the class sum (prefix * last)(xi I) = sum_c |c| prefix(c) last(xi c^-1),
+with the class of xi c^-1 read off c's label (shift_map), and the prefix is
+one memoized class function per sorted atom tuple: () is the identity delta,
+a 1-tuple the atom, and a longer tuple needs the kernel, which stops at
+n = 2 (KernelMissing).
+
+The kernel (n <= 2) is the reference route that the character sum replaced:
+convolve pairs a class function with one that vanishes off the
+self-inverse classes, through K[t, i, c2], the count of B in the i-th
+self-inverse class with B^-1 g_t in class c2.  That class is closed under
+inversion, so the kernel counts B g_t instead, over the self-inverse
+entries of the element lookup, with no copy of the group and no inverses.
 
 Matrices are int64 numpy arrays, and the class representatives and the
 fixed-subspace points are (..., n, n) stacks of them.  numpy carries the
 matrix layer, the fixed-subspace enumerations for F and N, the element
-lookup and the kernel built from it (n <= 2), the kernel contraction, whose
-int64 range is checked before it runs, and the reference sweep of every
-commutator for C; all class-function values are exact Python integers.
+lookup and the kernel built from it (n <= 2), and the kernel contraction,
+whose int64 range is checked before it runs; all class-function values are
+exact Python integers.
 """
 
 import json
@@ -48,8 +51,7 @@ import numpy as np
 from . import epoly
 from .algebra import ExactnessError, HalfPowerPolynomial as HPP, exact_int
 from .partitions import (all_partitions, centralizer_order,
-                         centralizer_order_poly, conjugate, ell_odd,
-                         multiplicities, n_lambda, weight)
+                         centralizer_order_poly, multiplicities)
 
 
 class UnsupportedRank(ValueError):
@@ -75,18 +77,34 @@ class NoPrimitiveRoot(ValueError):
 
 
 _GROUP_BUDGET = 2_000_000      # elements swept in one pass
-_PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
 _F_BLOCK = 1 << 14             # digit strings per fixed-subspace block
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(m):
+    """Miller-Rabin to the first twelve prime bases, which decides every
+    m < 3.3 * 10^24 exactly: the field sizes q, and the primes p of the
+    character sum (below 2^31)."""
     if m < 2:
         return False
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
+    for a in _WITNESSES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        p += 1
     return True
 
 
@@ -269,37 +287,6 @@ def companion(f, q):
     return M
 
 
-def poly_div_exact(f, g, q):
-    "Divide monic f by monic g; remainder must vanish."
-    rem = list(f)
-    out = [0] * (len(f) - len(g) + 1)
-    for i in range(len(f) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] % q
-        out[i] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[i + j] = (rem[i + j] - c * b) % q
-    if any(x % q for x in rem[:len(g) - 1]):
-        raise ExactnessError("%r does not divide %r mod %d" % (g, f, q))
-    return tuple(out)
-
-
-def factor_monic(f, field):
-    "Factor a monic polynomial of degree <= 3 with nonzero constant term."
-    q = field.q
-    factors = {}
-    rest = f
-    for a in range(1, q):
-        lin = ((-a) % q, 1)
-        while len(rest) > 1 and poly_eval(rest, a, q) == 0:
-            factors[lin] = factors.get(lin, 0) + 1
-            rest = poly_div_exact(rest, lin, q)
-    if len(rest) > 1:
-        # no roots left: degree 2 or 3 remainder is irreducible
-        factors[rest] = factors.get(rest, 0) + 1
-    return factors
-
-
 def _nullspace_mod(M, q):
     """A basis of {x : M x = 0 mod q} as a (d, p) int64 array, one row per
     vector, for a (k, p) matrix M: Gauss-Jordan elimination mod q, then one
@@ -328,11 +315,6 @@ def _nullspace_mod(M, q):
         for r, pcol in enumerate(pivots):
             basis[k, pcol] = -rows[r][col] % q
     return basis
-
-
-def kernel_dim(M, q):
-    "Dimension of the kernel mod q: the size of a _nullspace_mod basis."
-    return len(_nullspace_mod(M, q))
 
 
 def group_order(n, q):
@@ -391,6 +373,7 @@ class ClassTable:
         self._element_class = None
         self._self_inverse = None
         self._kernel = None
+        self._characters = None
         self._conv_cache = {}
         self._shift = {}
 
@@ -569,42 +552,6 @@ def class_table(n, field):
     return table
 
 
-def classify(A, table):
-    """Conjugacy label of an invertible matrix: factor the characteristic
-    polynomial, then recover each partition from kernel ranks of f(A)^j."""
-    q = table.q
-    if det_mod(A, q) == 0:
-        raise SingularMatrix("matrix is not invertible")
-    label = []
-    charpoly = tuple(charpoly_mod(A, q).tolist())
-    for f, e in factor_monic(charpoly, table.field).items():
-        # e is the multiplicity of f in the charpoly, i.e. the weight of mu(f)
-        d = len(f) - 1
-        if e == 1:
-            label.append((f, (1,)))
-            continue
-        M = poly_eval_matrix(f, A, q)
-        prev = 0
-        col_counts = []
-        P = np.eye(len(A), dtype=np.int64)
-        total = 0
-        while total < e:
-            P = P @ M % q
-            k = kernel_dim(P, q)
-            c = (k - prev) // d
-            if c == 0:
-                raise ExactnessError("rank profile stalled")
-            col_counts.append(c)
-            prev = k
-            total += c
-        lam = conjugate(tuple(col_counts))
-        label.append((f, lam))
-    label = tuple(sorted(label))
-    if label not in table.index:
-        raise ExactnessError("label %r missing from the table" % (label,))
-    return label
-
-
 class ClassFunction:
     "Integer-valued class function on a fixed class table."
 
@@ -723,21 +670,6 @@ def f_closed_poly(label, field):
     return poly
 
 
-def f_degree_prediction(label, field):
-    "Predicted q-degree of F on a symmetric class (None off support)."
-    if inverse_label(label, field) != label:
-        return None
-    twice = 0
-    for f, lam in label:
-        d_f = len(f) - 1
-        if d_f == 1 and f[0] % field.q in (1, field.q - 1):
-            twice += ell_odd(lam)
-        twice += 2 * d_f * n_lambda(lam) + d_f * weight(lam)
-    if twice % 2:
-        raise ExactnessError("odd doubled degree %d for %r" % (twice, label))
-    return twice // 2
-
-
 def class_fn_F_closed(table):
     "F from the closed case-by-case formula, on every class."
     values = []
@@ -795,17 +727,6 @@ def class_fn_F_signed(table):
     return ClassFunction(table, plus), ClassFunction(table, minus)
 
 
-def _per_element(hits, table):
-    "Per-class hit totals of a group sweep to the per-element class function."
-    values = []
-    for h, size in zip(hits, table.sizes):
-        if h % size:
-            raise ExactnessError("%d sweep hits on a class of size %d"
-                                 % (h, size))
-        values.append(h // size)
-    return ClassFunction(table, values)
-
-
 def class_fn_N(table):
     """N(A) counts the B with B B^-T = A, that is B = A B^T: the invertible
     points of the kernel of B -> B - A B^T, counted by _count_invertible
@@ -817,23 +738,6 @@ def class_fn_N(table):
         values.append(_count_invertible(
             lambda B: B - A @ np.swapaxes(B, 1, 2), n, q) if det == 1 else 0)
     return ClassFunction(table, values)
-
-
-def class_fn_C_brute(table):
-    "C by sweeping all commutator pairs (X, Y); feasible for tiny groups."
-    if table.n != 2:
-        raise GroupTooLarge("commutator brute force is for n = 2")
-    if table.group_order ** 2 > _PAIR_BUDGET:
-        raise GroupTooLarge("too many pairs at q = %d" % table.q)
-    q = table.q
-    E, Einv = table._group_arrays()
-    cls = table.element_class_array()
-    hits = np.zeros(table.class_count(), dtype=np.int64)
-    for X, Xinv in zip(E, Einv):
-        # X Y X^-1 Y^-1 for every Y at once
-        comm = (X @ E % q) @ (Xinv @ Einv % q) % q
-        hits += np.bincount(cls[_encode(comm, q)], minlength=len(hits))
-    return _per_element(hits.tolist(), table)
 
 
 # -- convolution ---------------------------------------------------------
@@ -917,10 +821,11 @@ def count_representation_variety(n, field, surf, xi, k=None):
 
     Evaluates the convolution of r copies of F (for the component k: k of
     F-, the determinant -1 part, and r - k of F+) and g - r + 1 copies of N
-    at xi I, for xi a primitive 2n-th root of unity, as the class sum of the
-    sorted atoms' prefix and last atom over shift_map(xi); a prefix of two
-    or more atoms needs the kernel (n <= 2).  epoly.check_component refuses
-    a bad k before any table is built.
+    at xi I, for xi a primitive 2n-th root of unity.  At n <= 2 this is the
+    character sum of characters.count; at n = 3 it is the class sum of the
+    sorted atoms' prefix and last atom over shift_map(xi), where a prefix of
+    two or more atoms needs the kernel, which stops at n = 2.
+    epoly.check_component refuses a bad k before any table is built.
     """
     epoly.check_component(k, surf)
     if xi % field.q not in primitive_roots_of_unity(field, 2 * n):
@@ -930,6 +835,9 @@ def count_representation_variety(n, field, surf, xi, k=None):
     atoms = (("F",) * surf.r if k is None
              else ("F-",) * k + ("F+",) * (surf.r - k))
     atoms = tuple(sorted(atoms + ("N",) * surf.s))
+    if n <= 2:
+        from . import characters
+        return characters.count(table, atoms, xi % field.q)
     last = _convolution(table, atoms[-1:]).values
     prefix = _convolution(table, atoms[:-1]).values
     return sum(size * p * last[c] for size, p, c

@@ -1,0 +1,129 @@
+"""Reference routes of the finite-field oracle, read by verify and the
+tests only: labels by factoring the characteristic polynomial and reading
+kernel ranks (classify), the predicted degree of F, and the commutator
+count C by sweeping every pair of group elements."""
+
+import numpy as np
+
+from .algebra import ExactnessError
+from .fforacle import (ClassFunction, GroupTooLarge, SingularMatrix,
+                       _encode, _nullspace_mod, charpoly_mod, det_mod,
+                       inverse_label, poly_eval, poly_eval_matrix)
+from .partitions import conjugate, ell_odd, n_lambda, weight
+
+_PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
+
+
+def poly_div_exact(f, g, q):
+    "Divide monic f by monic g; remainder must vanish."
+    rem = list(f)
+    out = [0] * (len(f) - len(g) + 1)
+    for i in range(len(f) - len(g), -1, -1):
+        c = rem[i + len(g) - 1] % q
+        out[i] = c
+        if c:
+            for j, b in enumerate(g):
+                rem[i + j] = (rem[i + j] - c * b) % q
+    if any(x % q for x in rem[:len(g) - 1]):
+        raise ExactnessError("%r does not divide %r mod %d" % (g, f, q))
+    return tuple(out)
+
+
+def factor_monic(f, field):
+    "Factor a monic polynomial of degree <= 3 with nonzero constant term."
+    q = field.q
+    factors = {}
+    rest = f
+    for a in range(1, q):
+        lin = ((-a) % q, 1)
+        while len(rest) > 1 and poly_eval(rest, a, q) == 0:
+            factors[lin] = factors.get(lin, 0) + 1
+            rest = poly_div_exact(rest, lin, q)
+    if len(rest) > 1:
+        # no roots left: degree 2 or 3 remainder is irreducible
+        factors[rest] = factors.get(rest, 0) + 1
+    return factors
+
+
+def kernel_dim(M, q):
+    "Dimension of the kernel mod q: the size of a _nullspace_mod basis."
+    return len(_nullspace_mod(M, q))
+
+
+def classify(A, table):
+    """Conjugacy label of an invertible matrix: factor the characteristic
+    polynomial, then recover each partition from kernel ranks of f(A)^j."""
+    q = table.q
+    if det_mod(A, q) == 0:
+        raise SingularMatrix("matrix is not invertible")
+    label = []
+    charpoly = tuple(charpoly_mod(A, q).tolist())
+    for f, e in factor_monic(charpoly, table.field).items():
+        # e is the multiplicity of f in the charpoly, i.e. the weight of mu(f)
+        d = len(f) - 1
+        if e == 1:
+            label.append((f, (1,)))
+            continue
+        M = poly_eval_matrix(f, A, q)
+        prev = 0
+        col_counts = []
+        P = np.eye(len(A), dtype=np.int64)
+        total = 0
+        while total < e:
+            P = P @ M % q
+            k = kernel_dim(P, q)
+            c = (k - prev) // d
+            if c == 0:
+                raise ExactnessError("rank profile stalled")
+            col_counts.append(c)
+            prev = k
+            total += c
+        lam = conjugate(tuple(col_counts))
+        label.append((f, lam))
+    label = tuple(sorted(label))
+    if label not in table.index:
+        raise ExactnessError("label %r missing from the table" % (label,))
+    return label
+
+
+def f_degree_prediction(label, field):
+    "Predicted q-degree of F on a symmetric class (None off support)."
+    if inverse_label(label, field) != label:
+        return None
+    twice = 0
+    for f, lam in label:
+        d_f = len(f) - 1
+        if d_f == 1 and f[0] % field.q in (1, field.q - 1):
+            twice += ell_odd(lam)
+        twice += 2 * d_f * n_lambda(lam) + d_f * weight(lam)
+    if twice % 2:
+        raise ExactnessError("odd doubled degree %d for %r" % (twice, label))
+    return twice // 2
+
+
+def _per_element(hits, table):
+    "Per-class hit totals of a group sweep to the per-element class function."
+    values = []
+    for h, size in zip(hits, table.sizes):
+        if h % size:
+            raise ExactnessError("%d sweep hits on a class of size %d"
+                                 % (h, size))
+        values.append(h // size)
+    return ClassFunction(table, values)
+
+
+def class_fn_C_brute(table):
+    "C by sweeping all commutator pairs (X, Y); feasible for tiny groups."
+    if table.n != 2:
+        raise GroupTooLarge("commutator brute force is for n = 2")
+    if table.group_order ** 2 > _PAIR_BUDGET:
+        raise GroupTooLarge("too many pairs at q = %d" % table.q)
+    q = table.q
+    E, Einv = table._group_arrays()
+    cls = table.element_class_array()
+    hits = np.zeros(table.class_count(), dtype=np.int64)
+    for X, Xinv in zip(E, Einv):
+        # X Y X^-1 Y^-1 for every Y at once
+        comm = (X @ E % q) @ (Xinv @ Einv % q) % q
+        hits += np.bincount(cls[_encode(comm, q)], minlength=len(hits))
+    return _per_element(hits.tolist(), table)

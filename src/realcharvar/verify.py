@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE, RF_ONE,
-                      RF_ZERO, RationalFunction, ZERO, adams, moebius)
+from .algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
+                      Q_MINUS_ONE, RF_ONE, RF_ZERO, RationalFunction, ZERO,
+                      adams, moebius)
 from .epoly import (MATCHED, TRANSPOSED, SurfaceData, component_sum_check,
                     e_poly, e_poly_component, euler_char_component,
                     gen_function_check, hook_polynomial, partition_multisets)
@@ -21,7 +22,7 @@ from .partitions import all_partitions, conjugate
 from .symfun import (a_minus, a_minus_from_characters, a_minus_from_pieri,
                      a_plus, a_plus_from_characters, a_plus_from_pieri,
                      c_d_via_genfun, c_pi, d_pi)
-from . import fforacle
+from . import characters, fforacle, ffreference
 
 
 def _qp(k):
@@ -248,11 +249,12 @@ def criterion_oracle_f():
 
 def criterion_oracle_algebra():
     """Convolution square root of the commutator count; class equations;
-    N counts every group element once."""
+    N counts every group element once; the character table's gates."""
     for q in (3, 5):
         table = fforacle.class_table(2, fforacle.PrimeField(q))
         n_fn = fforacle.class_fn_N(table)
-        if fforacle.convolve(n_fn, n_fn, table) != fforacle.class_fn_C_brute(table):
+        commutators = ffreference.class_fn_C_brute(table)
+        if fforacle.convolve(n_fn, n_fn, table) != commutators:
             return False, "N*N != C on GL_2(F_%d)" % q
     for q in (3, 5, 7):
         field = fforacle.PrimeField(q)
@@ -263,8 +265,19 @@ def criterion_oracle_algebra():
             # each B gives exactly one A = B B^-T
             if fforacle.class_fn_N(table).group_sum() != table.group_order:
                 return False, "sum |c| N(c) != |G| at n=%d q=%d" % (n, q)
+    for q in (5, 13):
+        # a fresh table, so the gates run whatever the counts have cached
+        chars = characters.CharacterTable(
+            fforacle.ClassTable(2, fforacle.PrimeField(q)))
+        if sum(chars.degree.tolist()) != q * q * (q - 1):
+            return False, "sum chi(1) != q^2 (q-1) at q=%d" % q
+        try:
+            chars.residues(next(chars.primes()))
+        except ExactnessError as exc:
+            return False, "character gate fails at q=%d: %s" % (q, exc)
     return True, ("N*N = C on GL_2(F_q), q in {3,5}; class equations and "
-                  "sum |c| N(c) = |G| for n<=3, q in {3,5,7}")
+                  "sum |c| N(c) = |G| for n<=3, q in {3,5,7}; chi(1) and "
+                  "<N, chi> = 1 on GL_2(F_q), q in {5,13}")
 
 
 ORACLE_MAIN_CASES = ((2, 1), (2, 2), (2, 3), (3, 2))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import realcharvar
-from realcharvar import cli, fforacle
+from realcharvar import cli, fforacle, ffreference
 from realcharvar.algebra import ExactnessError, exact_int
 
 F3 = fforacle.PrimeField(3)
@@ -34,17 +34,17 @@ def test_exact_int():
 def test_sweep_hits_must_divide_class_sizes():
     table = fforacle.class_table(2, F3)
     hits = [2 * size for size in table.sizes]
-    assert fforacle._per_element(hits, table).values == (2,) * len(hits)
+    assert ffreference._per_element(hits, table).values == (2,) * len(hits)
     hits[-1] += 1
     with pytest.raises(ExactnessError):
-        fforacle._per_element(hits, table)
+        ffreference._per_element(hits, table)
 
 
 def test_poly_div_exact_needs_a_factor():
     # t + 1 does not divide t^2 + 1 over F_3
     with pytest.raises(ExactnessError):
-        fforacle.poly_div_exact((1, 0, 1), (1, 1), 3)
-    assert fforacle.poly_div_exact((2, 0, 1), (1, 1), 3) == (2, 1)
+        ffreference.poly_div_exact((1, 0, 1), (1, 1), 3)
+    assert ffreference.poly_div_exact((2, 0, 1), (1, 1), 3) == (2, 1)
 
 
 def test_cli_reports_exactness_error(monkeypatch, capsys):

@@ -19,18 +19,19 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   KernelMissing, NoPrimitiveRoot, PrimeField,
                                   SingularMatrix, UnsupportedRank,
                                   _digits, _inverse_table, _nullspace_mod,
-                                  charpoly_mod, class_fn_C_brute,
-                                  class_fn_F_brute, class_fn_F_closed,
-                                  class_fn_F_signed, class_fn_N, class_table,
-                                  classify, compare_with_formula, companion,
+                                  charpoly_mod, class_fn_F_brute,
+                                  class_fn_F_closed, class_fn_F_signed,
+                                  class_fn_N, class_table,
+                                  compare_with_formula, companion,
                                   convolve, convolve_at,
                                   count_representation_variety,
                                   delta_identity, det_mod, f_closed_poly,
-                                  f_degree_prediction, formula_count,
-                                  group_order, inverse_label, inverse_mod,
-                                  irreducibles, kernel_dim,
+                                  formula_count, group_order, inverse_label,
+                                  inverse_mod, irreducibles,
                                   poly_eval_matrix, poly_star,
                                   primitive_roots_of_unity)
+from realcharvar.ffreference import (class_fn_C_brute, classify,
+                                     f_degree_prediction, kernel_dim)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -43,6 +44,18 @@ def test_prime_field_validation():
     with pytest.raises(ValueError):
         PrimeField(2)
     assert F5.inv(2) == 3
+
+
+def test_is_prime_matches_trial_division():
+    def trial(m):
+        return m >= 2 and all(m % d for d in range(2, int(m ** 0.5) + 1))
+
+    assert [m for m in range(-2, 20000) if fforacle._is_prime(m)] == [
+        m for m in range(-2, 20000) if trial(m)]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 13
+    for m in (3215031751, 3474749660383, 341550071728321):
+        assert not fforacle._is_prime(m)
+    assert fforacle._is_prime(2 ** 31 - 1) and fforacle._is_prime(2 ** 61 - 1)
 
 
 def test_matrix_helpers():
