@@ -9,15 +9,13 @@ finite-field counting oracle), verify (verification suites), cli.
 from .algebra import (HalfPowerPolynomial, RationalFunction, TruncatedSeries,
                       adams, pleth_exp, pleth_log, rational_exponent_pow)
 from .epoly import (MATCHED, TRANSPOSED, SurfaceData, component_sum_check,
-                    e_poly, e_poly_component, e_poly_component_rational,
-                    e_poly_rational, euler_char_component,
+                    e_poly, e_poly_component, euler_char_component,
                     gen_function_check, hook_polynomial, complex_curve_e_poly, v_n)
 
 __all__ = [
     "HalfPowerPolynomial", "RationalFunction", "TruncatedSeries",
     "adams", "pleth_exp", "pleth_log", "rational_exponent_pow",
     "MATCHED", "TRANSPOSED", "SurfaceData", "component_sum_check",
-    "e_poly", "e_poly_component", "e_poly_component_rational",
-    "e_poly_rational", "euler_char_component", "gen_function_check",
+    "e_poly", "e_poly_component", "euler_char_component", "gen_function_check",
     "hook_polynomial", "complex_curve_e_poly", "v_n",
 ]

@@ -219,7 +219,7 @@ class _Residues:
         "<atom, chi> mod p for every chi, from the atom's self-inverse values."
         if atom not in self._inner:
             table, p, S = self.chars.table, self.p, self.chars.self_inverse
-            fn = fforacle._convolution(table, (atom,))
+            fn = fforacle.class_fn_atom(table, atom)
             if not set(fn.support()).issubset(S.tolist()):
                 raise ExactnessError("%s lives off the self-inverse classes"
                                      % atom)
@@ -253,7 +253,7 @@ def count(table, atoms, xi):
     if table._characters is None:
         table._characters = CharacterTable(table)
     chars = table._characters
-    fns = [fforacle._convolution(table, (atom,)) for atom in atoms]
+    fns = [fforacle.class_fn_atom(table, atom) for atom in atoms]
     bound = max(fns[-1].values)
     for fn in fns[:-1]:
         bound *= fn.group_sum()

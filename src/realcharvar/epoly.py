@@ -28,11 +28,12 @@ enters as |e| steps p -= p << 2hB, and the width B comes from l1 norms
 carried through the log recurrence.  The table grows one weight at a time
 in any request order, serves every rank and the product side of the
 identity check, and is never rebuilt; at g = 1 its entries are plain ints.
-n V_n combines the packed c^(j) by the b_j, unpacks the digits once per odd
-d | n for the Adams sum, and E_n is one exact integer division of
-(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n by 2n (by 2^r n for a component), over
-D_n^m at genus 0, where e_poly requires it to cancel.  Requests whose
-predicted cost exceeds a stated budget are refused with CostLimit first.
+n V_n combines the packed c^(j) by the b_j and unpacks the digits once per
+odd d | n for the Adams sum.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n,
+at genus 0 divided exactly by D_n^m, then divided exactly by 2n (by 2^r n
+for a component); a remainder raises NotPolynomial.  Requests whose
+predicted cost exceeds a stated budget, by one rule for every genus, are
+refused with CostLimit first.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -214,19 +215,20 @@ def _width(e, r, top):
     return -(-((max(c) << r).bit_length() + 1) // 8) * 8
 
 
-# The cost limit.  At g >= 1 a table grown to weight N costs, in word
+# The cost limit.  A table grown to weight N at e = g - 1 costs, in word
 # operations: per partition of every weight w <= N about PARTITION_WORDS
-# for its enumeration and coefficients, plus e w steps p -= p << 2hB on at
-# most s_w words, s_w = B (2 e w^2 + 1) / 64 the packed width times the
-# digit count; and per j <= r, w products of at most s_w words at weight w,
-# each about s_w^1.585 by Karatsuba.  WORD_BUDGET is about 5 s on 2 vCPUs
-# with Python 3.11.  PACKED_BITS caps one packed coefficient, and with it
-# every stored entry and each answer's coefficient list.  Genus 0, whose
-# divisions by hook products this does not count, stops at GENUS0_RANKS.
+# for its enumeration and coefficients, plus |e| w steps p -= p << 2hB on
+# at most s_w words, s_w = B (2 |e| w^2 + 1) / 64 the packed width times
+# the digit count; and per j <= r, w products of at most s_w words at
+# weight w, each about s_w^1.585 by Karatsuba.  At genus 0, m = -e > 0
+# adds one long division by the hook product per partition, about s_w^2,
+# and the Gaussian-binomial product on each log product.  WORD_BUDGET is
+# about 5 s on 2 vCPUs with Python 3.11.  PACKED_BITS caps one packed
+# coefficient, and with it every stored entry and each answer's
+# coefficient list.
 PARTITION_WORDS = 4 * 10 ** 4
 WORD_BUDGET = 10 ** 10
 PACKED_BITS = 2 ** 20
-GENUS0_RANKS = 12
 
 
 @lru_cache(maxsize=None)
@@ -234,33 +236,31 @@ def _check_cost(w, e, r):
     """Refuse (CostLimit) growing the series at e = g - 1 and r to weight w;
     a request that passes is not predicted again.  Two lower bounds come
     first, so that a far-off request is refused without building its width:
-    the width is at least e w bits, and every partition up to weight w is
+    the width is at least |e| w bits, and every partition up to weight w is
     enumerated."""
-    if e < 0:
-        if w > GENUS0_RANKS:
-            raise CostLimit("genus 0 answers ranks up to %d, not %d"
-                            % (GENUS0_RANKS, w))
-        return
+    a, m = abs(e), max(0, -e)
     too_wide = CostLimit("rank %d at g = %d: a packed coefficient would "
                          "exceed %d bits" % (w, e + 1, PACKED_BITS))
     too_costly = CostLimit("rank %d at g = %d, r = %d: the predicted work "
                            "exceeds the budget of %.0e word operations"
                            % (w, e + 1, r, WORD_BUDGET))
-    if e * w * (2 * e * w * w + 1) > PACKED_BITS:
+    if a * w * (2 * a * w * w + 1) > PACKED_BITS:
         raise too_wide
     work = 0
-    for m in range(1, w + 1):
-        work += partition_count(m) * PARTITION_WORDS
+    for v in range(1, w + 1):
+        work += partition_count(v) * PARTITION_WORDS
         if work > WORD_BUDGET:
             raise too_costly
     if e:
         width = _width(e, r, w)
-        if width * (2 * e * w * w + 1) > PACKED_BITS:
+        if width * (2 * a * w * w + 1) > PACKED_BITS:
             raise too_wide
-        for m in range(1, w + 1):
-            words = width * (2 * e * m * m + 1) / 64
-            work += (partition_count(m) * e * m * words
-                     + (r + 1) * m * words ** 1.585)
+        for v in range(1, w + 1):
+            words = width * (2 * a * v * v + 1) / 64
+            work += (partition_count(v) * a * v * words
+                     + (r + 1) * v * words ** 1.585
+                     + m * (partition_count(v) * words ** 2
+                            + (r + 1) * v * words ** 1.585))
         if work > WORD_BUDGET:
             raise too_costly
 
@@ -483,29 +483,42 @@ def check_component(k, surf):
         raise KOutOfRange("need 1 <= k <= r = %d, got k = %d" % (surf.r, k))
 
 
+def _divided(coeffs, n, m, what):
+    """A coefficient list in u divided exactly by D_n^m, or NotPolynomial:
+    m times per factor (1 - u^(2i)), i <= n, the strided prefix sum
+    out[j] += out[j - 2i], exact iff the top 2i entries then vanish."""
+    out = list(coeffs)
+    for i in range(1, n + 1):
+        for _ in range(m):
+            for j in range(2 * i, len(out)):
+                out[j] += out[j - 2 * i]
+            if any(out[-2 * i:]):
+                raise NotPolynomial("%s has a nontrivial denominator" % what)
+            del out[-2 * i:]
+    return out
+
+
 def _assembled(n, surf, k, conv):
-    """(q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, and the divisor that turns it into
-    E_n (k None: 2n) or into the component E_n^k (2^r n).  The prefactor
-    acts on the coefficient list of D_n^m n V_n: (-u)^(e n^2) moves index i
-    to u^(i + (e - |e|) n^2), and q - 1 = u^2 - 1 takes each coefficient
-    from the one two places below; at genus 0 the value is over D_n^m."""
+    """E_n (k None) or E_n^k: (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n over 2n
+    (k None) or 2^r n.  The prefactor acts on the coefficient list of
+    D_n^m n V_n: (-u)^(e n^2) moves index i to u^(i + (e - |e|) n^2),
+    q - 1 = u^2 - 1 takes each coefficient from the one two places below,
+    and _divided takes D_n^m out."""
     check_component(k, surf)
-    divisor = (2 if k is None else 2 ** surf.r) * n
+    what = "E_%d" % n if k is None else "E_%d^%d" % (n, k)
     e = surf.g - 1
     sign = (-1) ** (e * n * n % 2)
     v = _n_v_coefficients(n, e, surf.r, k, conv)
-    value = HalfPowerPolynomial.from_dense((e - abs(e)) * n * n, [
-        sign * (a - b) for a, b in zip([0, 0] + v, v + [0, 0])])
-    return _over_denominator(value, e, n), divisor
+    value = _divided([sign * (a - b) for a, b in zip([0, 0] + v, v + [0, 0])],
+                     n, max(0, -e), what)
+    return _require_polynomial(
+        HalfPowerPolynomial.from_dense((e - abs(e)) * n * n, value),
+        (2 if k is None else 2 ** surf.r) * n, what)
 
 
 def _require_polynomial(value, divisor, what):
     """value / divisor as a polynomial in q with int coefficients, or
-    NotPolynomial; a rational value (genus 0) needs denominator 1."""
-    if isinstance(value, RationalFunction):
-        if not value.is_polynomial():
-            raise NotPolynomial("%s has a nontrivial denominator" % what)
-        value = value.num
+    NotPolynomial."""
     if not value.is_q_polynomial():
         raise NotPolynomial("%s has odd half powers" % what)
     if any(e < 0 for e in value.terms):
@@ -515,13 +528,6 @@ def _require_polynomial(value, divisor, what):
     return HalfPowerPolynomial({e: c // divisor for e, c in value.terms.items()})
 
 
-def e_poly_rational(n, surf, conv=MATCHED):
-    """Assembled E-value with no polynomiality check, a rational function
-    at g = 0; the tests compare it with the reference route."""
-    value, divisor = _assembled(n, surf, None, conv)
-    return value * Fraction(1, divisor)
-
-
 def e_poly(n, surf, conv=MATCHED):
     """E-polynomial of the rank-n variety, as a polynomial in q with int
     coefficients, for every surface (genus 0 included).
@@ -529,18 +535,12 @@ def e_poly(n, surf, conv=MATCHED):
     Raises NotPolynomial if a denominator, a remainder or a half power
     survives, which signals a convention bug rather than bad input.
     """
-    return _require_polynomial(*_assembled(n, surf, None, conv), "E_%d" % n)
-
-
-def e_poly_component_rational(n, surf, k, conv=MATCHED):
-    "Component E-value with no polynomiality check, as in e_poly_rational."
-    value, divisor = _assembled(n, surf, k, conv)
-    return value * Fraction(1, divisor)
+    return _assembled(n, surf, None, conv)
 
 
 def e_poly_component(n, surf, k, conv=MATCHED):
     "E-polynomial of one path component, by its odd sign count k; as e_poly."
-    return _require_polynomial(*_assembled(n, surf, k, conv), "E_%d^%d" % (n, k))
+    return _assembled(n, surf, k, conv)
 
 
 def component_sum_check(n, surf, conv=MATCHED):

@@ -17,14 +17,14 @@ A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
 self-inverse when inverse_label, which stars each polynomial of the label,
 fixes its label.
 
-A count sorts its atoms (F, or F+ and F-, then N), and F is built once per
-table, F+/F- split from it.  At n <= 2 the count is one character sum mod
-primes (characters.count), imported on the first such count.  At n = 3 it
-is the class sum (prefix * last)(xi I) = sum_c |c| prefix(c) last(xi c^-1),
-with the class of xi c^-1 read off c's label (shift_map), and the prefix is
-one memoized class function per sorted atom tuple: () is the identity delta,
-a 1-tuple the atom, and a longer tuple needs the kernel, which stops at
-n = 2 (KernelMissing).
+A count sorts its atoms (F, or F+ and F-, then N), each built once per
+table (class_fn_atom).  At n <= 2 the count is one character sum mod primes
+(characters.count), imported on the first such count.  At n = 3 it is the
+class sum (prefix * last)(xi I) = sum_c |c| prefix(c) last(xi c^-1), with
+the class of xi c^-1 read off c's label (shift_map), and the prefix the
+identity delta or one atom: a longer prefix needs a convolution on GL_3,
+which nothing here provides, so a count of three or more atoms at n = 3 is
+refused (KernelMissing) before any table is built.
 
 The kernel (n <= 2) is the reference route that the character sum replaced:
 convolve pairs a class function with one that vanishes off the
@@ -67,9 +67,9 @@ class GroupTooLarge(ValueError):
 
 
 class KernelMissing(ValueError):
-    """The kernel cannot evaluate this convolution: there is no kernel at
-    this rank (n > 2), or neither factor vanishes off the self-inverse
-    classes."""
+    """A convolution this module cannot evaluate: a rank-3 count of three or
+    more atoms, a kernel at n > 2, or neither factor vanishing off the
+    self-inverse classes."""
 
 
 class NoPrimitiveRoot(ValueError):
@@ -269,14 +269,17 @@ def irreducibles(field, d):
     """Sorted monic irreducible polynomials of degree d, excluding t itself.
 
     Up to degree 3 a polynomial with a nonzero constant term is irreducible
-    exactly when it is linear or has no root in F_q.
+    exactly when it is linear or has no root in F_q, that is, is no product
+    (t - a) h with a != 0 and h monic of degree d - 1, h(0) != 0.  A sieve
+    marks those products, fewer than q^d, at d >= 2 and keeps the rest.
     """
     if not 1 <= d <= 3:
         raise UnsupportedRank("irreducibles up to degree 3 only")
     q = field.q
-    monic = (c + (1,) for c in product(range(q), repeat=d))
-    return tuple(f for f in monic if f[0] and (
-        d == 1 or all(poly_eval(f, x, q) for x in range(1, q))))
+    reducible = {poly_mul((q - a, 1), h + (1,), q) for a in range(1, q)
+                 for h in product(range(q), repeat=d - 1) if d > 1 and h[0]}
+    return tuple(c + (1,) for c in product(range(q), repeat=d)
+                 if c[0] and c + (1,) not in reducible)
 
 
 def companion(f, q):
@@ -374,7 +377,7 @@ class ClassTable:
         self._self_inverse = None
         self._kernel = None
         self._characters = None
-        self._conv_cache = {}
+        self._atoms = {}
         self._shift = {}
 
     def _representative(self, label):
@@ -721,7 +724,7 @@ def class_fn_F_brute(table):
 def class_fn_F_signed(table):
     """Split the table's one memoized F into its determinant = +1 and
     determinant = -1 parts."""
-    F = _convolution(table, ("F",))
+    F = class_fn_atom(table, "F")
     plus = [v if d == 1 else 0 for v, d in zip(F.values, table.dets)]
     minus = [v if d == table.q - 1 else 0 for v, d in zip(F.values, table.dets)]
     return ClassFunction(table, plus), ClassFunction(table, minus)
@@ -781,29 +784,18 @@ def convolve_at(phi, psi, table, target):
     return convolve(phi, psi, table).values[target]
 
 
-def _convolution(table, atoms):
-    """The class function atom_1 * ... * atom_k of a sorted atom tuple,
-    memoized in table._conv_cache.  () is the identity delta, a 1-tuple the
-    atom, and a longer tuple its prefix convolved with its last atom."""
-    fn = table._conv_cache.get(atoms)
-    if fn is not None:
-        return fn
-    if not atoms:
-        fn = delta_identity(table)
-    elif len(atoms) > 1:
-        last = _convolution(table, atoms[-1:])
-        fn = convolve(_convolution(table, atoms[:-1]), last, table)
-    elif atoms == ("F",):
-        fn = class_fn_F_closed(table)
-    elif atoms == ("N",):
-        fn = class_fn_N(table)
-    elif atoms in (("F+",), ("F-",)):
-        plus, minus = class_fn_F_signed(table)
-        fn = plus if atoms == ("F+",) else minus
-    else:
-        raise ValueError("unknown convolution atoms %r" % (atoms,))
-    table._conv_cache[atoms] = fn
-    return fn
+def class_fn_atom(table, atom):
+    "The class function of a count atom, F, F+, F- or N, built once per table."
+    if atom not in table._atoms:
+        if atom == "F":
+            table._atoms["F"] = class_fn_F_closed(table)
+        elif atom == "N":
+            table._atoms["N"] = class_fn_N(table)
+        elif atom in ("F+", "F-"):
+            table._atoms["F+"], table._atoms["F-"] = class_fn_F_signed(table)
+        else:
+            raise ValueError("unknown count atom %r" % (atom,))
+    return table._atoms[atom]
 
 
 # -- counting the representation variety ---------------------------------
@@ -823,23 +815,28 @@ def count_representation_variety(n, field, surf, xi, k=None):
     F-, the determinant -1 part, and r - k of F+) and g - r + 1 copies of N
     at xi I, for xi a primitive 2n-th root of unity.  At n <= 2 this is the
     character sum of characters.count; at n = 3 it is the class sum of the
-    sorted atoms' prefix and last atom over shift_map(xi), where a prefix of
-    two or more atoms needs the kernel, which stops at n = 2.
-    epoly.check_component refuses a bad k before any table is built.
+    sorted atoms' prefix and last atom over shift_map(xi), for at most two
+    atoms.  A bad k (epoly.check_component) and a rank-3 count of more atoms
+    (KernelMissing) are refused before any table is built.
     """
     epoly.check_component(k, surf)
     if xi % field.q not in primitive_roots_of_unity(field, 2 * n):
         raise NoPrimitiveRoot("xi = %d is not a primitive %dth root mod %d"
                               % (xi, 2 * n, field.q))
-    table = class_table(n, field)
     atoms = (("F",) * surf.r if k is None
              else ("F-",) * k + ("F+",) * (surf.r - k))
     atoms = tuple(sorted(atoms + ("N",) * surf.s))
+    if n == 3 and len(atoms) > 2:
+        raise KernelMissing("a rank-3 count takes at most two atoms, not %d"
+                            % len(atoms))
+    table = class_table(n, field)
     if n <= 2:
         from . import characters
         return characters.count(table, atoms, xi % field.q)
-    last = _convolution(table, atoms[-1:]).values
-    prefix = _convolution(table, atoms[:-1]).values
+    *prefix, last = atoms
+    last = class_fn_atom(table, last).values
+    prefix = (class_fn_atom(table, prefix[0]) if prefix
+              else delta_identity(table)).values
     return sum(size * p * last[c] for size, p, c
                in zip(table.sizes, prefix, table.shift_map(xi)) if p)
 

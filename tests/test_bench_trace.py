@@ -1,8 +1,9 @@
 """The benchmark's traced mode (bench/worker.py with trace 1) wraps package
 functions and methods by name and reads the kernel's nbytes.  This drives a
-traced worker with one three-atom rank-2 count (a count of two atoms builds
-no kernel) and one CLI call, so a refactor that breaks the wrapping fails
-here rather than in a benchmark run."""
+traced worker with one three-atom rank-2 count (a character sum, which
+builds no kernel) and one CLI call, and builds the kernel, which no count
+reaches, under the worker's tracing; so a refactor that breaks the wrapping
+fails here rather than in a benchmark run."""
 
 import json
 import os
@@ -61,3 +62,29 @@ def test_traced_worker_sees_the_rational_arithmetic(tmp_path):
     assert calls.get("algebra.pleth_log", 0) > 0
     assert calls.get("algebra.formal_log", 0) > 0
     assert trace["counters"]["algebra.poly_mul.coeff_products"] > 0
+
+
+KERNEL_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import worker
+from realcharvar import fforacle
+tracer = worker.Tracer()
+worker.install_tracing(tracer)
+K = fforacle.class_table(2, fforacle.PrimeField(5)).kernel()
+print(json.dumps({"nbytes": K.nbytes, "counters": tracer.counters,
+                  "spans": [tracer.names[span[1]] for span in tracer.spans]}))
+"""
+
+
+def test_traced_kernel_records_its_bytes_and_span():
+    proc = subprocess.run(
+        [sys.executable, "-c", KERNEL_SCRIPT, str(ROOT / "src"),
+         str(ROOT / "bench")],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout)
+    assert traced["counters"]["fforacle.kernel.bytes"] == traced["nbytes"] \
+        == 18432
+    assert "fforacle.kernel" in traced["spans"]

@@ -64,7 +64,7 @@ def _chain(table, atoms, xi):
     "The atoms convolved through the kernel, one at a time, read at xi I."
     acc = delta_identity(table)
     for atom in atoms:
-        acc = convolve(acc, fforacle._convolution(table, (atom,)), table)
+        acc = convolve(acc, fforacle.class_fn_atom(table, atom), table)
     return acc.values[table.scalar_class_index(xi)]
 
 

@@ -248,14 +248,14 @@ def test_broken_oracle_invariant_is_one_line(monkeypatch):
      "CostLimit: rank 3 at g = 200: a packed coefficient would exceed"),
     (["epoly", "--n", "1", "--g", "10000000", "--r", "10000001"],
      "CostLimit: rank 1 at g = 10000000: a packed coefficient would exceed"),
-    (["epoly", "--n", "1-13", "--g", "0", "--r", "1"],
-     "CostLimit: genus 0 answers ranks up to 12, not 13"),
+    (["epoly", "--n", "1-23", "--g", "0", "--r", "1"],
+     "CostLimit: rank 23 at g = 0, r = 1: the predicted work exceeds"),
     (["euler", "--n", "1-1000000", "--g", "1", "--r", "1", "--k", "1"],
      "CostLimit: rank 1000000 at g = 1, r = 1: the predicted work exceeds"),
     (["genfun", "--N", "40", "--g", "2", "--r", "1"],
      "CostLimit: rank 40 at g = 2, r = 1: the predicted work exceeds"),
-    (["verify", "telescope", "--g", "0", "--r", "1", "--N", "14"],
-     "CostLimit: genus 0 answers ranks up to 12, not 14"),
+    (["verify", "telescope", "--g", "0", "--r", "1", "--N", "23"],
+     "CostLimit: rank 23 at g = 0, r = 1: the predicted work exceeds"),
 ])
 def test_costly_requests_are_refused_before_any_rank(argv, start):
     started = time.perf_counter()

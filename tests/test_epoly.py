@@ -7,13 +7,12 @@ from realcharvar import algebra, epoly
 from realcharvar.algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
                                  Q_MINUS_ONE, RF_ZERO, RationalFunction, adams,
                                  log_coefficients)
-from realcharvar.epoly import (CostLimit, EmptyPartition, GENUS0_RANKS,
+from realcharvar.epoly import (CostLimit, EmptyPartition,
                                KOutOfRange, EvenK, MATCHED,
                                NotPolynomial, SurfaceData, TRANSPOSED,
                                _require_polynomial, check_cost,
                                component_sum_check, e_poly,
-                               e_poly_component, e_poly_component_rational,
-                               e_poly_rational, euler_char_component,
+                               e_poly_component, euler_char_component,
                                gen_function_check, hook_polynomial,
                                complex_curve_e_poly, partition_multisets, v_n)
 from realcharvar.partitions import all_partitions, conjugate
@@ -118,10 +117,10 @@ def test_log_route_matches_multiset_reference():
             surf = SurfaceData(g, r)
             for conv in (MATCHED, TRANSPOSED):
                 for n in range(1, n_max + 1):
-                    assert e_poly_rational(n, surf, conv) == \
+                    assert e_poly(n, surf, conv) == \
                         reference_e_value(n, surf, conv), (n, g, r, conv)
                     for k in range(1, r + 1, 2):
-                        assert e_poly_component_rational(n, surf, k, conv) == \
+                        assert e_poly_component(n, surf, k, conv) == \
                             reference_e_value(n, surf, conv, k), (n, g, r, k, conv)
                     cases += 1
     assert cases == 184
@@ -153,7 +152,7 @@ def test_e_poly_degree_and_integrality():
                 assert all(type(c) is int for c in comp.terms.values())
 
 
-def test_half_integer_coefficient_is_not_polynomial():
+def test_half_integer_coefficient_is_not_polynomial(monkeypatch):
     # (value, divisor): a half-integer coefficient, an int coefficient the
     # divisor does not divide, a half power, a negative power
     for value, divisor in ((HalfPowerPolynomial({2: Fraction(1, 2)}), 1),
@@ -164,14 +163,20 @@ def test_half_integer_coefficient_is_not_polynomial():
             _require_polynomial(value, divisor, "E")
     assert _require_polynomial(HalfPowerPolynomial({0: 4, 2: 8}), 4, "E") \
         == HalfPowerPolynomial({0: 1, 2: 2})
-    # a genus-0 value is a rational function: a real denominator is refused,
-    # and denominator 1 gives the numerator, divided exactly
-    with pytest.raises(NotPolynomial):
-        _require_polynomial(RationalFunction(ONE, ONE - Q), 1, "E")
-    got = _require_polynomial(RationalFunction(Q * 6 - 2), 2, "E")
-    assert got == Q * 3 - 1
-    assert type(got) is HalfPowerPolynomial
-    assert all(type(c) is int for c in got.terms.values())
+    # a genus-0 numerator is divided exactly by D_n^m: 1 - q is D_1, 1 is
+    # not divisible by it, and m = 0 divides by nothing
+    assert epoly._divided([1, 0, -1], 1, 1, "E") == [1]
+    assert epoly._divided([3, 0, 1], 4, 0, "E") == [3, 0, 1]
+    with pytest.raises(NotPolynomial, match="E has a nontrivial denominator"):
+        epoly._divided([1, 0, 0], 1, 1, "E")
+    # the rank-1 numerator at (0, 1) over D_2 in place of D_1
+    divided = epoly._divided
+    monkeypatch.setattr(epoly, "_divided",
+                        lambda coeffs, n, m, what: divided(coeffs, n + 1, m,
+                                                           what))
+    with pytest.raises(NotPolynomial,
+                       match="E_1 has a nontrivial denominator"):
+        e_poly(1, SurfaceData(0, 1))
 
 
 def _clear_formula_caches():
@@ -182,6 +187,7 @@ def _clear_formula_caches():
 
 
 def test_integer_route_builds_no_rational_function(monkeypatch):
+    "No rational function, gcd or polynomial division, genus 0 included."
     built = []
     init, raw = RationalFunction.__init__, RationalFunction._raw
 
@@ -193,20 +199,29 @@ def test_integer_route_builds_no_rational_function(monkeypatch):
         built.append((num, den))
         return raw(num, den)
 
+    def spy(fn):
+        def recorded(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return recorded
+
     _clear_formula_caches()
     monkeypatch.setattr(RationalFunction, "__init__", spy_init)
     monkeypatch.setattr(RationalFunction, "_raw", classmethod(spy_raw))
-    for g, r in ((1, 2), (3, 2), (2, 3)):
+    for name in ("poly_gcd", "poly_divmod"):
+        monkeypatch.setattr(algebra, name, spy(getattr(algebra, name)))
+    for g, r, ranks in ((1, 2, (1, 4, 5)), (3, 2, (1, 4, 5)),
+                        (2, 3, (1, 4, 5)), (0, 1, range(1, 13))):
         surf = SurfaceData(g, r)
         for conv in (MATCHED, TRANSPOSED):
-            for n in (1, 4, 5):
+            for n in ranks:
                 e_poly(n, surf, conv)
                 e_poly_component(n, surf, 1, conv)
                 euler_char_component(n, surf, r - (r + 1) % 2, conv)
     assert built == []
-    # the spies do see the genus-0 route
-    e_poly_rational(2, SurfaceData(0, 1))
-    assert built
+    # the spies do see the genus-0 rational values: V_1 = 2 u / (1 - q)
+    v_n(1, SurfaceData(0, 1))
+    assert "poly_gcd" in built and any(type(x) is tuple for x in built)
 
 
 def test_log_tables_hold_int_polynomials():
@@ -298,7 +313,7 @@ def test_genus0_route_adds_no_rational_functions(monkeypatch):
             monkeypatch.setattr(module, name, spy(name), raising=False)
     surf = SurfaceData(0, 1)
     for conv in (MATCHED, TRANSPOSED):
-        for n in range(1, GENUS0_RANKS + 1):
+        for n in range(1, 13):
             assert e_poly(n, surf, conv) == (ONE if n == 1 else 0)
             e_poly_component(n, surf, 1, conv)
             euler_char_component(n, surf, 1, conv)
@@ -361,13 +376,13 @@ def test_log_table_does_not_depend_on_request_order():
 
 
 def test_cost_limit_answers_the_supported_ranks():
-    "Ranks 1-20 at g <= 4 and 1-24 at g = 2 pass; the next steps do not."
+    """Ranks 1-22 at g = 0, 1-20 at g <= 4 and 1-24 at g = 2 pass; the next
+    steps do not."""
     assert issubclass(CostLimit, ValueError)
     for g in range(5):
         for r in range(1, g + 2):
-            check_cost({0: GENUS0_RANKS, 2: 24}.get(g, 20), SurfaceData(g, r))
-    for n, g, r in ((GENUS0_RANKS + 1, 0, 1), (40, 3, 2), (60, 1, 1),
-                    (3, 200, 1)):
+            check_cost({0: 22, 2: 24}.get(g, 20), SurfaceData(g, r))
+    for n, g, r in ((23, 0, 1), (40, 3, 2), (60, 1, 1), (3, 200, 1)):
         with pytest.raises(CostLimit):
             check_cost(n, SurfaceData(g, r))
     # the library refuses as the command line does, before any work
@@ -375,7 +390,7 @@ def test_cost_limit_answers_the_supported_ranks():
     with pytest.raises(CostLimit):
         e_poly(40, SurfaceData(3, 2))
     with pytest.raises(CostLimit):
-        e_poly_component(GENUS0_RANKS + 1, SurfaceData(0, 1), 1)
+        e_poly_component(23, SurfaceData(0, 1), 1)
     assert epoly._LOG_TABLES[2, 2, MATCHED].series == [[0]] * 3
 
 

@@ -1,8 +1,8 @@
 """Property tests for the formula side: integrality, the binomial component
 sum, k-independence at odd rank, the Euler characteristics and the genus-1
-constants, on requests drawn with n <= 12 (every rank genus 0 answers) and
-g <= 5 in both conventions; and the packed log tables, genus 0 included,
-against the multiset reference for n <= 8 and g <= 4.
+constants, on requests drawn with n <= 12 and g <= 5 in both conventions;
+and the packed log tables, genus 0 included, against the multiset reference
+for n <= 8 and g <= 4.
 The Euler characteristic's binomial sums are checked against the route they
 replaced, g exact divisions by q-1 and then evaluation at q = 1."""
 
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from realcharvar import epoly
 from realcharvar.algebra import (HalfPowerPolynomial, Q_MINUS_ONE, moebius,
                                  poly_divmod)
-from realcharvar.epoly import (CONVENTIONS, GENUS0_RANKS, NotDivisible,
+from realcharvar.epoly import (CONVENTIONS, NotDivisible,
                                SurfaceData, e_poly, e_poly_component,
                                euler_char_component)
 from realcharvar.verify import reference_e_value
@@ -27,11 +27,11 @@ PROPERTIES = settings(max_examples=50, deadline=None, database=None,
 @st.composite
 def requests(draw, min_g=0, max_g=5, max_n=12):
     """(n, surface, odd k <= r, convention) with min_g <= g <= max_g and
-    n <= max_n, n <= GENUS0_RANKS at genus 0."""
+    n <= max_n."""
     g = draw(st.integers(min_g, max_g))
     r = draw(st.integers(1, g + 1))
     k = draw(st.sampled_from(range(1, r + 1, 2)))
-    n = draw(st.integers(1, max_n if g else min(max_n, GENUS0_RANKS)))
+    n = draw(st.integers(1, max_n))
     return n, SurfaceData(g, r), k, draw(st.sampled_from(CONVENTIONS))
 
 

@@ -28,7 +28,7 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   delta_identity, det_mod, f_closed_poly,
                                   formula_count, group_order, inverse_label,
                                   inverse_mod, irreducibles,
-                                  poly_eval_matrix, poly_star,
+                                  poly_eval, poly_eval_matrix, poly_star,
                                   primitive_roots_of_unity)
 from realcharvar.ffreference import (class_fn_C_brute, classify,
                                      f_degree_prediction, kernel_dim)
@@ -684,6 +684,17 @@ def test_irreducible_counts():
         irreducibles(F3, 4)
 
 
+def test_irreducibles_sieve_matches_the_root_test():
+    # a monic f with f(0) != 0 and degree <= 3 is irreducible iff it is
+    # linear or has no root
+    for q in (3, 5, 7, 13):
+        for d in (1, 2, 3):
+            want = tuple(c + (1,) for c in product(range(q), repeat=d)
+                         if c[0] and (d == 1 or all(
+                             poly_eval(c + (1,), x, q) for x in range(1, q))))
+            assert irreducibles(PrimeField(q), d) == want, (q, d)
+
+
 # -- the kernel on the self-inverse classes ----------------------------------
 
 def _element_classes(table):
@@ -873,6 +884,14 @@ def test_rank3_refusals():
                     assert count_representation_variety(
                         3, field, surf, xi, k) == formula_count(
                             3, field, surf, k)
+
+
+def test_rank3_refusal_builds_no_table(monkeypatch):
+    # three atoms at n = 3 are refused before the 336-class table is built
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    with pytest.raises(KernelMissing, match="at most two atoms, not 3"):
+        count_representation_variety(3, PrimeField(7), SurfaceData(2, 1), 3)
+    assert fforacle._TABLES == {}
 
 
 def _surfaces(g_max):

@@ -15,8 +15,8 @@ import pytest
 from realcharvar import epoly
 from realcharvar.algebra import RationalFunction, TruncatedSeries
 from realcharvar.epoly import (CONVENTIONS, SurfaceData, complex_curve_e_poly,
-                               e_poly_component_rational, e_poly_rational,
-                               gen_function_check, v_n)
+                               e_poly, e_poly_component, gen_function_check,
+                               v_n)
 
 
 def _poly_text(p):
@@ -36,17 +36,20 @@ def _digest(lines):
 
 
 def e_value_lines(g, conv):
-    "V_n, E_n and every odd-k E_n^k, unchecked, for n <= 6 and every r."
+    """V_n, E_n and every odd-k E_n^k for n <= 6 and every r.  The E values
+    were recorded as rational functions at genus 0, so they are written as
+    one there."""
     lines = []
+    as_recorded = RationalFunction if g == 0 else (lambda poly: poly)
     for r in range(1, g + 2):
         surf = SurfaceData(g, r)
         for n in range(1, 7):
             lines.append("V %d %d: %s" % (r, n, _value_text(v_n(n, surf, conv))))
-            lines.append("E %d %d: %s" % (
-                r, n, _value_text(e_poly_rational(n, surf, conv))))
+            lines.append("E %d %d: %s" % (r, n, _value_text(
+                as_recorded(e_poly(n, surf, conv)))))
             for k in range(1, r + 1, 2):
                 lines.append("E %d %d %d: %s" % (r, n, k, _value_text(
-                    e_poly_component_rational(n, surf, k, conv))))
+                    as_recorded(e_poly_component(n, surf, k, conv)))))
     return lines
 
 
