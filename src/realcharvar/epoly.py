@@ -32,8 +32,21 @@ n V_n combines the packed c^(j) by the b_j and unpacks the digits once per
 odd d | n for the Adams sum.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n,
 at genus 0 divided exactly by D_n^m, then divided exactly by 2n (by 2^r n
 for a component); a remainder raises NotPolynomial.  Requests whose
-predicted cost exceeds a stated budget, by one rule for every genus, are
-refused with CostLimit first.
+predicted cost exceeds a stated budget, by one rule for every genus and
+for the identity check too, are refused with CostLimit first.
+
+The generating-function identity sum_n V_n T^n = PLog(prod over s = 2^k
+of psi_s(A_r / A_0)^(1/s)) is checked as one exact Kronecker evaluation:
+both sides become ints at u = X = 2^B, rank M scaled by (M-1)! D_M^m.  The
+left side is (M-1)! D_M^m M V_M from the log recurrence and the odd-divisor
+sum; the right side reads only the table's packed series.  Each of its
+steps (the ratio, the 1/s power by Miller's recurrence, the product, the
+log, the Moebius sum) is scaled to divide by nothing, with Gaussian
+binomials built by the q-Pascal rule, and psi_s re-spreads a value's digits
+at stride s.  The same recurrences run on l1 norms prove B, so that equal
+values at X are equal polynomials; no Fraction, RationalFunction or
+TruncatedSeries is built.  The check's code is in kronecker; its rational
+form lives in verify as the reference.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -50,9 +63,7 @@ from itertools import product as iproduct
 from math import comb, factorial, inf, isqrt
 
 from .algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q_MINUS_ONE,
-                      RF_ONE, RationalFunction, TruncatedSeries, U, ZERO,
-                      adams, divisor_sum, moebius, pleth_log,
-                      rational_exponent_pow)
+                      RationalFunction, U, ZERO, divisor_sum, moebius)
 from .partitions import (all_partitions, conjugate, hooks, multiplicities,
                          n_lambda, partition_count, weight)
 from .symfun import a_minus, a_plus
@@ -170,16 +181,44 @@ def _unpack(packed, count, width):
 
 
 def _pack(digits, width):
-    "Inverse of _unpack for digits below 2^(width-1) in absolute value."
+    """Inverse of _unpack for digits below 2^(width-1) in absolute value;
+    one digit is the int itself."""
+    if len(digits) == 1:
+        return digits[0]
     size, half = width // 8, 1 << (width - 1)
     raw = b"".join((d + half).to_bytes(size, "little") for d in digits)
     return int.from_bytes(raw, "little") - _bias(len(digits), width)
 
 
-def _bias(count, width):
-    "sum over i < count of 2^(width-1) 2^(width i)."
+def _bias(count, width, slot=None):
+    """sum over i < count of 2^(width-1) 2^(slot i), with slot bits per
+    digit (width when None)."""
     digit = (1 << (width - 1)).to_bytes(width // 8, "little")
-    return int.from_bytes(digit * count, "little")
+    return int.from_bytes(digit.ljust((slot or width) // 8, b"\0") * count,
+                          "little")
+
+
+def _spread(packed, count, width, new_width, stride=1):
+    """The packed value with digit i moved to digit stride i, new_width bits
+    per digit; every digit must be below 2^(min width - 1) in absolute
+    value.  At stride s this is psi_s, u -> u^s.  The digits move as byte
+    fields and are never read as ints; one digit is the int itself."""
+    if count == 1 or (stride, width) == (1, new_width):
+        return packed
+    keep = min(width, new_width)
+    size, new_size, kept = width // 8, new_width // 8, keep // 8
+    biased = packed + _bias(count, keep, width)
+    if biased < 0 or biased.bit_length() > count * width:
+        raise ExactnessError("a packed value overflows %d digits of %d bits"
+                             % (count, width))
+    raw = biased.to_bytes(count * size, "little")
+    if any(raw[b::size].count(0) < count for b in range(kept, size)):
+        raise ExactnessError("a packed digit exceeds %d bits" % keep)
+    step = stride * new_size
+    out = bytearray(((count - 1) * stride + 1) * new_size)
+    for b in range(kept):
+        out[b::step] = raw[b::size]
+    return int.from_bytes(out, "little") - _bias(count, keep, step * 8)
 
 
 def _group_totals(e, r, top):
@@ -222,28 +261,35 @@ def _width(e, r, top):
 # the digit count; and per j <= r, w products of at most s_w words at
 # weight w, each about s_w^1.585 by Karatsuba.  At genus 0, m = -e > 0
 # adds one long division by the hook product per partition, about s_w^2,
-# and the Gaussian-binomial product on each log product.  WORD_BUDGET is
-# about 5 s on 2 vCPUs with Python 3.11.  PACKED_BITS caps one packed
+# and the Gaussian-binomial product on each log product.  The identity
+# check to order N adds, at each weight w, about 3 w products (the ratio,
+# the log and the convolutions over s), 4 w at genus 0 with the Gaussian
+# binomials, of s_w words at its own width B; measured, each costs about
+# IDENTITY_PRODUCT s_w^1.585 in the table's units.  WORD_BUDGET is about
+# 5 s on 2 vCPUs with Python 3.11.  PACKED_BITS caps one packed
 # coefficient, and with it every stored entry and each answer's
 # coefficient list.
 PARTITION_WORDS = 4 * 10 ** 4
+IDENTITY_PRODUCT = 4
 WORD_BUDGET = 10 ** 10
 PACKED_BITS = 2 ** 20
 
 
 @lru_cache(maxsize=None)
-def _check_cost(w, e, r):
-    """Refuse (CostLimit) growing the series at e = g - 1 and r to weight w;
-    a request that passes is not predicted again.  Two lower bounds come
-    first, so that a far-off request is refused without building its width:
-    the width is at least |e| w bits, and every partition up to weight w is
+def _check_cost(w, e, r, surface, identity=False):
+    """Refuse (CostLimit) growing the series at e and r to weight w, and
+    with identity also checking the product identity to order w; a request
+    that passes is not predicted again.  surface holds the names of the
+    surface in the two messages.  Two lower bounds come first, so that a
+    far-off request is refused without building its width: the width is
+    at least |e| w bits, and every partition up to weight w is
     enumerated."""
     a, m = abs(e), max(0, -e)
-    too_wide = CostLimit("rank %d at g = %d: a packed coefficient would "
-                         "exceed %d bits" % (w, e + 1, PACKED_BITS))
-    too_costly = CostLimit("rank %d at g = %d, r = %d: the predicted work "
+    too_wide = CostLimit("rank %d at %s: a packed coefficient would "
+                         "exceed %d bits" % (w, surface[0], PACKED_BITS))
+    too_costly = CostLimit("rank %d at %s: the predicted work "
                            "exceeds the budget of %.0e word operations"
-                           % (w, e + 1, r, WORD_BUDGET))
+                           % (w, surface[1], WORD_BUDGET))
     if a * w * (2 * a * w * w + 1) > PACKED_BITS:
         raise too_wide
     work = 0
@@ -263,12 +309,17 @@ def _check_cost(w, e, r):
                             + (r + 1) * v * words ** 1.585))
         if work > WORD_BUDGET:
             raise too_costly
+    if identity:
+        from .kronecker import predicted_work
+        if work + predicted_work(e, r, w) > WORD_BUDGET:
+            raise too_costly
 
 
-def check_cost(n, surf):
+def check_cost(n, surf, identity=False):
     """Refuse (CostLimit) a rank-n request at surf whose predicted cost
-    exceeds the budget, before any work."""
-    _check_cost(n, surf.g - 1, surf.r)
+    exceeds the budget, before any work; with identity, a request that
+    also checks the product identity to order n."""
+    _check_cost(n, surf.g - 1, surf.r, _surface_names(surf), identity)
 
 
 def _packed_product(exponents, times, width):
@@ -289,6 +340,30 @@ def _over_denominator(poly, e, w):
     return RationalFunction(poly, (U ** w * hook_polynomial((w,))) ** -e)
 
 
+class _Binomials:
+    """Packed Gaussian binomials [w, k]^m = (D_w / (D_k D_(w-k)))^m at one
+    digit width, a polynomial in q = u^2 with nonnegative coefficients that
+    sum to C(w, k).  Rows are built in order by the q-Pascal rule
+    [w, k] = [w-1, k-1] + q^k [w-1, k], shifts and adds with no division,
+    and cached per (w, k)."""
+
+    def __init__(self, width, m):
+        self.width, self.m = width, m
+        self.plain = [[1]]
+        self.powered = [[1]]
+
+    def row(self, w):
+        "[w, k]^m for k = 0..w."
+        while len(self.plain) <= w:
+            last, v = self.plain[-1], len(self.plain)
+            row = [1] + [last[k - 1] + (last[k] << (2 * k * self.width))
+                         for k in range(1, v)] + [1]
+            self.plain.append(row)
+            self.powered.append(row if self.m == 1 else
+                                [b ** self.m for b in row])
+        return self.powered[w]
+
+
 class _LogTable:
     """The partition series A_j and their log coefficients c^(j)_w, for
     j = 0..r, at one (e, r, conv) with e = g - 1, times D_w^m, m = max(0, -e).
@@ -300,17 +375,19 @@ class _LogTable:
     weight at a time, in any request order.  The l1 bound proves the width
     for every weight up to self.cap; a weight past the cap re-spaces every
     stored entry to the width proved for a cap a quarter beyond it; only the
-    packed D_w^m in self.denominators are rebuilt, no entry.
+    packed D_w^m in self.denominators and the Gaussian binomials are
+    rebuilt, no entry.  surface names the surface in a CostLimit message.
     """
 
-    def __init__(self, e, r, conv):
-        self.e, self.r, self.conv = e, r, conv
+    def __init__(self, e, r, conv, surface):
+        self.e, self.r, self.conv, self.surface = e, r, conv, surface
         self.m = max(0, -e)
         self.width = 0
         self.cap = 0 if e else inf
         self.series = [[0] for _ in range(r + 1)]
         self.logs = [[0] for _ in range(r + 1)]
         self.denominators = [1]
+        self.binomials = _Binomials(0, self.m)
 
     def digit_count(self, w):
         return 2 * abs(self.e) * w * w + 1
@@ -325,6 +402,7 @@ class _LogTable:
         self.width, self.cap = width, cap
         self.denominators = [_packed_product(range(1, v + 1), self.m, width)
                              for v in range(len(self.denominators))]
+        self.binomials = _Binomials(width, self.m)
 
     def _grow_series(self, top):
         """D_w^m A_j(w) for every w <= top: sum over |lam| = w of a+^j
@@ -334,7 +412,7 @@ class _LogTable:
         same product; the convention sets only its offset."""
         e, r = self.e, self.r
         if top >= len(self.series[0]):
-            _check_cost(top, e, r)
+            _check_cost(top, e, r, self.surface)
         for w in range(len(self.series[0]), top + 1):
             if w > self.cap:
                 self._widen(w)
@@ -374,18 +452,19 @@ class _LogTable:
     def log_at(self, j, top):
         """Packed D_w^m c^(j)_w, by c_w = w A_w - sum_k c_k A_(w-k): the
         product of weights k and w - k sits at offset |e| (k^2 + (w-k)^2),
-        so a shift of 2 |e| k (w-k) digits aligns it with weight w, and
-        (D_w / (D_k D_(w-k)))^m puts it over D_w^m."""
+        so a shift of 2 |e| k (w-k) digits aligns it with weight w, and the
+        Gaussian binomial (D_w / (D_k D_(w-k)))^m puts it over D_w^m."""
         self._grow_series(top)
-        a, c, dens = self.series[j], self.logs[j], self.denominators
+        a, c = self.series[j], self.logs[j]
         width, e = self.width, abs(self.e)
         for w in range(len(c), top + 1):
             acc = w * a[w]
+            binomials = self.binomials.row(w) if self.m else None
             for k in range(1, w):
                 if c[k] and a[w - k]:
                     product = c[k] * a[w - k]
                     if self.m:
-                        product *= dens[w] // (dens[k] * dens[w - k])
+                        product *= binomials[k]
                     acc -= product << (2 * e * k * (w - k) * width)
             c.append(acc)
         return c[top]
@@ -405,27 +484,23 @@ class _LogTable:
 _LOG_TABLES = {}
 
 
-def _log_table(e, r, conv):
-    "The one packed table per (e, r, conv)."
+def _log_table(e, r, conv, surface):
+    """The one packed table per (e, r, conv); surface, the caller's names
+    for its surface, goes into the table's CostLimit messages."""
     table = _LOG_TABLES.get((e, r, conv))
     if table is None:
-        table = _LOG_TABLES[e, r, conv] = _LogTable(e, r, conv)
+        table = _LOG_TABLES[e, r, conv] = _LogTable(e, r, conv, surface)
     return table
 
 
-@lru_cache(maxsize=None)
-def _series_coefficient(w, e, j, r, conv):
-    "T^w coefficient of the partition series A_j: sum_{|lam|=w} a+^j a-^(r-j) H^e."
-    table = _log_table(e, r, conv)
-    return _over_denominator(table.polynomial(table.series_at(j, w), w), e, w)
+def _surface_names(surf):
+    "How a CostLimit message names a real curve: its genus, then with r."
+    return "g = %d" % surf.g, "g = %d, r = %d" % (surf.g, surf.r)
 
 
-def _partition_series(order, e, j, r, conv, scale):
-    "1 + sum_w psi_scale(A_j coefficient w) T^(scale*w), truncated at order."
-    coeffs = {scale * w: adams(_series_coefficient(w, e, j, r, conv), scale)
-              for w in range(1, order // scale + 1)}
-    coeffs[0] = RF_ONE
-    return TruncatedSeries(order, coeffs)
+def _real_table(surf, conv):
+    "The packed table of the real curve surf."
+    return _log_table(surf.g - 1, surf.r, conv, _surface_names(surf))
 
 
 def _component_weights(r, k):
@@ -438,7 +513,7 @@ def _component_weights(r, k):
     return {j: b for j, b in weights.items() if b}
 
 
-def _n_v_coefficients(n, e, r, k, conv):
+def _n_v_coefficients(n, surf, k, conv):
     """D_n^m n V_n as its list of coefficients, of u^(i - |e| n^2) at index
     i.  n V_n = sum over odd d | n of mu(d) psi_d(sum_j b_j c^(j)_(n/d)),
     with b_j the coefficients of x^j in x^r - 1 for the total (k None) and
@@ -448,8 +523,9 @@ def _n_v_coefficients(n, e, r, k, conv):
     is unpacked once and added in at psi_d, the exponents times d, times
     the factors (1 - q^i)^m of D_n^m with d not dividing i."""
     _check_request(n, conv)
-    table = _log_table(e, r, conv)
-    weights = _component_weights(r, k)
+    table = _real_table(surf, conv)
+    weights = _component_weights(surf.r, k)
+    e = table.e
     out = table.combined(weights, n)
     for d in range(3, n + 1, 2):
         mu = moebius(d) if n % d == 0 else 0
@@ -470,7 +546,7 @@ def v_n(n, surf, conv=MATCHED):
     rational function over D_n^m."""
     e = surf.g - 1
     n_v = HalfPowerPolynomial.from_dense(
-        -abs(e) * n * n, _n_v_coefficients(n, e, surf.r, None, conv))
+        -abs(e) * n * n, _n_v_coefficients(n, surf, None, conv))
     return _over_denominator(n_v, e, n) * Fraction(1, n)
 
 
@@ -508,7 +584,7 @@ def _assembled(n, surf, k, conv):
     what = "E_%d" % n if k is None else "E_%d^%d" % (n, k)
     e = surf.g - 1
     sign = (-1) ** (e * n * n % 2)
-    v = _n_v_coefficients(n, e, surf.r, k, conv)
+    v = _n_v_coefficients(n, surf, k, conv)
     value = _divided([sign * (a - b) for a, b in zip([0, 0] + v, v + [0, 0])],
                      n, max(0, -e), what)
     return _require_polynomial(
@@ -567,26 +643,33 @@ def euler_char_component(n, surf, k, conv=MATCHED):
 
 
 def gen_function_check(n_max, surf, conv=MATCHED):
-    """Compare the term-by-term sums against the plethystic product formula.
+    """Compare the term-by-term sums against the plethystic product formula:
+    sum_n V_n T^n = PLog(prod over s = 2^k <= n_max of
+    psi_s(A_r / A_0)^(1/s)) up to T^n_max, with A_r and A_0 the partition
+    series and psi_s the Adams map q -> q^s, T -> T^s.
 
-    Builds sum_n V_n T^n on one side and Log of the product over k of
-    (plus-series / minus-series)^(1/2^k) at q -> q^(2^k), T -> T^(2^k) on the
-    other, both truncated at order n_max.  The plus and minus series are the
-    partition series A_r and A_0.
+    Both sides are exact integers at one point u = X = 2^B (Kronecker
+    substitution), each rank M scaled by (M-1)! D_M^m and offset by
+    X^(|e| M^2).  The left side is (M-1)! D_M^m M V_M from the log
+    recurrence and the odd-divisor sum (_n_v_coefficients); the right side
+    (kronecker._product_side) reads only the packed series D_w^m A_r(w) and
+    D_w^m A_0(w), never the table's logs.  The same recurrences run on l1
+    norms (kronecker._Norms) bound the right side and every value it
+    re-spreads, the digits bound the left, and B is the least whole number
+    of bytes with both bounds together below 2^(B-2).  Then every digit
+    fits, and the difference of the two sides has balanced base-X digits
+    below X/2, which vanish only if every digit is 0: equal values at X are
+    equal polynomials, and the verdict is exact.  The check's code is in
+    kronecker, loaded on the first check.
     """
+    from .kronecker import agrees
     _check_convention(conv)
-    lhs = TruncatedSeries(n_max, {n: v_n(n, surf, conv)
-                                  for n in range(1, n_max + 1)})
-    e, r = surf.g - 1, surf.r
-    product = TruncatedSeries.one(n_max)
-    scale = 1
-    while scale <= n_max:
-        plus = _partition_series(n_max, e, r, r, conv, scale)
-        minus = _partition_series(n_max, e, 0, r, conv, scale)
-        ratio = plus * minus.inverse()
-        product = product * rational_exponent_pow(ratio, Fraction(1, scale))
-        scale *= 2
-    return pleth_log(product) == lhs
+    if n_max < 1:
+        raise ValueError("truncation order must be positive")
+    check_cost(n_max, surf, identity=True)
+    lhs = [None] + [_n_v_coefficients(n, surf, None, conv)
+                    for n in range(1, n_max + 1)]
+    return agrees(_real_table(surf, conv), lhs, surf.r, n_max)
 
 
 def complex_curve_e_poly(n, g):
@@ -601,7 +684,8 @@ def complex_curve_e_poly(n, g):
     if g < 0:
         raise ValueError("genus must be non-negative")
     e = 2 * g - 2
-    table = _log_table(e, 0, MATCHED)
+    table = _log_table(e, 0, MATCHED,
+                       ("genus %d of the complex curve" % g,) * 2)
     n_coefficient = divisor_sum(n, lambda w: _over_denominator(
         table.polynomial(table.log_at(0, w), w), e, w), moebius)
     mono = HalfPowerPolynomial.u_power(2 * n * n * (g - 1))

@@ -3,8 +3,10 @@
 Each criterion is a callable returning (ok, detail).  Everything is exact;
 the detail string carries enough context to chase a failure.  The worked
 low-rank closed forms are rebuilt here, independently of the summation code,
-as frozen regression targets, and so is the literal multiset-of-partitions
-sum that the production log route replaces (reference_e_value).
+as frozen regression targets, and so are the literal multiset-of-partitions
+sum that the production log route replaces (reference_e_value) and the
+rational form of the product identity that the production Kronecker check
+replaces (gen_function_reference).
 """
 
 import time
@@ -13,11 +15,14 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
-                      Q_MINUS_ONE, RF_ONE, RF_ZERO, RationalFunction, ZERO,
-                      adams, moebius)
-from .epoly import (MATCHED, TRANSPOSED, SurfaceData, component_sum_check,
-                    e_poly, e_poly_component, euler_char_component,
-                    gen_function_check, hook_polynomial, partition_multisets)
+                      Q_MINUS_ONE, RF_ONE, RF_ZERO, RationalFunction,
+                      TruncatedSeries, ZERO, adams, moebius, pleth_log,
+                      rational_exponent_pow)
+from .epoly import (MATCHED, TRANSPOSED, SurfaceData, _over_denominator,
+                    _real_table, component_sum_check, e_poly,
+                    e_poly_component, euler_char_component,
+                    gen_function_check, hook_polynomial, partition_multisets,
+                    v_n)
 from .partitions import all_partitions, conjugate
 from .symfun import (a_minus, a_minus_from_characters, a_minus_from_pieri,
                      a_plus, a_plus_from_characters, a_plus_from_pieri,
@@ -108,6 +113,41 @@ def reference_e_value(n, surf, conv=MATCHED, k=None):
     prefactor = HalfPowerPolynomial.u_power(e, (-1) ** (e % 2)) * Q_MINUS_ONE
     return (RationalFunction(prefactor) * total
             * Fraction(1, 2 if k is None else 2 ** r))
+
+
+@lru_cache(maxsize=None)
+def _series_coefficient(w, surf, j, conv):
+    """T^w coefficient of the partition series A_j at surf, a rational
+    function: sum_{|lam|=w} a+^j a-^(r-j) H^(g-1)."""
+    table = _real_table(surf, conv)
+    return _over_denominator(table.polynomial(table.series_at(j, w), w),
+                             table.e, w)
+
+
+def _partition_series(order, surf, j, conv, scale):
+    "1 + sum_w psi_scale(A_j coefficient w) T^(scale*w), truncated at order."
+    coeffs = {scale * w: adams(_series_coefficient(w, surf, j, conv), scale)
+              for w in range(1, order // scale + 1)}
+    coeffs[0] = RF_ONE
+    return TruncatedSeries(order, coeffs)
+
+
+def gen_function_reference(n_max, surf, conv=MATCHED):
+    """The product identity of epoly.gen_function_check by the rational
+    route, the reference the tests compare it against: sum_n V_n T^n and
+    PLog of the product over s = 2^k of psi_s(A_r / A_0)^(1/s), both as
+    truncated series of rational functions."""
+    lhs = TruncatedSeries(n_max, {n: v_n(n, surf, conv)
+                                  for n in range(1, n_max + 1)})
+    product = TruncatedSeries.one(n_max)
+    scale = 1
+    while scale <= n_max:
+        plus = _partition_series(n_max, surf, surf.r, conv, scale)
+        minus = _partition_series(n_max, surf, 0, conv, scale)
+        ratio = plus * minus.inverse()
+        product = product * rational_exponent_pow(ratio, Fraction(1, scale))
+        scale *= 2
+    return pleth_log(product) == lhs
 
 
 def criterion_closed_forms():

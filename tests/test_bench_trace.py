@@ -1,9 +1,10 @@
 """The benchmark's traced mode (bench/worker.py with trace 1) wraps package
 functions and methods by name and reads the kernel's nbytes.  This drives a
 traced worker with one three-atom rank-2 count (a character sum, which
-builds no kernel) and one CLI call, and builds the kernel, which no count
-reaches, under the worker's tracing; so a refactor that breaks the wrapping
-fails here rather than in a benchmark run."""
+builds no kernel), one CLI call and one product-identity check, and builds
+the kernel and runs the rational reference of the identity, which no
+request reaches, under the worker's tracing; so a refactor that breaks the
+wrapping fails here rather than in a benchmark run."""
 
 import json
 import os
@@ -39,8 +40,36 @@ def test_traced_worker_serves_a_count_and_a_cli_call(tmp_path):
     assert counters["cli.output_bytes"] == len(cli["value"]["stdout"].encode())
 
 
+REFERENCE_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import worker
+from realcharvar import epoly, verify
+tracer = worker.Tracer()
+worker.install_tracing(tracer)
+verdict = verify.gen_function_reference(4, epoly.SurfaceData(0, 1))
+print(json.dumps({"verdict": verdict, "counters": tracer.counters,
+                  "spans": [tracer.names[span[1]] for span in tracer.spans]}))
+"""
+
+
 def test_traced_worker_sees_the_rational_arithmetic(tmp_path):
-    "A genus-0 product identity runs through the wrapped product and gcd."
+    """The rational reference of the product identity runs through the
+    wrapped product, gcd, log and plethystic log; a traced genus-0 identity
+    check request, on packed ints, runs through none of the gcd and log."""
+    proc = subprocess.run(
+        [sys.executable, "-c", REFERENCE_SCRIPT, str(ROOT / "src"),
+         str(ROOT / "bench")],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout)
+    assert traced["verdict"] is True
+    for name in ("algebra.poly_mul", "algebra.poly_gcd", "algebra.pleth_log",
+                 "algebra.formal_log"):
+        assert name in traced["spans"], name
+    assert traced["counters"]["algebra.poly_mul.coeff_products"] > 0
+
     spans = tmp_path / "spans.json"
     requests = [{"op": "gen_function_check", "args": [4, 0, 1], "id": 0},
                 {"op": "exit"}]
@@ -53,15 +82,9 @@ def test_traced_worker_sees_the_rational_arithmetic(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[1]) == {"id": 0, "value": True}
     trace = json.loads(spans.read_text())
-    calls = {}
-    for span in trace["spans"]:
-        name = trace["names"][span[1]]
-        calls[name] = calls.get(name, 0) + 1
-    assert calls.get("algebra.poly_mul", 0) > 0
-    assert calls.get("algebra.poly_gcd", 0) > 0
-    assert calls.get("algebra.pleth_log", 0) > 0
-    assert calls.get("algebra.formal_log", 0) > 0
-    assert trace["counters"]["algebra.poly_mul.coeff_products"] > 0
+    calls = {trace["names"][span[1]] for span in trace["spans"]}
+    assert "epoly.gen_function_check" in calls
+    assert not calls & {"algebra.poly_gcd", "algebra.pleth_log"}
 
 
 KERNEL_SCRIPT = """

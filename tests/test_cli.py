@@ -111,7 +111,8 @@ def test_genfun_check_line():
 
 
 def test_formula_commands_do_not_load_numpy():
-    "Only verify needs the finite-field oracle and with it numpy."
+    """Only verify needs the finite-field oracle and with it numpy; only
+    genfun loads the identity check."""
     import os
     import pathlib
     import subprocess
@@ -125,9 +126,12 @@ def test_formula_commands_do_not_load_numpy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['epoly', '--n', '1-2', '--g', '1', '--r', '1'],\n"
         "                 ['euler', '--n', '2', '--g', '1', '--r', '1',\n"
-        "                  '--k', '1'],\n"
-        "                 ['genfun', '--N', '2', '--g', '1', '--r', '1']):\n"
+        "                  '--k', '1']):\n"
         "        assert realcharvar.cli.main(argv) == 0\n"
+        "    assert 'realcharvar.kronecker' not in sys.modules\n"
+        "    argv = ['genfun', '--N', '2', '--g', '1', '--r', '1']\n"
+        "    assert realcharvar.cli.main(argv) == 0\n"
+        "assert 'realcharvar.kronecker' in sys.modules\n"
         "assert 'numpy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60,
@@ -254,6 +258,10 @@ def test_broken_oracle_invariant_is_one_line(monkeypatch):
      "CostLimit: rank 1000000 at g = 1, r = 1: the predicted work exceeds"),
     (["genfun", "--N", "40", "--g", "2", "--r", "1"],
      "CostLimit: rank 40 at g = 2, r = 1: the predicted work exceeds"),
+    (["genfun", "--N", "23", "--g", "0", "--r", "1"],
+     "CostLimit: rank 23 at g = 0, r = 1: the predicted work exceeds"),
+    (["genfun", "--N", "24", "--g", "4", "--r", "3"],
+     "CostLimit: rank 24 at g = 4, r = 3: the predicted work exceeds"),
     (["verify", "telescope", "--g", "0", "--r", "1", "--N", "23"],
      "CostLimit: rank 23 at g = 0, r = 1: the predicted work exceeds"),
 ])

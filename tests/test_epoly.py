@@ -1,9 +1,10 @@
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from realcharvar import algebra, epoly
+from realcharvar import algebra, epoly, kronecker
 from realcharvar.algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
                                  Q_MINUS_ONE, RF_ZERO, RationalFunction, adams,
                                  log_coefficients)
@@ -17,9 +18,11 @@ from realcharvar.epoly import (CostLimit, EmptyPartition,
                                complex_curve_e_poly, partition_multisets, v_n)
 from realcharvar.partitions import all_partitions, conjugate
 from realcharvar.symfun import a_minus, a_plus
+from realcharvar import verify
 from realcharvar.verify import (TelescopeRange, closed_form_e1,
                                 closed_form_e2, closed_form_e3,
-                                reference_e_value, telescope_check)
+                                gen_function_reference, reference_e_value,
+                                telescope_check)
 
 
 def qp(k):
@@ -182,7 +185,7 @@ def test_half_integer_coefficient_is_not_polynomial(monkeypatch):
 def _clear_formula_caches():
     "Drop the hook polynomials, partition series and log tables."
     epoly._LOG_TABLES.clear()
-    for fn in (hook_polynomial, epoly._series_coefficient):
+    for fn in (hook_polynomial, verify._series_coefficient):
         fn.cache_clear()
 
 
@@ -252,6 +255,16 @@ def test_packed_digits_round_trip_and_refuse_an_overflow():
     for packed in (1 << 40, -(1 << 40)):
         with pytest.raises(ExactnessError):
             epoly._unpack(packed, 5, 8)
+    # psi_3 of the digits, re-spaced to 16 bits and back to 8
+    spread = epoly._spread(epoly._pack(digits, 8), 5, 8, 16, 3)
+    assert epoly._unpack(spread, 13, 16) == [5, 0, 0, -128, 0, 0, 127, 0, 0,
+                                              0, 0, 0, -1]
+    assert epoly._spread(spread, 13, 16, 8) == epoly._pack(
+        [5, 0, 0, -128, 0, 0, 127, 0, 0, 0, 0, 0, -1], 8)
+    with pytest.raises(ExactnessError, match="exceeds 8 bits"):
+        epoly._spread(epoly._pack([1, 300, 0], 16), 3, 16, 8)
+    with pytest.raises(ExactnessError, match="2 does not divide 7"):
+        kronecker._exact_quotient(7, 2)
 
 
 def _genus0_reference(e, r, conv, j, top):
@@ -274,7 +287,7 @@ def test_genus0_table_matches_the_per_partition_sums():
     for e, r, convs in ((-1, 1, (MATCHED, TRANSPOSED)), (-2, 0, (MATCHED,))):
         bound = epoly._group_totals(e, r, 8)
         for conv in convs:
-            table = epoly._log_table(e, r, conv)
+            table = epoly._log_table(e, r, conv, ("g", "g, r"))
             for j in range(r + 1):
                 series, logs = _genus0_reference(e, r, conv, j, 8)
                 for w in range(1, 9):
@@ -292,7 +305,7 @@ def test_genus0_hook_division_refuses_a_remainder(monkeypatch):
     # a hook of w + 1 does not divide D_w = (1 - q) ... (1 - q^w)
     monkeypatch.setattr(epoly, "hooks", lambda lam: [sum(lam) + 1])
     with pytest.raises(ExactnessError, match="does not divide D_1"):
-        epoly._LogTable(-1, 1, MATCHED).series_at(0, 2)
+        epoly._LogTable(-1, 1, MATCHED, ("g", "g, r")).series_at(0, 2)
 
 
 def test_genus0_route_adds_no_rational_functions(monkeypatch):
@@ -376,12 +389,18 @@ def test_log_table_does_not_depend_on_request_order():
 
 
 def test_cost_limit_answers_the_supported_ranks():
-    """Ranks 1-22 at g = 0, 1-20 at g <= 4 and 1-24 at g = 2 pass; the next
-    steps do not."""
+    """Ranks 1-22 at g = 0, 1-20 at g <= 4 and 1-24 at g = 2 pass, with the
+    product identity too; the next steps do not, and the identity check
+    tips rank 24 at (4, 3) over the budget."""
     assert issubclass(CostLimit, ValueError)
     for g in range(5):
         for r in range(1, g + 2):
-            check_cost({0: 22, 2: 24}.get(g, 20), SurfaceData(g, r))
+            for identity in (False, True):
+                check_cost({0: 22, 2: 24}.get(g, 20), SurfaceData(g, r),
+                           identity)
+    check_cost(24, SurfaceData(4, 3))
+    with pytest.raises(CostLimit):
+        check_cost(24, SurfaceData(4, 3), identity=True)
     for n, g, r in ((23, 0, 1), (40, 3, 2), (60, 1, 1), (3, 200, 1)):
         with pytest.raises(CostLimit):
             check_cost(n, SurfaceData(g, r))
@@ -493,6 +512,88 @@ def test_gen_function_transposed_also_consistent():
     assert gen_function_check(4, SurfaceData(2, 2), TRANSPOSED)
 
 
+def test_identity_check_matches_the_rational_reference():
+    "The Kronecker check's verdict is the rational route's, for N <= 8."
+    cases = 0
+    for g in range(5):
+        for r in range(1, g + 2):
+            surf = SurfaceData(g, r)
+            for conv in (MATCHED, TRANSPOSED):
+                for n_max in range(1, 8 if g == 4 else 9):
+                    assert gen_function_check(n_max, surf, conv) is \
+                        gen_function_reference(n_max, surf, conv) is True
+                    cases += 1
+    assert cases == 230
+
+
+def test_identity_check_fails_on_a_wrong_left_side(monkeypatch):
+    """The transposed left side against the matched right side at (2, 2),
+    and n V_7 at (0, 1) with one digit off by 1, both fail."""
+    real = epoly._n_v_coefficients
+
+    def transposed(n, surf, k, conv):
+        return real(n, surf, k, TRANSPOSED)
+
+    def off_by_one(n, surf, k, conv):
+        digits = real(n, surf, k, conv)
+        if n == 7:
+            digits[len(digits) // 2] += 1
+        return digits
+
+    monkeypatch.setattr(epoly, "_n_v_coefficients", transposed)
+    assert not gen_function_check(6, SurfaceData(2, 2), MATCHED)
+    monkeypatch.setattr(epoly, "_n_v_coefficients", off_by_one)
+    assert not gen_function_check(7, SurfaceData(0, 1))
+    assert gen_function_check(6, SurfaceData(0, 1))
+
+
+def test_identity_check_needs_no_rational_layer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rational layer was called")
+
+    _clear_formula_caches()
+    monkeypatch.setattr(RationalFunction, "__init__", refuse)
+    monkeypatch.setattr(RationalFunction, "_raw", classmethod(refuse))
+    monkeypatch.setattr(algebra.TruncatedSeries, "inverse", refuse)
+    for module in (algebra, epoly, verify):
+        for name in ("poly_gcd", "pleth_log", "rational_exponent_pow"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for g, r, n_max in ((0, 1, 10), (1, 2, 8), (2, 2, 8), (4, 3, 6)):
+        for conv in (MATCHED, TRANSPOSED):
+            assert gen_function_check(n_max, SurfaceData(g, r), conv)
+
+
+def test_identity_majorant_bounds_the_reference(monkeypatch):
+    """The l1 norms that prove the check's width bound the right side of
+    the rational reference, (M-1)! D_M^m M [T^M] PLog(...), at N <= 6."""
+    logs = []
+    real = verify.pleth_log
+
+    def spy(series):
+        logs.append(real(series))
+        return logs[-1]
+
+    monkeypatch.setattr(verify, "pleth_log", spy)
+    for g, r in ((0, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 3)):
+        e, surf = g - 1, SurfaceData(g, r)
+        m = max(0, -e)
+        norms = kronecker._product_side(kronecker._Norms(e, r, 6), r, 6)
+        for conv in (MATCHED, TRANSPOSED):
+            assert gen_function_reference(6, surf, conv)
+            for n in range(1, 7):
+                d_n = RationalFunction(HalfPowerPolynomial.u_power(n)
+                                       * hook_polynomial((n,))) ** m
+                value = logs[-1].coefficient(n) * d_n * (n * factorial(n - 1))
+                assert value.is_polynomial()
+                l1 = sum(abs(c) for c in value.num.terms.values())
+                assert l1 <= norms[n], (g, r, conv, n)
+
+
+def test_identity_check_refuses_an_empty_order():
+    with pytest.raises(ValueError, match="truncation order"):
+        gen_function_check(0, SurfaceData(1, 1))
+
+
 def test_complex_curve_anchor():
     for g in range(0, 4):
         assert complex_curve_e_poly(1, g) == RationalFunction(Q_MINUS_ONE ** (2 * g))
@@ -506,6 +607,12 @@ def test_complex_curve_anchor():
 def test_complex_curve_refuses_a_negative_genus():
     with pytest.raises(ValueError, match="genus must be non-negative"):
         complex_curve_e_poly(2, -1)
+
+
+def test_cost_message_names_the_complex_curve():
+    with pytest.raises(CostLimit, match="^rank 18 at genus 0 of the complex "
+                       "curve: the predicted work exceeds"):
+        complex_curve_e_poly(18, 0)
 
 
 def test_telescope_range():

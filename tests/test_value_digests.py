@@ -12,11 +12,10 @@ import hashlib
 
 import pytest
 
-from realcharvar import epoly
+from realcharvar import verify
 from realcharvar.algebra import RationalFunction, TruncatedSeries
 from realcharvar.epoly import (CONVENTIONS, SurfaceData, complex_curve_e_poly,
-                               e_poly, e_poly_component, gen_function_check,
-                               v_n)
+                               e_poly, e_poly_component, v_n)
 
 
 def _poly_text(p):
@@ -55,7 +54,8 @@ def e_value_lines(g, conv):
 
 def product_identity_lines(monkeypatch, n_max, g, r):
     """The per-scale rational powers and the plethystic log of their product
-    that gen_function_check builds, in call order."""
+    that the rational reference of the product identity builds, in call
+    order."""
     seen = []
 
     def spy(fn):
@@ -65,10 +65,10 @@ def product_identity_lines(monkeypatch, n_max, g, r):
             return value
         return recorded
 
-    monkeypatch.setattr(epoly, "rational_exponent_pow",
-                        spy(epoly.rational_exponent_pow))
-    monkeypatch.setattr(epoly, "pleth_log", spy(epoly.pleth_log))
-    assert gen_function_check(n_max, SurfaceData(g, r))
+    monkeypatch.setattr(verify, "rational_exponent_pow",
+                        spy(verify.rational_exponent_pow))
+    monkeypatch.setattr(verify, "pleth_log", spy(verify.pleth_log))
+    assert verify.gen_function_reference(n_max, SurfaceData(g, r))
     assert len(seen) == n_max.bit_length() + 1
     return [_value_text(x) for x in seen]
 
