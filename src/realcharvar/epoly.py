@@ -397,8 +397,8 @@ class _LogTable:
         width = _width(self.e, self.r, cap)
         for entries in self.series + self.logs:
             for v in range(1, len(entries)):
-                entries[v] = _pack(_unpack(entries[v], self.digit_count(v),
-                                           self.width), width)
+                entries[v] = _spread(entries[v], self.digit_count(v),
+                                     self.width, width)
         self.width, self.cap = width, cap
         self.denominators = [_packed_product(range(1, v + 1), self.m, width)
                              for v in range(len(self.denominators))]

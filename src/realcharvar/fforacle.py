@@ -4,13 +4,17 @@ Conjugacy classes are labelled by maps from monic irreducible polynomials to
 partitions.  The class functions F (invariant symmetric forms) and N
 (symmetric square roots) are built both from closed formulas and from brute
 force, and combined at scalar classes to count points of the representation
-variety.  Brute-force F and N are linear counts: for each class they
-enumerate a fixed subspace (of B -> A B A^T on symmetric matrices for F, of
-B -> A B^T on all matrices for N), found by the module's one Gaussian
-elimination mod q (_nullspace_mod), and count its invertible points.  Counts
-are compared against the closed-form E-polynomials; mismatches are
-reported, never suppressed.  The reference routes that only verify and the
-tests read (classify, the commutator count C) live in ffreference.
+variety.  Brute-force F and N are linear counts of the invertible points
+of each class's fixed subspace (of B -> A B A^T on the symmetric
+coordinates for F, of B -> A B^T on all matrices for N), found by the
+module's one Gaussian elimination mod q (_nullspace_mod).  One table-wide
+count (_fixed_counts) groups the classes by the subspace's dimension d and
+enumerates each group's q^d digit strings once for all its classes, in
+passes of at most _F_BLOCK points, after checking every group against the
+sweep budget.  Counts are compared against the closed-form E-polynomials;
+mismatches are reported, never suppressed.  The reference routes that only
+verify and the tests read (classify, the commutator count C) live in
+ffreference.
 
 F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
 A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
@@ -77,7 +81,11 @@ class NoPrimitiveRoot(ValueError):
 
 
 _GROUP_BUDGET = 2_000_000      # elements swept in one pass
-_F_BLOCK = 1 << 14             # digit strings per fixed-subspace block
+# fixed-subspace points per pass, over all the classes of a pass; the
+# bench's oracle workload (2-CPU Xeon, 12 s runs) peaks above the 31.45 MB
+# import floor by +3.5 MB at 1 << 14, +1.3 MB at 1 << 12 and +0.7 MB at
+# both 1 << 10 and 1 << 8
+_F_BLOCK = 1 << 10
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -141,9 +149,9 @@ class PrimeField:
 
 # -- matrices over F_q ----------------------------------------------------
 #
-# det_mod, inverse_mod, charpoly_mod and poly_eval_matrix take one matrix or
-# an (..., n, n) int64 stack with n <= 3 and reduce mod q after every
-# product, so every product stays below q^2.
+# det_mod and charpoly_mod take one matrix or an (..., n, n) int64 stack
+# with n <= 3 and reduce mod q after every product, so every product stays
+# below q^2.
 
 def _stack(A):
     "A as an int64 array whose last two axes are n x n, n <= 3."
@@ -169,18 +177,6 @@ def det_mod(A, q):
     return _det(_stack(A), q)
 
 
-def inverse_mod(A, q):
-    """Inverse mod q of a matrix or of each matrix in a stack, by
-    Cayley-Hamilton: for the characteristic polynomial t^n + ... + c_1 t +
-    c_0, A^-1 = -c_0^-1 (A^(n-1) + ... + c_1).  Raises SingularMatrix if any
-    matrix is singular (c_0 = 0)."""
-    c = charpoly_mod(A, q)
-    if np.any(c[..., 0] == 0):
-        raise SingularMatrix("matrix is not invertible")
-    scale = -_inverse_table(q)[c[..., 0]] % q
-    return poly_eval_matrix(c[..., 1:], A, q) * scale[..., None, None] % q
-
-
 @lru_cache(maxsize=None)
 def _inverse_table(q):
     "inv[a] = a^-1 mod q for a != 0 (inv[0] = 0), read-only and shared."
@@ -201,20 +197,6 @@ def charpoly_mod(A, q):
             idx = np.array(rows, dtype=np.intp)
             out[..., n - k] += (-1) ** k * _det(A[..., idx[:, None], idx], q)
     return out % q
-
-
-def poly_eval_matrix(f, A, q):
-    """f(A) mod q by Horner's rule from f_d I, on a matrix or a stack; f is
-    ascending coefficients, or an (..., d + 1) array with one row per
-    matrix."""
-    A = _stack(A)
-    f = np.asarray(f, dtype=np.int64)
-    eye = np.eye(A.shape[-1], dtype=np.int64)
-    shape = np.broadcast_shapes(f.shape[:-1] + eye.shape, A.shape)
-    acc = np.broadcast_to(f[..., -1, None, None] * eye % q, shape).copy()
-    for k in range(f.shape[-1] - 2, -1, -1):
-        acc = (acc @ A + f[..., k, None, None] * eye) % q
-    return acc
 
 
 # -- monic polynomials over F_q (ascending coefficient tuples) ----------
@@ -419,7 +401,7 @@ class ClassTable:
                 for label in self.labels)
         return self._shift[xi]
 
-    # -- element lookup, group arrays and the kernel (n <= 2, numpy) ------
+    # -- element lookup and the kernel (n <= 2, numpy) ---------------------
 
     def element_class_array(self):
         """cls[encode(A)] = class index for every invertible A, -1 for a
@@ -443,15 +425,6 @@ class ClassTable:
         every = _digits(self.n ** 2, q).reshape(-1, self.n, self.n)
         self._element_class = by_key[_class_key(every, q)]
         return self._element_class
-
-    def _group_arrays(self):
-        """(elements, inverses) of GL_n(F_q) as (m, n, n) int64 arrays, in
-        _encode order; n <= 2: the element lookup's classified positions,
-        decoded, built afresh for the reference sweeps."""
-        n, q = self.n, self.q
-        E = _decode(np.flatnonzero(self.element_class_array() >= 0), n * n,
-                    q).reshape(-1, n, n)
-        return E, inverse_mod(E, q)
 
     def self_inverse_classes(self):
         """Indices of the classes c with c^-1 in c, ascending: the labels
@@ -504,15 +477,16 @@ class ClassTable:
 
 
 def _digit_blocks(count, q, block):
-    """Every string of count base-q digits, in increasing order, as
-    consecutive int64 arrays of at most block rows and count columns."""
+    """Every string of count base-q digits, in increasing order, as a lazy
+    sequence of consecutive int64 arrays of at most block rows and count
+    columns.  A count beyond the sweep budget is refused on the call, before
+    any block is made."""
     m = q ** count
     if m > _GROUP_BUDGET:
-        raise GroupTooLarge("%d matrices at q = %d exceed the sweep budget"
-                            % (m, q))
-    for lo in range(0, m, block):
-        yield _decode(np.arange(lo, min(lo + block, m), dtype=np.int64),
-                      count, q)
+        raise GroupTooLarge("%d digit strings at q = %d exceed the sweep "
+                            "budget" % (m, q))
+    return (_decode(np.arange(lo, min(lo + block, m), dtype=np.int64),
+                    count, q) for lo in range(0, m, block))
 
 
 def _digits(count, q):
@@ -686,39 +660,56 @@ def class_fn_F_closed(table):
     return ClassFunction(table, values)
 
 
-def _count_invertible(image, n, q):
-    """How many invertible n x n matrices B have image(B) = 0 mod q, for a
-    linear map image on (m, n, n) stacks.
+def _fixed_counts(table, units, image, rows):
+    """The number of invertible points in the fixed subspace of each class
+    in rows, listed over every class of the table (0 off rows).
 
-    The matrix of image on the entries of B, row by row, is read off the
-    unit matrices.  The q^d combinations of a basis of its d-dimensional
-    kernel are enumerated _F_BLOCK at a time, so memory stays flat in q^d;
-    _digit_blocks refuses a kernel beyond the sweep budget.
+    units is a (p, n, n) stack spanning the unknowns B, and image(A, B) the
+    linear conditions on B, broadcast over stacks: one numpy expression
+    gives those of every unit under every representative, and one
+    _nullspace_mod per class its fixed subspace, of dimension d.  The
+    classes are grouped by d (d = 0 counts 0), and each group's q^d digit
+    strings are enumerated once for all its classes, at most _F_BLOCK
+    points per pass, so memory stays flat in q^d.
     """
-    units = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
-    basis = _nullspace_mod(image(units).reshape(n * n, -1).T, q)
-    count = 0
-    for digits in _digit_blocks(len(basis), q, _F_BLOCK):
-        B = (digits @ basis % q).reshape(-1, n, n)
-        count += np.count_nonzero(det_mod(B, q))
-    return count
+    n, q = table.n, table.q
+    flat = units.reshape(len(units), -1)
+    groups = {}
+    for c, M in zip(rows, image(table.reps[rows, None], units)):
+        span = _nullspace_mod(M.reshape(len(units), -1).T, q) @ flat
+        groups.setdefault(len(span), {})[c] = span
+    # _digit_blocks refuses every group over the sweep budget before a pass
+    passes = [(group, _digit_blocks(d, q, max(1, _F_BLOCK // len(group))))
+              for d, group in groups.items() if d]
+    counts = [0] * table.class_count()
+    for group, blocks in passes:
+        spans = np.stack(list(group.values()))
+        for digits in blocks:
+            # every class's points of this pass, one n x n matrix each
+            B = digits @ spans
+            B %= q
+            hits = np.count_nonzero(_det(B.reshape(len(spans), -1, n, n), q),
+                                    axis=1)
+            for c, h in zip(group, hits.tolist()):
+                counts[c] += h
+    return counts
 
 
 def class_fn_F_brute(table):
     """F by brute force: count the invertible symmetric B with A B A^T = B.
 
-    Both conditions are linear in the entries of B, so _count_invertible
-    counts the fixed forms in one kernel.  The identity fixes every
-    symmetric form, so F is refused exactly where a sweep of every
-    symmetric matrix would be.
+    The unknowns are the n(n+1)/2 symmetric coordinates of B, and A B A^T - B
+    is symmetric, so its upper triangle is every condition.  The identity
+    fixes every symmetric form, so F is refused exactly where a sweep of
+    every symmetric matrix would be.
     """
-    n, q = table.n, table.q
-    values = []
-    for A in table.reps:
-        # the entries of A B A^T - B, then those of B - B^T
-        values.append(_count_invertible(lambda B: np.concatenate(
-            [A @ B @ A.T - B, B - np.swapaxes(B, 1, 2)], axis=1), n, q))
-    return ClassFunction(table, values)
+    n = table.n
+    i, j = np.triu_indices(n)
+    E = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
+    return ClassFunction(table, _fixed_counts(
+        table, E[i * n + j] | E[j * n + i],
+        lambda A, B: (A @ B @ np.swapaxes(A, -1, -2) - B)[..., i, j],
+        range(table.class_count())))
 
 
 def class_fn_F_signed(table):
@@ -732,15 +723,13 @@ def class_fn_F_signed(table):
 
 def class_fn_N(table):
     """N(A) counts the B with B B^-T = A, that is B = A B^T: the invertible
-    points of the kernel of B -> B - A B^T, counted by _count_invertible
-    with no group sweep."""
-    n, q = table.n, table.q
-    values = []
-    for A, det in zip(table.reps, table.dets):
-        # det(B B^-T) = 1, so N vanishes off determinant 1
-        values.append(_count_invertible(
-            lambda B: B - A @ np.swapaxes(B, 1, 2), n, q) if det == 1 else 0)
-    return ClassFunction(table, values)
+    points of the kernel of B -> B - A B^T, counted by _fixed_counts with no
+    group sweep, on the determinant-1 classes only, as det(B B^-T) = 1."""
+    n = table.n
+    return ClassFunction(table, _fixed_counts(
+        table, np.eye(n * n, dtype=np.int64).reshape(-1, n, n),
+        lambda A, B: B - A @ np.swapaxes(B, -1, -2),
+        [c for c, det in enumerate(table.dets) if det == 1]))
 
 
 # -- convolution ---------------------------------------------------------
@@ -800,8 +789,10 @@ def class_fn_atom(table, atom):
 
 # -- counting the representation variety ---------------------------------
 
+@lru_cache(maxsize=None)
 def primitive_roots_of_unity(field, order):
-    "Elements of F_q* of multiplicative order exactly `order`, sorted."
+    """Elements of F_q* of multiplicative order exactly `order`, sorted;
+    cached per (field, order)."""
     q = field.q
     # the order of x is the least k >= 1 with x^k = 1, and k <= q - 1
     return tuple(x for x in range(1, q)

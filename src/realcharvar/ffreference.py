@@ -1,17 +1,56 @@
 """Reference routes of the finite-field oracle, read by verify and the
-tests only: labels by factoring the characteristic polynomial and reading
-kernel ranks (classify), the predicted degree of F, and the commutator
-count C by sweeping every pair of group elements."""
+tests only: matrix polynomials and inverses mod q (Horner's rule and
+Cayley-Hamilton), the group as arrays, labels by factoring the
+characteristic polynomial and reading kernel ranks (classify), the
+predicted degree of F, and the commutator count C by sweeping every pair of
+group elements."""
 
 import numpy as np
 
 from .algebra import ExactnessError
 from .fforacle import (ClassFunction, GroupTooLarge, SingularMatrix,
-                       _encode, _nullspace_mod, charpoly_mod, det_mod,
-                       inverse_label, poly_eval, poly_eval_matrix)
+                       _decode, _encode, _inverse_table, _nullspace_mod,
+                       _stack, charpoly_mod, det_mod, inverse_label,
+                       poly_eval)
 from .partitions import conjugate, ell_odd, n_lambda, weight
 
 _PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
+
+
+def poly_eval_matrix(f, A, q):
+    """f(A) mod q by Horner's rule from f_d I, on a matrix or a stack; f is
+    ascending coefficients, or an (..., d + 1) array with one row per
+    matrix."""
+    A = _stack(A)
+    f = np.asarray(f, dtype=np.int64)
+    eye = np.eye(A.shape[-1], dtype=np.int64)
+    shape = np.broadcast_shapes(f.shape[:-1] + eye.shape, A.shape)
+    acc = np.broadcast_to(f[..., -1, None, None] * eye % q, shape).copy()
+    for k in range(f.shape[-1] - 2, -1, -1):
+        acc = (acc @ A + f[..., k, None, None] * eye) % q
+    return acc
+
+
+def inverse_mod(A, q):
+    """Inverse mod q of a matrix or of each matrix in a stack, by
+    Cayley-Hamilton: for the characteristic polynomial t^n + ... + c_1 t +
+    c_0, A^-1 = -c_0^-1 (A^(n-1) + ... + c_1).  Raises SingularMatrix if any
+    matrix is singular (c_0 = 0)."""
+    c = charpoly_mod(A, q)
+    if np.any(c[..., 0] == 0):
+        raise SingularMatrix("matrix is not invertible")
+    scale = -_inverse_table(q)[c[..., 0]] % q
+    return poly_eval_matrix(c[..., 1:], A, q) * scale[..., None, None] % q
+
+
+def group_arrays(table):
+    """(elements, inverses) of GL_n(F_q) as (m, n, n) int64 arrays, in
+    _encode order; n <= 2: the element lookup's classified positions,
+    decoded, built afresh for the reference sweeps."""
+    n, q = table.n, table.q
+    E = _decode(np.flatnonzero(table.element_class_array() >= 0), n * n,
+                q).reshape(-1, n, n)
+    return E, inverse_mod(E, q)
 
 
 def poly_div_exact(f, g, q):
@@ -119,7 +158,7 @@ def class_fn_C_brute(table):
     if table.group_order ** 2 > _PAIR_BUDGET:
         raise GroupTooLarge("too many pairs at q = %d" % table.q)
     q = table.q
-    E, Einv = table._group_arrays()
+    E, Einv = group_arrays(table)
     cls = table.element_class_array()
     hits = np.zeros(table.class_count(), dtype=np.int64)
     for X, Xinv in zip(E, Einv):

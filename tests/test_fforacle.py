@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from realcharvar import fforacle
+from realcharvar import fforacle, ffreference
 from realcharvar.algebra import ExactnessError, moebius
 from realcharvar.epoly import (MATCHED, TRANSPOSED, EvenK, KOutOfRange,
                                SurfaceData)
@@ -27,11 +27,12 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   count_representation_variety,
                                   delta_identity, det_mod, f_closed_poly,
                                   formula_count, group_order, inverse_label,
-                                  inverse_mod, irreducibles,
-                                  poly_eval, poly_eval_matrix, poly_star,
+                                  irreducibles, poly_eval, poly_star,
                                   primitive_roots_of_unity)
 from realcharvar.ffreference import (class_fn_C_brute, classify,
-                                     f_degree_prediction, kernel_dim)
+                                     f_degree_prediction, group_arrays,
+                                     inverse_mod, kernel_dim,
+                                     poly_eval_matrix)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -182,13 +183,60 @@ def test_digit_blocks_list_every_string_once_in_order():
                           np.array(list(product(range(3), repeat=4))))
 
 
-def test_F_brute_does_not_depend_on_the_block_size(monkeypatch):
-    # the identity of GL_3(F_3) fixes 3^6 = 729 forms; blocks of 100 split
-    # them with a short last block, and every class must count the same
+def _python_det3(M, q):
+    "The 3 x 3 determinant mod q by the rule of Sarrus, on nested lists."
+    (a, b, c), (d, e, f), (g, h, i) = M
+    return (a * e * i + b * f * g + c * d * h
+            - c * e * g - b * d * i - a * f * h) % q
+
+
+def test_F_brute_equals_a_plain_python_count_at_gl3_f3():
+    # every one of the 3^6 symmetric B, in plain Python ints with no numpy
+    # and no helper of the module: count the invertible B with A B A^T = B
+    q = 3
     table = class_table(3, F3)
-    whole = class_fn_F_brute(table).values
-    monkeypatch.setattr(fforacle, "_F_BLOCK", 100)
-    assert class_fn_F_brute(table).values == whole
+    forms = []
+    for a, b, c, d, e, f in product(range(q), repeat=6):
+        B = [[a, b, c], [b, d, e], [c, e, f]]
+        if _python_det3(B, q):
+            forms.append(B)
+    want = []
+    for A in table.reps.tolist():
+        count = 0
+        for B in forms:
+            AB = [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
+                  for i in range(3)]
+            if all(sum(AB[i][k] * A[j][k] for k in range(3)) % q == B[i][j]
+                   for i in range(3) for j in range(3)):
+                count += 1
+        want.append(count)
+    assert class_fn_F_brute(table).values == tuple(want)
+
+
+@pytest.mark.parametrize("class_fn", [class_fn_F_brute, class_fn_N])
+@pytest.mark.parametrize("block", [100, 7])
+def test_fixed_counts_do_not_depend_on_the_block_size(monkeypatch, class_fn,
+                                                      block):
+    # the identity of GL_3(F_3) fixes 3^6 = 729 points, which passes of 100
+    # or 7 split with a short last pass; at GL_2(F_7) the 15 classes of F and
+    # the 8 of N with a one-dimensional fixed space outnumber a pass of 7
+    # points, so each such pass takes one digit string for all of them
+    shapes = []
+    det = fforacle._det
+
+    def spy(A, q):
+        shapes.append(A.shape[:-2])
+        return det(A, q)
+
+    for table in (class_table(3, F3), class_table(2, F7)):
+        whole = class_fn(table).values
+        with monkeypatch.context() as m:
+            m.setattr(fforacle, "_F_BLOCK", block)
+            m.setattr(fforacle, "_det", spy)
+            assert class_fn(table).values == whole
+    assert all(classes * strings <= block or strings == 1
+               for classes, strings in shapes)
+    assert any(classes > block for classes, _ in shapes) == (block == 7)
 
 
 def test_F_brute_memory_is_flat_in_the_fixed_space():
@@ -204,10 +252,28 @@ def test_F_brute_memory_is_flat_in_the_fixed_space():
     assert peak < 10_000_000, peak
 
 
-def test_F_brute_refuses_gl3_f13():
-    # the identity fixes all 13^6 symmetric forms, over the sweep budget
+@pytest.mark.parametrize("class_fn", [class_fn_F_brute, class_fn_N])
+def test_fixed_counts_peak_below_one_megabyte_at_gl3_f7(class_fn):
+    # a pass holds at most _F_BLOCK points over all the classes it counts,
+    # and the conditions of every unit under every representative are a few
+    # hundred kilobytes at GL_3(F_7)
+    table = class_table(3, F7)
+    tracemalloc.start()
+    try:
+        class_fn(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_F_brute_refuses_gl3_f13(monkeypatch):
+    # the identity fixes all 13^6 symmetric forms, over the sweep budget;
+    # every dimension group is checked before the first pass
+    table = class_table(3, PrimeField(13))
+    monkeypatch.setattr(fforacle, "_det", _refused)
     with pytest.raises(GroupTooLarge):
-        class_fn_F_brute(class_table(3, PrimeField(13)))
+        class_fn_F_brute(table)
 
 
 def test_nullspace_mod_is_a_kernel_basis():
@@ -308,7 +374,7 @@ def test_N_examples():
 
 def _n_sweep(table):
     "Reference N for n <= 2: the class of B B^-T over every B in the group."
-    E, Einv = table._group_arrays()
+    E, Einv = group_arrays(table)
     M = E @ np.swapaxes(Einv, -1, -2) % table.q
     hits = np.bincount(table.element_class_array()[
         fforacle._encode(M, table.q)], minlength=table.class_count())
@@ -333,10 +399,13 @@ def test_N_at_rank3():
         assert all(c in S and table.dets[c] == 1 for c in n_fn.support())
 
 
-def test_N_group_too_large():
-    # B = B^T at the identity: 13^6 symmetric B exceed the sweep budget
+def test_N_group_too_large(monkeypatch):
+    # B = B^T at the identity: 13^6 symmetric B exceed the sweep budget,
+    # refused before the first pass
+    table = class_table(3, PrimeField(13))
+    monkeypatch.setattr(fforacle, "_det", _refused)
     with pytest.raises(GroupTooLarge):
-        class_fn_N(class_table(3, PrimeField(13)))
+        class_fn_N(table)
 
 
 def test_convolution_unit_and_commutativity():
@@ -374,6 +443,9 @@ def test_primitive_roots():
     assert primitive_roots_of_unity(PrimeField(13), 4) == (5, 8)
     assert primitive_roots_of_unity(F7, 4) == ()
     assert primitive_roots_of_unity(F7, 2) == (6,)
+    # cached per (field, order): an equal field reads the same tuple
+    assert primitive_roots_of_unity(PrimeField(5), 4) is (
+        primitive_roots_of_unity(F5, 4))
 
 
 def test_count_rank1():
@@ -649,7 +721,7 @@ def test_group_arrays_decode_the_class_lookup(monkeypatch):
         want = _all_invertible(2, q)
         with monkeypatch.context() as m:
             m.setattr(fforacle, "det_mod", _refused)
-            E, Einv = table._group_arrays()
+            E, Einv = group_arrays(table)
         assert (E == want).all() and len(E) == group_order(2, q)
         assert (np.diff(fforacle._encode(E, q)) > 0).all()
         product_ = np.einsum("mij,mjk->mik", E, Einv) % q
@@ -746,9 +818,9 @@ def test_kernel_reads_the_class_lookup(monkeypatch):
             for B, c1 in cls.items():
                 dense[t, c1, cls[_mul2(_inv2(B, q), g, q)]] += 1
         with monkeypatch.context() as m:
-            m.setattr(ClassTable, "_group_arrays", _refuse)
+            m.setattr(ffreference, "group_arrays", _refuse)
             m.setattr(fforacle, "det_mod", _refuse)
-            m.setattr(fforacle, "inverse_mod", _refuse)
+            m.setattr(ffreference, "inverse_mod", _refuse)
             K = table.kernel()
         assert (K == dense[:, S, :]).all(), q
     # at GL_2(F_17) the peak is the 288 x 20 x 288 int32 kernel, 6.6 MB
