@@ -19,7 +19,8 @@ the tests compare against.
 For every genus, with e = g - 1, m = max(0, -e) and D_w = prod over i <= w
 of (1 - q^i), D_w^m A_j(w) and D_w^m c^(j)_w are integer Laurent
 polynomials in u = q^(1/2): at genus 0 every hook product divides D_w, by
-the q-hook-length formula (Stanley, EC2, Cor. 7.21.5).  One table per
+the q-hook-length formula (Stanley, EC2, Cor. 7.21.5), and each quotient
+is built from the factors that the two do not share.  One table per
 (e, r, convention) holds them for every j <= r as Kronecker-packed ints
 (u -> 2^B; Harvey, J. Symbolic Comput. 44, 2009): the weight-w coefficient
 sits at offset |e| w^2, a bound on its u-exponents, so a product of
@@ -31,9 +32,12 @@ identity check, and is never rebuilt; at g = 1 its entries are plain ints.
 n V_n combines the packed c^(j) by the b_j and unpacks the digits once per
 odd d | n for the Adams sum.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n,
 at genus 0 divided exactly by D_n^m, then divided exactly by 2n (by 2^r n
-for a component); a remainder raises NotPolynomial.  Requests whose
-predicted cost exceeds a stated budget, by one rule for every genus and
-for the identity check too, are refused with CostLimit first.
+for a component); a remainder raises NotPolynomial.  The complex curve's
+E-polynomial, the r = 0 anchor, takes the same route: its table is the one
+at e = 2g - 2 and r = 0, its Adams sum runs over every d | n, and its
+prefactor is (q-1)^2 q^(n^2 (g-1)) over n.  Requests whose predicted
+cost exceeds a stated budget, by one rule for every genus and for the
+identity check too, are refused with CostLimit first.
 
 The generating-function identity sum_n V_n T^n = PLog(prod over s = 2^k
 of psi_s(A_r / A_0)^(1/s)) is checked as one exact Kronecker evaluation:
@@ -55,6 +59,7 @@ partition (the literal reading of the summation formula).  The finite-field
 oracle adjudicates between them empirically; matched is the default.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,8 +67,8 @@ from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iproduct
 from math import comb, factorial, inf, isqrt
 
-from .algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q_MINUS_ONE,
-                      RationalFunction, U, ZERO, divisor_sum, moebius)
+from .algebra import (ExactnessError, HalfPowerPolynomial, ONE,
+                      RationalFunction, U, ZERO, moebius)
 from .partitions import (all_partitions, conjugate, hooks, multiplicities,
                          n_lambda, partition_count, weight)
 from .symfun import a_minus, a_plus
@@ -260,12 +265,14 @@ def _width(e, r, top):
 # at most s_w words, s_w = B (2 |e| w^2 + 1) / 64 the packed width times
 # the digit count; and per j <= r, w products of at most s_w words at
 # weight w, each about s_w^1.585 by Karatsuba.  At genus 0, m = -e > 0
-# adds one long division by the hook product per partition, about s_w^2,
-# and the Gaussian-binomial product on each log product.  The identity
-# check to order N adds, at each weight w, about 3 w products (the ratio,
-# the log and the convolutions over s), 4 w at genus 0 with the Gaussian
-# binomials, of s_w words at its own width B; measured, each costs about
-# IDENTITY_PRODUCT s_w^1.585 in the table's units.  WORD_BUDGET is about
+# adds the Gaussian-binomial product on each log product and, per
+# partition, one division of what is left of D_w^m by what is left of the
+# hook product once their shared factors cancel: measured, about s_w^2 / 6
+# at every m.  The identity check to order N adds, at each weight w, about
+# 3 w products (the ratio, the log and the convolutions over s), 4 w at
+# genus 0 with the Gaussian binomials, of s_w words at its own width B;
+# measured, each costs about IDENTITY_PRODUCT s_w^1.585 in the table's
+# units.  WORD_BUDGET is about
 # 5 s on 2 vCPUs with Python 3.11.  PACKED_BITS caps one packed
 # coefficient, and with it every stored entry and each answer's
 # coefficient list.
@@ -305,8 +312,8 @@ def _check_cost(w, e, r, surface, identity=False):
             words = width * (2 * a * v * v + 1) / 64
             work += (partition_count(v) * a * v * words
                      + (r + 1) * v * words ** 1.585
-                     + m * (partition_count(v) * words ** 2
-                            + (r + 1) * v * words ** 1.585))
+                     + m * (r + 1) * v * words ** 1.585
+                     + (partition_count(v) * words ** 2 / 6 if m else 0))
         if work > WORD_BUDGET:
             raise too_costly
     if identity:
@@ -366,7 +373,8 @@ class _Binomials:
 
 class _LogTable:
     """The partition series A_j and their log coefficients c^(j)_w, for
-    j = 0..r, at one (e, r, conv) with e = g - 1, times D_w^m, m = max(0, -e).
+    j = 0..r, at one (e, r, conv), times D_w^m, m = max(0, -e): e = g - 1 for
+    a real curve of genus g, e = 2g - 2 and r = 0 for the complex curve.
 
     Each T^w coefficient is a Kronecker-packed int: the coefficient of
     u^(i - |e| w^2) is digit i, of self.width bits, and |e| w^2 bounds the
@@ -375,8 +383,8 @@ class _LogTable:
     weight at a time, in any request order.  The l1 bound proves the width
     for every weight up to self.cap; a weight past the cap re-spaces every
     stored entry to the width proved for a cap a quarter beyond it; only the
-    packed D_w^m in self.denominators and the Gaussian binomials are
-    rebuilt, no entry.  surface names the surface in a CostLimit message.
+    Gaussian binomials are rebuilt, no entry.  surface names the surface in
+    a CostLimit message.
     """
 
     def __init__(self, e, r, conv, surface):
@@ -386,7 +394,6 @@ class _LogTable:
         self.cap = 0 if e else inf
         self.series = [[0] for _ in range(r + 1)]
         self.logs = [[0] for _ in range(r + 1)]
-        self.denominators = [1]
         self.binomials = _Binomials(0, self.m)
 
     def digit_count(self, w):
@@ -400,16 +407,15 @@ class _LogTable:
                 entries[v] = _spread(entries[v], self.digit_count(v),
                                      self.width, width)
         self.width, self.cap = width, cap
-        self.denominators = [_packed_product(range(1, v + 1), self.m, width)
-                             for v in range(len(self.denominators))]
         self.binomials = _Binomials(width, self.m)
 
     def _grow_series(self, top):
         """D_w^m A_j(w) for every w <= top: sum over |lam| = w of a+^j
         a-^(r-j) D_w^m H^e, each hook factor entering as |e| steps
-        p -= p << 2hB and, at genus 0, their product dividing D_w^m.  lam
-        and its conjugate have the same hooks, so both conventions build the
-        same product; the convention sets only its offset."""
+        p -= p << 2hB, at genus 0 as the cancelled quotient
+        _hook_quotient.  lam and its conjugate have the same hooks, so both
+        conventions build the same product; the convention sets only its
+        offset."""
         e, r = self.e, self.r
         if top >= len(self.series[0]):
             _check_cost(top, e, r, self.surface)
@@ -417,24 +423,15 @@ class _LogTable:
             if w > self.cap:
                 self._widen(w)
             width, groups, products = self.width, {}, {}
-            if self.m:
-                self.denominators.append(
-                    _packed_product(range(1, w + 1), self.m, width))
             for lam in all_partitions(w):
                 term = 1
                 if e:
                     lam_hooks = tuple(hooks(lam))
                     product = products.get(lam_hooks)
                     if product is None:
-                        product = _packed_product(reversed(lam_hooks),
-                                                  abs(e), width)
-                        if self.m:
-                            product, rest = divmod(self.denominators[w],
-                                                   product)
-                            if rest:
-                                raise ExactnessError(
-                                    "hook product does not divide D_%d" % w)
-                        products[lam_hooks] = product
+                        product = products[lam_hooks] = (
+                            self._hook_quotient(lam_hooks, w) if self.m else
+                            _packed_product(reversed(lam_hooks), e, width))
                     paired = lam if self.conv == MATCHED else conjugate(lam)
                     term = product << ((abs(e) * w * w - e * (
                         w + 2 * n_lambda(paired))) * width)
@@ -443,6 +440,20 @@ class _LogTable:
             for j, entries in enumerate(self.series):
                 entries.append(sum(total * ap ** j * am ** (r - j)
                                    for (ap, am), total in groups.items()))
+
+    def _hook_quotient(self, lam_hooks, w):
+        """(D_w / prod over the hooks h of (1 - q^h))^m, packed: the factors
+        that D_w and the hook product share cancel first, and the product of
+        what is left of D_w^m is divided by what is left of the hooks'."""
+        hooks_left = Counter(lam_hooks) - Counter(range(1, w + 1))
+        factors_left = set(range(1, w + 1)).difference(lam_hooks)
+        quotient, rest = divmod(
+            _packed_product(sorted(factors_left), self.m, self.width),
+            _packed_product(sorted(hooks_left.elements()), self.m,
+                            self.width))
+        if rest:
+            raise ExactnessError("hook product does not divide D_%d" % w)
+        return quotient
 
     def series_at(self, j, w):
         "Packed D_w^m A_j(w)."
@@ -513,24 +524,18 @@ def _component_weights(r, k):
     return {j: b for j, b in weights.items() if b}
 
 
-def _n_v_coefficients(n, surf, k, conv):
-    """D_n^m n V_n as its list of coefficients, of u^(i - |e| n^2) at index
-    i.  n V_n = sum over odd d | n of mu(d) psi_d(sum_j b_j c^(j)_(n/d)),
-    with b_j the coefficients of x^j in x^r - 1 for the total (k None) and
-    in (x+1)^(r-k) (x-1)^k for the component k; expanding log A_j over
-    multisets of partitions gives the closed formula's multiset coefficients
-    (-1)^(m-1) (m-1)!/prod mult!.  Each sum_j b_j D_w^m c^(j)_w, w = n/d,
-    is unpacked once and added in at psi_d, the exponents times d, times
-    the factors (1 - q^i)^m of D_n^m with d not dividing i."""
-    _check_request(n, conv)
-    table = _real_table(surf, conv)
-    weights = _component_weights(surf.r, k)
-    e = table.e
-    out = table.combined(weights, n)
-    for d in range(3, n + 1, 2):
+def _adams_sum(table, weights, n, step):
+    """The coefficients of D_n^m times sum over d | n, d = 1 mod step, of
+    mu(d) psi_d(sum_j b_j c^(j)_(n/d)), of u^(i - |e| n^2) at index i, for
+    weights {j: b_j}: step 2 sums the odd d of a real curve, step 1 every d
+    of the complex curve.  Each sum_j b_j D_w^m c^(j)_w, w = n/d, is
+    unpacked once and added in at psi_d, the exponents times d, times the
+    factors (1 - q^i)^m of D_n^m with d not dividing i."""
+    out = [0] * table.digit_count(n)
+    for d in range(1, n + 1, step):
         mu = moebius(d) if n % d == 0 else 0
         if mu:
-            start = abs(e) * n * n * (d - 1) // d
+            start = abs(table.e) * n * n * (d - 1) // d
             digits = table.combined(weights, n // d)
             term = [0] * len(out)
             term[start:start + d * len(digits):d] = digits
@@ -539,6 +544,18 @@ def _n_v_coefficients(n, surf, k, conv):
                     term[2 * i:] = [a - b for a, b in zip(term[2 * i:], term)]
             out = [x + mu * y for x, y in zip(out, term)]
     return out
+
+
+def _n_v_coefficients(n, surf, k, conv):
+    """D_n^m n V_n as its list of coefficients, of u^(i - |e| n^2) at index
+    i.  n V_n = sum over odd d | n of mu(d) psi_d(sum_j b_j c^(j)_(n/d)),
+    with b_j the coefficients of x^j in x^r - 1 for the total (k None) and
+    in (x+1)^(r-k) (x-1)^k for the component k; expanding log A_j over
+    multisets of partitions gives the closed formula's multiset coefficients
+    (-1)^(m-1) (m-1)!/prod mult!."""
+    _check_request(n, conv)
+    return _adams_sum(_real_table(surf, conv),
+                      _component_weights(surf.r, k), n, 2)
 
 
 def v_n(n, surf, conv=MATCHED):
@@ -574,22 +591,28 @@ def _divided(coeffs, n, m, what):
     return out
 
 
+def _prefactored(table, coeffs, n, power, divisor, what):
+    """(q-1)^power (-q^(1/2))^(e n^2) X / divisor, from the coefficient list
+    of D_n^m X at the table's e and m: (-u)^(e n^2) moves index i to
+    u^(i + (e - |e|) n^2), each q - 1 = u^2 - 1 takes each coefficient from
+    the one two places below, and _divided takes D_n^m out."""
+    e = table.e
+    value = [(-1) ** (e * n * n % 2) * c for c in coeffs]
+    for _ in range(power):
+        value = [a - b for a, b in zip([0, 0] + value, value + [0, 0])]
+    return _require_polynomial(HalfPowerPolynomial.from_dense(
+        (e - abs(e)) * n * n, _divided(value, n, table.m, what)),
+        divisor, what)
+
+
 def _assembled(n, surf, k, conv):
     """E_n (k None) or E_n^k: (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n over 2n
-    (k None) or 2^r n.  The prefactor acts on the coefficient list of
-    D_n^m n V_n: (-u)^(e n^2) moves index i to u^(i + (e - |e|) n^2),
-    q - 1 = u^2 - 1 takes each coefficient from the one two places below,
-    and _divided takes D_n^m out."""
+    (k None) or 2^r n."""
     check_component(k, surf)
-    what = "E_%d" % n if k is None else "E_%d^%d" % (n, k)
-    e = surf.g - 1
-    sign = (-1) ** (e * n * n % 2)
-    v = _n_v_coefficients(n, surf, k, conv)
-    value = _divided([sign * (a - b) for a, b in zip([0, 0] + v, v + [0, 0])],
-                     n, max(0, -e), what)
-    return _require_polynomial(
-        HalfPowerPolynomial.from_dense((e - abs(e)) * n * n, value),
-        (2 if k is None else 2 ** surf.r) * n, what)
+    return _prefactored(_real_table(surf, conv),
+                        _n_v_coefficients(n, surf, k, conv), n, 1,
+                        (2 if k is None else 2 ** surf.r) * n,
+                        "E_%d" % n if k is None else "E_%d^%d" % (n, k))
 
 
 def _require_polynomial(value, divisor, what):
@@ -677,17 +700,17 @@ def complex_curve_e_poly(n, g):
 
     Extracted from the plethystic logarithm of the hook-polynomial series
     sum_lam H_lam^(2g-2) T^|lam| (the partition series with r = j = 0):
-    (q-1)^2 q^(n^2 (g-1)) times its T^n coefficient.
+    (q-1)^2 q^(n^2 (g-1)) times its T^n coefficient, the Adams sum over
+    every d | n of the table at e = 2g - 2, divided by n.  A remainder
+    raises NotPolynomial.  The polynomial is wrapped as a RationalFunction
+    with denominator 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    e = 2 * g - 2
-    table = _log_table(e, 0, MATCHED,
+    table = _log_table(2 * g - 2, 0, MATCHED,
                        ("genus %d of the complex curve" % g,) * 2)
-    n_coefficient = divisor_sum(n, lambda w: _over_denominator(
-        table.polynomial(table.log_at(0, w), w), e, w), moebius)
-    mono = HalfPowerPolynomial.u_power(2 * n * n * (g - 1))
-    return (RationalFunction(Q_MINUS_ONE ** 2 * mono) * n_coefficient
-            * Fraction(1, n))
+    return RationalFunction(_prefactored(
+        table, _adams_sum(table, {0: 1}, n, 1), n, 2, n,
+        "E_%d of the genus-%d complex curve" % (n, g)))

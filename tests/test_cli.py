@@ -112,7 +112,9 @@ def test_genfun_check_line():
 
 def test_formula_commands_do_not_load_numpy():
     """Only verify needs the finite-field oracle and with it numpy; only
-    genfun loads the identity check."""
+    genfun loads the identity check.  Neither the formula commands nor a
+    rank-2 or rank-3 count load the reference routes of verify and
+    ffreference."""
     import os
     import pathlib
     import subprocess
@@ -125,6 +127,8 @@ def test_formula_commands_do_not_load_numpy():
         "assert 'numpy' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['epoly', '--n', '1-2', '--g', '1', '--r', '1'],\n"
+        "                 ['component', '--n', '2', '--g', '1', '--r', '1',\n"
+        "                  '--k', '1'],\n"
         "                 ['euler', '--n', '2', '--g', '1', '--r', '1',\n"
         "                  '--k', '1']):\n"
         "        assert realcharvar.cli.main(argv) == 0\n"
@@ -132,7 +136,14 @@ def test_formula_commands_do_not_load_numpy():
         "    argv = ['genfun', '--N', '2', '--g', '1', '--r', '1']\n"
         "    assert realcharvar.cli.main(argv) == 0\n"
         "assert 'realcharvar.kronecker' in sys.modules\n"
-        "assert 'numpy' not in sys.modules\n")
+        "assert 'numpy' not in sys.modules\n"
+        "from realcharvar import fforacle\n"
+        "from realcharvar.epoly import SurfaceData\n"
+        "for n, q, xi in ((2, 5, 2), (3, 7, 3)):\n"
+        "    assert fforacle.compare_with_formula(\n"
+        "        n, fforacle.PrimeField(q), SurfaceData(0, 1), xi=xi)['equal']\n"
+        "assert 'realcharvar.verify' not in sys.modules\n"
+        "assert 'realcharvar.ffreference' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
@@ -252,18 +263,18 @@ def test_broken_oracle_invariant_is_one_line(monkeypatch):
      "CostLimit: rank 3 at g = 200: a packed coefficient would exceed"),
     (["epoly", "--n", "1", "--g", "10000000", "--r", "10000001"],
      "CostLimit: rank 1 at g = 10000000: a packed coefficient would exceed"),
-    (["epoly", "--n", "1-23", "--g", "0", "--r", "1"],
-     "CostLimit: rank 23 at g = 0, r = 1: the predicted work exceeds"),
+    (["epoly", "--n", "1-26", "--g", "0", "--r", "1"],
+     "CostLimit: rank 26 at g = 0, r = 1: the predicted work exceeds"),
     (["euler", "--n", "1-1000000", "--g", "1", "--r", "1", "--k", "1"],
      "CostLimit: rank 1000000 at g = 1, r = 1: the predicted work exceeds"),
     (["genfun", "--N", "40", "--g", "2", "--r", "1"],
      "CostLimit: rank 40 at g = 2, r = 1: the predicted work exceeds"),
-    (["genfun", "--N", "23", "--g", "0", "--r", "1"],
-     "CostLimit: rank 23 at g = 0, r = 1: the predicted work exceeds"),
+    (["genfun", "--N", "26", "--g", "0", "--r", "1"],
+     "CostLimit: rank 26 at g = 0, r = 1: the predicted work exceeds"),
     (["genfun", "--N", "24", "--g", "4", "--r", "3"],
      "CostLimit: rank 24 at g = 4, r = 3: the predicted work exceeds"),
-    (["verify", "telescope", "--g", "0", "--r", "1", "--N", "23"],
-     "CostLimit: rank 23 at g = 0, r = 1: the predicted work exceeds"),
+    (["verify", "telescope", "--g", "0", "--r", "1", "--N", "26"],
+     "CostLimit: rank 26 at g = 0, r = 1: the predicted work exceeds"),
 ])
 def test_costly_requests_are_refused_before_any_rank(argv, start):
     started = time.perf_counter()
