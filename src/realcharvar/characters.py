@@ -136,6 +136,7 @@ class CharacterTable:
         self.self_inverse = table.self_inverse_classes()
         self._primes = []
         self._residues = {}
+        self._group_sums = {}
 
     def primes(self):
         """The primes p = 1 mod q^2 - 1, descending from the largest below
@@ -184,6 +185,13 @@ class CharacterTable:
         coef = self.coef[self.family[:, None], self.kind[cols]] % p
         return (coef[..., 0] * powers[(a * e1 + b * e2) % self.m]
                 + coef[..., 1] * powers[(b * e1 + a * e2) % self.m]) % p
+
+    def group_sum(self, atom):
+        "The group sum of an atom's class function, taken once."
+        if atom not in self._group_sums:
+            self._group_sums[atom] = fforacle.class_fn_atom(
+                self.table, atom).group_sum()
+        return self._group_sums[atom]
 
     def residues(self, p):
         "The gated residues at p, built once."
@@ -253,10 +261,9 @@ def count(table, atoms, xi):
     if table._characters is None:
         table._characters = CharacterTable(table)
     chars = table._characters
-    fns = [fforacle.class_fn_atom(table, atom) for atom in atoms]
-    bound = max(fns[-1].values)
-    for fn in fns[:-1]:
-        bound *= fn.group_sum()
+    bound = max(fforacle.class_fn_atom(table, atoms[-1]).values)
+    for atom in atoms[:-1]:
+        bound *= chars.group_sum(atom)
     value, modulus = 0, 1
     for p in chars.primes():
         residue = chars.residues(p).count(atoms, xi)

@@ -10,6 +10,7 @@ import csv
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .algebra import HalfPowerPolynomial, format_poly, format_poly_latex
 from .epoly import (CONVENTIONS, MATCHED, SurfaceData, check_cost, e_poly,
@@ -66,10 +67,33 @@ def _poly_records(args, surf, ns):
     } for n in ns]
 
 
+def _json(value, pad="\n"):
+    """value as json.dumps(value, indent=2,
+    default=HalfPowerPolynomial.to_triples) lays it out, for dicts with str
+    keys, lists, polynomials and scalars; pad is the newline and indent of
+    value's closing bracket.  A polynomial's triples [exponent, numerator,
+    denominator] are written straight from its terms, one %-format each."""
+    inner = pad + "  "
+    if isinstance(value, HalfPowerPolynomial):
+        triple = "[%s%%d,%s%%d,%s%%d%s]" % ((inner + "  ",) * 3 + (inner,))
+        items = [triple % (e, c.numerator, c.denominator)
+                 for e, c in sorted(value.terms.items())]
+    elif isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+    elif isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json(v, inner)
+                 for key, v in value.items()]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _render_records(records, fmt, xy, out):
     if fmt == "json":
-        out.write(json.dumps(records, indent=2,
-                             default=HalfPowerPolynomial.to_triples) + "\n")
+        out.write(_json(records) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -107,9 +131,8 @@ def cmd_euler(args, out):
     values = [(n, euler_char_component(n, surf, args.k, args.convention))
               for n in ns]
     if args.format == "json":
-        out.write(json.dumps([{"n": n, "g": args.g, "r": args.r, "k": args.k,
-                               "euler": str(v)} for n, v in values],
-                             indent=2) + "\n")
+        out.write(_json([{"n": n, "g": args.g, "r": args.r, "k": args.k,
+                          "euler": str(v)} for n, v in values]) + "\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "g", "r", "k", "euler"])
@@ -129,8 +152,7 @@ def cmd_genfun(args, out):
     records = _poly_records(args, surf, range(1, args.N + 1))
     ok = gen_function_check(args.N, surf, args.convention)
     if args.format == "json":
-        out.write(json.dumps({"check": ok, "results": records}, indent=2,
-                             default=HalfPowerPolynomial.to_triples) + "\n")
+        out.write(_json({"check": ok, "results": records}) + "\n")
     else:
         _render_records(records, args.format, args.xy, out)
         if args.format == "text":

@@ -32,7 +32,9 @@ identity check, and is never rebuilt; at g = 1 its entries are plain ints.
 n V_n combines the packed c^(j) by the b_j and unpacks the digits once per
 odd d | n for the Adams sum.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n,
 at genus 0 divided exactly by D_n^m, then divided exactly by 2n (by 2^r n
-for a component); a remainder raises NotPolynomial.  The complex curve's
+for a component); a remainder raises NotPolynomial.  Each E_n and E_n^k
+is assembled once per process and kept, so that an Euler characteristic
+or a finite-field comparison reuses it.  The complex curve's
 E-polynomial, the r = 0 anchor, takes the same route: its table is the one
 at e = 2g - 2 and r = 0, its Adams sum runs over every d | n, and its
 prefactor is (q-1)^2 q^(n^2 (g-1)) over n.  Requests whose predicted
@@ -493,6 +495,7 @@ class _LogTable:
 
 
 _LOG_TABLES = {}
+_ASSEMBLED = {}
 
 
 def _log_table(e, r, conv, surface):
@@ -600,31 +603,37 @@ def _prefactored(table, coeffs, n, power, divisor, what):
     value = [(-1) ** (e * n * n % 2) * c for c in coeffs]
     for _ in range(power):
         value = [a - b for a, b in zip([0, 0] + value, value + [0, 0])]
-    return _require_polynomial(HalfPowerPolynomial.from_dense(
-        (e - abs(e)) * n * n, _divided(value, n, table.m, what)),
-        divisor, what)
+    return _require_polynomial((e - abs(e)) * n * n,
+                               _divided(value, n, table.m, what),
+                               divisor, what)
 
 
 def _assembled(n, surf, k, conv):
     """E_n (k None) or E_n^k: (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n over 2n
-    (k None) or 2^r n."""
+    (k None) or 2^r n, built once per (n, g, r, k, conv) and process; the
+    request is checked before the lookup."""
     check_component(k, surf)
-    return _prefactored(_real_table(surf, conv),
-                        _n_v_coefficients(n, surf, k, conv), n, 1,
-                        (2 if k is None else 2 ** surf.r) * n,
-                        "E_%d" % n if k is None else "E_%d^%d" % (n, k))
+    _check_request(n, conv)
+    key = (n, surf.g, surf.r, k, conv)
+    poly = _ASSEMBLED.get(key)
+    if poly is None:
+        poly = _ASSEMBLED[key] = _prefactored(
+            _real_table(surf, conv), _n_v_coefficients(n, surf, k, conv), n,
+            1, (2 if k is None else 2 ** surf.r) * n,
+            "E_%d" % n if k is None else "E_%d^%d" % (n, k))
+    return poly
 
 
-def _require_polynomial(value, divisor, what):
-    """value / divisor as a polynomial in q with int coefficients, or
-    NotPolynomial."""
-    if not value.is_q_polynomial():
+def _require_polynomial(lo, coeffs, divisor, what):
+    """sum over i of coeffs[i] u^(lo + i), over divisor, as a polynomial in q
+    with int coefficients, or NotPolynomial."""
+    if any(coeffs[1 - lo % 2::2]):
         raise NotPolynomial("%s has odd half powers" % what)
-    if any(e < 0 for e in value.terms):
+    if lo < 0 and any(coeffs[:-lo]):
         raise NotPolynomial("%s has negative exponents" % what)
-    if any(c % divisor for c in value.terms.values()):
+    if any(c % divisor for c in coeffs):
         raise NotPolynomial("%s has a non-integer coefficient" % what)
-    return HalfPowerPolynomial({e: c // divisor for e, c in value.terms.items()})
+    return HalfPowerPolynomial.from_dense(lo, [c // divisor for c in coeffs])
 
 
 def e_poly(n, surf, conv=MATCHED):

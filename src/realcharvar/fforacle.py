@@ -49,6 +49,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -150,8 +151,9 @@ class PrimeField:
 # -- matrices over F_q ----------------------------------------------------
 #
 # det_mod and charpoly_mod take one matrix or an (..., n, n) int64 stack
-# with n <= 3 and reduce mod q after every product, so every product stays
-# below q^2.
+# with n <= 3 and entries below q in absolute value, and reduce mod q once
+# per Leibniz sum: each of its n! products stays below q^n, so the sum stays
+# below n! q^n, and a q at which that would leave int64 is refused.
 
 def _stack(A):
     "A as an int64 array whose last two axes are n x n, n <= 3."
@@ -162,12 +164,17 @@ def _stack(A):
 
 
 def _det(A, q):
-    "The Leibniz sum over the n! <= 6 column permutations, mod q."
+    """The Leibniz sum over the n! <= 6 column permutations, mod q; refused
+    (ExactnessError) where n! q^n leaves int64."""
+    n = A.shape[-1]
+    if factorial(n) * q ** n > _INT64_MAX:
+        raise ExactnessError("a %d x %d determinant mod %d leaves int64"
+                             % (n, n, q))
     total = 0
-    for perm in permutations(range(A.shape[-1])):
+    for perm in permutations(range(n)):
         term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
         for i, j in enumerate(perm):
-            term = term * A[..., i, j] % q
+            term = term * A[..., i, j]
         total = total + term
     return total % q
 

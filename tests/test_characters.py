@@ -2,6 +2,7 @@
 orthogonality relations, the counts against the kernel's convolution chain,
 and the gates that refuse a wrong table or a disagreeing prime."""
 
+from collections import Counter
 from itertools import islice, product
 from math import isqrt
 
@@ -11,8 +12,8 @@ import pytest
 from realcharvar import characters, fforacle
 from realcharvar.algebra import ExactnessError
 from realcharvar.epoly import SurfaceData
-from realcharvar.fforacle import (ClassTable, GroupTooLarge, PrimeField,
-                                  class_fn_N, class_table,
+from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
+                                  PrimeField, class_fn_N, class_table,
                                   compare_with_formula, convolve,
                                   count_representation_variety,
                                   delta_identity, formula_count,
@@ -90,10 +91,20 @@ def _refused(*args, **kwargs):
 
 
 def test_counts_use_no_lookup_kernel_or_convolution(monkeypatch):
+    # and each atom's group sum, which bounds the count, is taken once per
+    # table
+    sums = Counter()
+    group_sum = ClassFunction.group_sum
+
+    def spy(fn):
+        sums[fn.table.n, fn.table.q] += 1
+        return group_sum(fn)
+
     monkeypatch.setattr(fforacle, "_TABLES", {})
     monkeypatch.setattr(ClassTable, "element_class_array", _refused)
     monkeypatch.setattr(ClassTable, "kernel", _refused)
     monkeypatch.setattr(fforacle, "convolve", _refused)
+    monkeypatch.setattr(ClassFunction, "group_sum", spy)
     for n, q in ((1, 7), (2, 5), (2, 13), (2, 17)):
         field = PrimeField(q)
         for xi in primitive_roots_of_unity(field, 2 * n):
@@ -106,6 +117,7 @@ def test_counts_use_no_lookup_kernel_or_convolution(monkeypatch):
                                 n, field, surf, k), (n, q, g, r, k)
         table = class_table(n, field)
         assert table._element_class is None and table._kernel is None
+    assert len(sums) == 4 and max(sums.values()) <= 4
 
 
 def test_compare_with_formula_beyond_the_kernel():

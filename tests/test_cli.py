@@ -1,12 +1,15 @@
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from realcharvar.algebra import HalfPowerPolynomial
+from realcharvar import cli, epoly
+from realcharvar.algebra import HalfPowerPolynomial, ZERO
 from realcharvar.cli import UsageError, main, parse_n_range
-from realcharvar.epoly import SurfaceData, e_poly
+from realcharvar.epoly import (SurfaceData, e_poly, e_poly_component,
+                               euler_char_component)
 
 
 def run_cli(argv):
@@ -57,6 +60,74 @@ def test_epoly_rank_17():
                          "--format", "json"])
     assert code == 0
     assert json.loads(out)[0]["poly"] == [[0, -1, 1], [2, 1, 1]]  # q - 1
+
+
+def _stdlib_json(doc):
+    "The reference layout that the CLI's JSON writer reproduces."
+    return json.dumps(doc, indent=2, default=HalfPowerPolynomial.to_triples)
+
+
+def _records(g, r, k, ns):
+    surf = SurfaceData(g, r)
+    return [{"n": n, "g": g, "r": r, "k": k, "convention": "matched",
+             "poly": (e_poly(n, surf) if k is None
+                      else e_poly_component(n, surf, k))} for n in ns]
+
+
+def test_json_writer_matches_the_stdlib_layout(monkeypatch):
+    """The documents of epoly, component, euler and genfun are byte for
+    byte what json.dumps(indent=2) writes: at genus 0 E_n = 0 for n > 1
+    and is written as [], a Fraction coefficient as its numerator and
+    denominator, "check": false, and empty lists and dicts inline."""
+    euler = [{"n": n, "g": 2, "r": 3, "k": 3,
+              "euler": str(euler_char_component(n, SurfaceData(2, 3), 3))}
+             for n in (1, 2, 3)]
+    docs = [_records(2, 2, None, range(1, 4)), _records(0, 1, None, (1, 2)),
+            _records(0, 1, 1, (1, 3)), _records(1, 2, 1, (5,)), euler,
+            {"check": False, "results": _records(3, 1, None, (1, 2))},
+            {"check": True, "results": []}, [], {}, [[], {}, ZERO],
+            [{"n": 1, "poly": HalfPowerPolynomial(
+                {-3: Fraction(-3, 4), 0: 1, 4: Fraction(5, 2)})}],
+            {"caf\u00e9 \"k\"": None, "x": "\u00e9\n"}]
+    for doc in docs:
+        assert cli._json(doc) == _stdlib_json(doc)
+    # and each command writes its document through the writer
+    for argv, doc in (
+            (["epoly", "--n", "1-3", "--g", "2", "--r", "2"], docs[0]),
+            (["epoly", "--n", "1-2", "--g", "0", "--r", "1"], docs[1]),
+            (["component", "--n", "5", "--g", "1", "--r", "2", "--k", "1"],
+             docs[3]),
+            (["euler", "--n", "1-3", "--g", "2", "--r", "3", "--k", "3"],
+             euler)):
+        assert run_cli(argv + ["--format", "json"]) == (
+            0, _stdlib_json(doc) + "\n")
+    monkeypatch.setattr(cli, "gen_function_check", lambda *args: False)
+    assert run_cli(["genfun", "--N", "2", "--g", "3", "--r", "1",
+                    "--format", "json"]) == (1, _stdlib_json(docs[5]) + "\n")
+
+
+def test_euler_reuses_the_component_of_the_same_request(monkeypatch):
+    "component then euler at the same (n, g, r, k) assemble E_n^k once."
+    calls = []
+    adams_sum = epoly._adams_sum
+
+    def spy(*args):
+        calls.append(args[2])
+        return adams_sum(*args)
+
+    monkeypatch.setattr(epoly, "_ASSEMBLED", {})
+    monkeypatch.setattr(epoly, "_adams_sum", spy)
+    request = ["--n", "3", "--g", "2", "--r", "3", "--k", "1",
+               "--format", "json"]
+    code, out = run_cli(["component"] + request)
+    assert code == 0 and calls == [3]
+    code, out = run_cli(["euler"] + request)
+    assert code == 0 and json.loads(out)[0]["euler"] == "-1"
+    assert calls == [3]
+    # a bad k is refused before the lookup, even with a value stored for it
+    epoly._ASSEMBLED[3, 2, 3, 2, "matched"] = ZERO
+    code, out = run_cli(["euler"] + request[:7] + ["2"])
+    assert (code, out) == (1, "")
 
 
 def test_euler_example():

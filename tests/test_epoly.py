@@ -156,16 +156,22 @@ def test_e_poly_degree_and_integrality():
 
 
 def test_half_integer_coefficient_is_not_polynomial(monkeypatch):
-    # (value, divisor): a half-integer coefficient, an int coefficient the
-    # divisor does not divide, a half power, a negative power
-    for value, divisor in ((HalfPowerPolynomial({2: Fraction(1, 2)}), 1),
-                           (HalfPowerPolynomial({0: 4, 2: 6}), 4),
-                           (HalfPowerPolynomial({1: 2}), 2),
-                           (HalfPowerPolynomial({-2: 2}), 2)):
-        with pytest.raises(NotPolynomial):
-            _require_polynomial(value, divisor, "E")
-    assert _require_polynomial(HalfPowerPolynomial({0: 4, 2: 8}), 4, "E") \
+    # (lo, coefficients of u^lo, u^(lo+1), ..., divisor, message): a
+    # half-integer coefficient, an int coefficient the divisor does not
+    # divide, a half power at even and at odd lo, a negative power
+    for lo, coeffs, divisor, message in (
+            (2, [Fraction(1, 2)], 1, "non-integer"),
+            (0, [4, 0, 6], 4, "non-integer"),
+            (0, [0, 2], 2, "odd half powers"),
+            (1, [2], 2, "odd half powers"),
+            (-2, [2, 0, 2], 2, "negative exponents")):
+        with pytest.raises(NotPolynomial, match=message):
+            _require_polynomial(lo, coeffs, divisor, "E")
+    assert _require_polynomial(0, [4, 0, 8], 4, "E") \
         == HalfPowerPolynomial({0: 1, 2: 2})
+    assert _require_polynomial(-2, [0, 0, 0, 0, 6], 3, "E") \
+        == HalfPowerPolynomial({2: 2})
+    assert _require_polynomial(0, [0, 0, 0], 2, "E").is_zero()
     # a genus-0 numerator is divided exactly by D_n^m: 1 - q is D_1, 1 is
     # not divisible by it, and m = 0 divides by nothing
     assert epoly._divided([1, 0, -1], 1, 1, "E") == [1]
@@ -174,6 +180,7 @@ def test_half_integer_coefficient_is_not_polynomial(monkeypatch):
         epoly._divided([1, 0, 0], 1, 1, "E")
     # the rank-1 numerator at (0, 1) over D_2 in place of D_1
     divided = epoly._divided
+    monkeypatch.setattr(epoly, "_ASSEMBLED", {})
     monkeypatch.setattr(epoly, "_divided",
                         lambda coeffs, n, m, what: divided(coeffs, n + 1, m,
                                                            what))
@@ -183,8 +190,10 @@ def test_half_integer_coefficient_is_not_polynomial(monkeypatch):
 
 
 def _clear_formula_caches():
-    "Drop the hook polynomials, partition series and log tables."
+    """Drop the hook polynomials, partition series, log tables and
+    assembled polynomials."""
     epoly._LOG_TABLES.clear()
+    epoly._ASSEMBLED.clear()
     for fn in (hook_polynomial, verify._series_coefficient):
         fn.cache_clear()
 
@@ -228,6 +237,7 @@ def test_integer_route_builds_no_rational_function(monkeypatch):
 
 
 def test_log_tables_hold_int_polynomials():
+    _clear_formula_caches()
     surf = SurfaceData(2, 3)
     e_poly(6, surf)
     e_poly_component(6, surf, 3, TRANSPOSED)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -684,6 +684,37 @@ def _cofactor_det(A):
     return sum((-1) ** j * A[..., 0, j]
                * _cofactor_det(A[..., 1:, [c for c in range(n) if c != j]])
                for j in range(n))
+
+
+def _det_per_product(A, q):
+    "Reference Leibniz sum that reduces mod q after every product."
+    n = A.shape[-1]
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term = term * A[..., i, j] % q
+        total = total + term
+    return total % q
+
+
+def test_det_reduces_once_and_refuses_leaving_int64():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        for q in (3, 5, 17):
+            A = rng.integers(0, q, size=(500, n, n), dtype=np.int64)
+            assert (fforacle._det(A, q) == _det_per_product(A, q)).all()
+    # 3! q^3 fits in int64 at q = 2^20 and not at 2^21; at the edge the
+    # one reduction agrees with exact Python ints
+    q = 2 ** 20 - 3
+    A = rng.integers(q - 40, q, size=(200, 3, 3), dtype=np.int64)
+    exact = _det_per_product(A.astype(object), q).astype(np.int64)
+    assert (fforacle._det(A, q) == exact).all()
+    assert (charpoly_mod(A, q)[:, 0] == -exact % q).all()
+    with pytest.raises(ExactnessError, match="leaves int64"):
+        fforacle._det(A, 2 ** 21)
+    with pytest.raises(ExactnessError, match="leaves int64"):
+        det_mod(np.eye(2, dtype=np.int64), 2 ** 32)
 
 
 def test_matrix_layer_copies_no_minors(monkeypatch):
