@@ -1,6 +1,6 @@
 """Exact arithmetic in the half-power variable u, where u**2 = q.
 
-Everything downstream works over three layers built here:
+Three layers are built here:
 
 * HalfPowerPolynomial -- Laurent polynomials in u with exact coefficients,
   keyed by integer u-exponent (exponent e stands for q**(e/2)).  A
@@ -8,17 +8,24 @@ Everything downstream works over three layers built here:
   makes one.  Products are fraction-free: both factors are lifted to int
   numerators over one common denominator, the ints are convolved, and each
   output coefficient is divided once, so an integral result is an int.
+  Every E_n and E_n^k the formulas return is one of these.
 * RationalFunction -- normalized quotients of HalfPowerPolynomials.  The
   denominator is an ordinary polynomial with constant coefficient 1 and no
   common factor with the numerator, so equality is structural.  The gcd that
   keeps it so runs over Z, as a primitive remainder sequence.  Arithmetic
-  that mixes the two layers gives a RationalFunction.
+  that mixes the two layers gives a RationalFunction.  It is used where a
+  denominator is real, at V_n of genus 0 and in the references of verify,
+  and it wraps the complex curve's E-polynomial with denominator 1.
 * TruncatedSeries -- power series in T up to a fixed order with
   RationalFunction coefficients, carrying the plethystic operations
-  (adams substitution, Exp, Log, rational exponents).
+  (adams substitution, log and exp, Log, rational exponents).  Only the
+  rational reference of the product identity in verify and the tests read
+  it; the formulas run their series on Kronecker-packed ints in epoly and
+  kronecker.
 
-The plethystic log is coded once, as log_coefficients (the log recurrence)
-and divisor_sum (the Adams sum); epoly runs the recurrence on packed ints.
+The series layer's logarithms are coded once: log_coefficients (the log
+recurrence) serves formal_log and pleth_log, and divisor_sum (the Adams sum)
+turns the log into pleth_log's plethystic form.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -32,7 +39,7 @@ class OddExponent(ValueError):
 
 
 class NonzeroConstantTerm(ValueError):
-    "Plethystic Exp needs a series with zero constant coefficient."
+    "The formal exp needs a series with zero constant coefficient."
 
 
 class ConstantTermNotOne(ValueError):
@@ -757,22 +764,8 @@ def formal_exp(w):
     return TruncatedSeries(n, out)
 
 
-def pleth_exp(v):
-    """Plethystic exponential: Exp(v) = exp(sum_d psi_d(v)/d).
-
-    Satisfies Exp(a*x^m*T^n) = (1 - x^m T^n)^(-a) and turns sums into
-    products.  The input must have zero constant coefficient.
-    """
-    if not v.coeffs[0].is_zero():
-        raise NonzeroConstantTerm("plethystic Exp needs zero constant coefficient")
-    n = v.order
-    return formal_exp(TruncatedSeries(n, {
-        m: divisor_sum(m, v.coeffs.__getitem__, lambda d: Fraction(1, d))
-        for m in range(1, n + 1)}))
-
-
 def pleth_log(f):
-    """Plethystic logarithm, the inverse of pleth_exp.
+    """Plethystic logarithm, the inverse of Exp(v) = exp(sum_d psi_d(v)/d).
 
     Its T^m coefficient is (1/m) sum_{d|m} mu(d) psi_d(c_(m/d)), with c the
     log coefficients of f; the input must have constant coefficient one.

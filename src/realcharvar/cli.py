@@ -145,10 +145,10 @@ def cmd_euler(args, out):
 
 
 def cmd_genfun(args, out):
-    surf = _surface(args.g, args.r, args.N)
-    check_cost(args.N, surf, identity=True)
     if args.N < 1:
         raise UsageError("truncation order N must be positive")
+    surf = _surface(args.g, args.r, args.N)
+    check_cost(args.N, surf, identity=True)
     records = _poly_records(args, surf, range(1, args.N + 1))
     ok = gen_function_check(args.N, surf, args.convention)
     if args.format == "json":

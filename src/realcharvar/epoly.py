@@ -70,7 +70,7 @@ from itertools import product as iproduct
 from math import comb, factorial, inf, isqrt
 
 from .algebra import (ExactnessError, HalfPowerPolynomial, ONE,
-                      RationalFunction, U, ZERO, moebius)
+                      RationalFunction, U, moebius)
 from .partitions import (all_partitions, conjugate, hooks, multiplicities,
                          n_lambda, partition_count, weight)
 from .symfun import a_minus, a_plus
@@ -649,13 +649,6 @@ def e_poly(n, surf, conv=MATCHED):
 def e_poly_component(n, surf, k, conv=MATCHED):
     "E-polynomial of one path component, by its odd sign count k; as e_poly."
     return _assembled(n, surf, k, conv)
-
-
-def component_sum_check(n, surf, conv=MATCHED):
-    "Check sum over odd k of binomial(r,k) * E_n^k = E_n as polynomials."
-    total = sum((e_poly_component(n, surf, k, conv) * comb(surf.r, k)
-                 for k in range(1, surf.r + 1, 2)), ZERO)
-    return total == e_poly(n, surf, conv)
 
 
 def euler_char_component(n, surf, k, conv=MATCHED):

@@ -224,13 +224,6 @@ def poly_pow(f, e, q):
     return out
 
 
-def poly_eval(f, x, q):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % q
-    return acc
-
-
 def poly_star(f, field):
     "The polynomial whose roots are the inverse roots of f (monic)."
     q = field.q

@@ -10,11 +10,18 @@ import numpy as np
 from .algebra import ExactnessError
 from .fforacle import (ClassFunction, GroupTooLarge, SingularMatrix,
                        _decode, _encode, _inverse_table, _nullspace_mod,
-                       _stack, charpoly_mod, det_mod, inverse_label,
-                       poly_eval)
+                       _stack, charpoly_mod, det_mod, inverse_label)
 from .partitions import conjugate, ell_odd, n_lambda, weight
 
 _PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
+
+
+def poly_eval(f, x, q):
+    "f(x) mod q by Horner's rule; f is ascending coefficients."
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % q
+    return acc
 
 
 def poly_eval_matrix(f, A, q):

@@ -1,8 +1,8 @@
 """Partition combinatorics: the indexing backbone for every formula.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
-partition is ().  Both the parts encoding and the multiplicity encoding
-(1^m1 2^m2 ...) are supported, conversion is lossless.
+partition is ().  multiplicities reads off the multiplicity encoding
+(1^m1 2^m2 ...) as a dict; nothing converts it back to parts.
 """
 
 from functools import lru_cache

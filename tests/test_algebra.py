@@ -6,9 +6,8 @@ import pytest
 from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
                                  RF_ONE, RF_ZERO, RationalFunction,
                                  TruncatedSeries, U,
-                                 ConstantTermNotOne, NonzeroConstantTerm,
-                                 OddExponent, adams, format_poly, formal_exp,
-                                 formal_log, moebius, pleth_exp,
+                                 ConstantTermNotOne, OddExponent, adams,
+                                 format_poly, formal_exp, formal_log, moebius,
                                  pleth_log, poly_divmod, poly_gcd,
                                  rational_exponent_pow)
 
@@ -136,55 +135,58 @@ def test_adams_is_ring_endomorphism():
             assert adams(fa + fb, d) == adams(fa, d) + adams(fb, d)
 
 
-def test_pleth_exp_geometric():
-    n = 8
-    e = pleth_exp(TruncatedSeries(n, {1: RF_ONE}))
-    assert all(e.coefficient(i) == RF_ONE for i in range(n + 1))
-    eq = pleth_exp(TruncatedSeries(n, {1: RationalFunction(Q)}))
-    assert all(eq.coefficient(i) == RationalFunction(q_power(i))
-               for i in range(n + 1))
-
-
-def test_pleth_exp_two_factors():
-    # Exp(T + T^2) = 1/((1-T)(1-T^2)): 1 + T + 2T^2 + 2T^3 + 3T^4 + ...
-    n = 6
-    e = pleth_exp(TruncatedSeries(n, {1: RF_ONE, 2: RF_ONE}))
-    expected = [1, 1, 2, 2, 3, 3, 4]
-    got = [e.coefficient(i).evaluate(Fraction(3)) for i in range(n + 1)]
-    assert got == expected
-
-
-def test_pleth_exp_multiplicative():
-    n = 7
-    v = TruncatedSeries(n, {1: RationalFunction(Q), 3: RationalFunction(Q - ONE)})
-    w = TruncatedSeries(n, {2: RF_ONE})
-    assert pleth_exp(v + w) == pleth_exp(v) * pleth_exp(w)
-
-
 def test_pleth_log_examples():
     n = 8
-    inv_1mt = pleth_exp(TruncatedSeries(n, {1: RF_ONE}))
+    # 1/(1-T) = sum T^m and 1/((1-T)(1-qT)) = sum (1 + q + ... + q^m) T^m
+    inv_1mt = TruncatedSeries(n, [RF_ONE] * (n + 1))
     assert pleth_log(inv_1mt) == TruncatedSeries(n, {1: RF_ONE})
-    both = inv_1mt * pleth_exp(TruncatedSeries(n, {1: RationalFunction(Q)}))
+    both = TruncatedSeries(n, [
+        RationalFunction(HalfPowerPolynomial({2 * i: 1 for i in range(m + 1)}))
+        for m in range(n + 1)])
     assert pleth_log(both) == TruncatedSeries(
         n, {1: RationalFunction(Q + ONE)})
 
 
-def test_pleth_log_exp_roundtrip_random():
+def test_pleth_log_two_factors():
+    # 1/((1-T)(1-T^2)) = 1 + T + 2T^2 + 2T^3 + 3T^4 + ... has Log T + T^2
+    n = 6
+    f = TruncatedSeries(n, [1, 1, 2, 2, 3, 3, 4])
+    assert pleth_log(f) == TruncatedSeries(n, {1: RF_ONE, 2: RF_ONE})
+
+
+def _random_unit_series(rng, n):
+    return TruncatedSeries(n, [RF_ONE] + [
+        RationalFunction(_random_poly(rng, span=2)) for _ in range(n)])
+
+
+def test_pleth_log_turns_products_into_sums():
+    rng = random.Random(7)
+    n = 6
+    for _ in range(10):
+        f, g = _random_unit_series(rng, n), _random_unit_series(rng, n)
+        assert pleth_log(f * g) == pleth_log(f) + pleth_log(g)
+
+
+def test_pleth_log_inverts_euler_products_random():
+    # Log prod (1 - q^k T^i)^(-c) = sum c q^k T^i, for integers c of any sign
     rng = random.Random(5)
     n = 6
     for _ in range(10):
-        v = TruncatedSeries(n, {i: RationalFunction(_random_poly(rng, span=2))
-                                for i in range(1, n + 1)})
-        assert pleth_log(pleth_exp(v)) == v
+        v = TruncatedSeries(n)
+        f = TruncatedSeries.one(n)
+        for _ in range(rng.randint(1, 5)):
+            i, k, c = rng.randint(1, n), rng.randint(0, 2), rng.randint(-2, 2)
+            v = v + TruncatedSeries(n, {i: RationalFunction(q_power(k, c))})
+            factor = TruncatedSeries(n, {0: RF_ONE,
+                                         i: -RationalFunction(q_power(k))})
+            for _ in range(abs(c)):
+                f = f * (factor.inverse() if c > 0 else factor)
+        assert pleth_log(f) == v
 
 
 def test_pleth_preconditions():
-    n = 4
-    with pytest.raises(NonzeroConstantTerm):
-        pleth_exp(TruncatedSeries.one(n))
     with pytest.raises(ConstantTermNotOne):
-        pleth_log(TruncatedSeries(n, {1: RF_ONE}))
+        pleth_log(TruncatedSeries(4, {1: RF_ONE}))
 
 
 def test_rational_exponent_pow():
@@ -195,7 +197,7 @@ def test_rational_exponent_pow():
     back = rational_exponent_pow(sq, Fraction(1, 2))
     assert back == f
     # binomial series of (1-T)^(-1/2): 1 + T/2 + 3T^2/8 + 5T^3/16
-    geo = pleth_exp(TruncatedSeries(n, {1: RF_ONE}))
+    geo = TruncatedSeries(n, [RF_ONE] * (n + 1))
     half = rational_exponent_pow(geo, Fraction(1, 2))
     assert half.coefficient(1).evaluate(Fraction(2)) == Fraction(1, 2)
     assert half.coefficient(2).evaluate(Fraction(2)) == Fraction(3, 8)

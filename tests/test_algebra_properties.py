@@ -1,8 +1,9 @@
 """Property tests for the exact arithmetic in algebra: products against a
 schoolbook Fraction product, the gcd against divisibility, and the
 canonical form of rational functions, on Laurent polynomials drawn with int
-and Fraction coefficients; and the series log, Log and Exp against the
-psi-series forms they replaced, on series with rational coefficients."""
+and Fraction coefficients; and the series log and Log against the
+psi-series forms they replaced, and as maps from products to sums, on series
+with rational coefficients."""
 
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from realcharvar.algebra import (ONE, RF_ONE, RF_ZERO, HalfPowerPolynomial,
                                  RationalFunction, TruncatedSeries, U, adams,
-                                 formal_exp, formal_log, moebius, pleth_exp,
-                                 pleth_log, poly_divmod, poly_gcd)
+                                 formal_exp, formal_log, moebius, pleth_log,
+                                 poly_divmod, poly_gcd)
 
 PROPERTIES = settings(max_examples=50, deadline=None, database=None,
                       derandomize=True)
@@ -157,14 +158,6 @@ def psi(v, d):
                                      for j in range(1, v.order // d + 1)})
 
 
-def reference_pleth_exp(v):
-    "exp(sum_d psi_d(v)/d), summed as series."
-    w = TruncatedSeries(v.order)
-    for d in range(1, v.order + 1):
-        w = w + psi(v, d) * Fraction(1, d)
-    return formal_exp(w)
-
-
 def reference_pleth_log(f):
     "sum_d (mu(d)/d) psi_d(log f), summed as series."
     log = reference_formal_log(f)
@@ -192,14 +185,22 @@ def series(constant):
 
 
 @settings(PROPERTIES, max_examples=25)
-@given(series(RF_ZERO))
-def test_pleth_exp_matches_the_psi_series_reference(v):
-    assert pleth_exp(v) == reference_pleth_exp(v)
-
-
-@settings(PROPERTIES, max_examples=25)
 @given(series(RF_ONE))
 def test_log_and_pleth_log_match_the_references(f):
     assert formal_log(f) == reference_formal_log(f)
     assert pleth_log(f) == reference_pleth_log(f)
     assert formal_exp(formal_log(f)) == f
+
+
+def unit_series_pairs():
+    return st.integers(1, 4).flatmap(lambda order: st.tuples(*[
+        st.lists(series_coefficients, min_size=order, max_size=order).map(
+            lambda cs: TruncatedSeries(order, [RF_ONE] + cs))] * 2))
+
+
+@settings(PROPERTIES, max_examples=15)
+@given(unit_series_pairs())
+def test_log_and_pleth_log_turn_products_into_sums(pair):
+    f, g = pair
+    assert formal_log(f * g) == formal_log(f) + formal_log(g)
+    assert pleth_log(f * g) == pleth_log(f) + pleth_log(g)

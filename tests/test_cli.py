@@ -396,3 +396,14 @@ def test_malformed_numbers_are_usage_errors(argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
+
+def test_genfun_refuses_a_nonpositive_order_before_pricing_it(monkeypatch):
+    priced = []
+    monkeypatch.setattr(cli, "check_cost",
+                        lambda *args, **kw: priced.append(args))
+    for argv in (["genfun", "--N", "0", "--g", "1", "--r", "1"],
+                 ["genfun", "--N", "-3", "--g", "1", "--r", "5"]):
+        assert _call(argv) == (
+            2, "", "error: truncation order N must be positive\n")
+    assert priced == []
+

@@ -11,8 +11,7 @@ from realcharvar.algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
 from realcharvar.epoly import (CostLimit, EmptyPartition,
                                KOutOfRange, EvenK, MATCHED,
                                NotPolynomial, SurfaceData, TRANSPOSED,
-                               _require_polynomial, check_cost,
-                               component_sum_check, e_poly,
+                               _require_polynomial, check_cost, e_poly,
                                e_poly_component, euler_char_component,
                                gen_function_check, hook_polynomial,
                                complex_curve_e_poly, partition_multisets, v_n)
@@ -21,8 +20,8 @@ from realcharvar.symfun import a_minus, a_plus
 from realcharvar import verify
 from realcharvar.verify import (TelescopeRange, closed_form_e1,
                                 closed_form_e2, closed_form_e3,
-                                gen_function_reference, reference_e_value,
-                                telescope_check)
+                                component_sum_check, gen_function_reference,
+                                reference_e_value, telescope_check)
 
 
 def qp(k):

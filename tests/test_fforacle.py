@@ -27,11 +27,11 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   count_representation_variety,
                                   delta_identity, det_mod, f_closed_poly,
                                   formula_count, group_order, inverse_label,
-                                  irreducibles, poly_eval, poly_star,
+                                  irreducibles, poly_star,
                                   primitive_roots_of_unity)
 from realcharvar.ffreference import (class_fn_C_brute, classify,
                                      f_degree_prediction, group_arrays,
-                                     inverse_mod, kernel_dim,
+                                     inverse_mod, kernel_dim, poly_eval,
                                      poly_eval_matrix)
 
 F3 = PrimeField(3)

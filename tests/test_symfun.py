@@ -4,9 +4,9 @@ from itertools import permutations
 import pytest
 
 from realcharvar.partitions import all_partitions, multiplicities, z_pi
-from realcharvar.symfun import (WeightMismatch, a_minus,
-                                a_minus_from_characters, a_minus_from_pieri,
-                                a_plus, a_plus_from_characters,
+from realcharvar.symfun import a_minus, a_plus
+from realcharvar.verify import (WeightMismatch, a_minus_from_characters,
+                                a_minus_from_pieri, a_plus_from_characters,
                                 a_plus_from_pieri, c_d_via_genfun, c_pi, d_pi,
                                 sn_character)
 
@@ -128,3 +128,21 @@ def test_pieri_route_through_weight_12():
         for lam in all_partitions(w):
             assert a_plus_from_pieri(lam) == a_plus(lam), lam
             assert a_minus_from_pieri(lam) == a_minus(lam), lam
+
+
+def test_formula_path_modules_carry_production_routes_only():
+    # the cross-check routes to a+ / a- live in verify, and the package
+    # root exports the formulas' API and nothing of the reference layers
+    import inspect
+    import realcharvar
+    from realcharvar import algebra, symfun
+    defined = {name for name, obj in vars(symfun).items()
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == symfun.__name__}
+    assert defined == {"a_plus", "a_minus"}
+    assert realcharvar.__all__ == [
+        "HalfPowerPolynomial", "SurfaceData", "MATCHED", "TRANSPOSED",
+        "e_poly", "e_poly_component", "euler_char_component",
+        "gen_function_check", "complex_curve_e_poly"]
+    assert all(hasattr(realcharvar, name) for name in realcharvar.__all__)
+    assert not hasattr(algebra, "pleth_exp")
