@@ -259,19 +259,20 @@ class HalfPowerPolynomial:
                     else frozenset(self.terms.items()))
 
     def evaluate(self, q0):
-        """Evaluate at a rational value of q.
+        """Evaluate exactly at a rational value of q.
 
         Requires every exponent to be even (the value must live in q); raises
-        OddExponent otherwise.
+        OddExponent otherwise.  At an int q0, int coefficients on
+        nonnegative exponents give an int, and no Fraction is made.
         """
-        q0 = Fraction(_frac(q0))
-        if q0 == 0:
+        if _frac(q0) == 0:
             raise ZeroDivisionError("evaluation requires q0 != 0")
-        total = Fraction(0)
+        total = 0
         for e, c in self.terms.items():
             if e % 2:
                 raise OddExponent("exponent %d is not an even power of u" % e)
-            total += c * q0 ** (e // 2)
+            total += (c * q0 ** (e // 2) if e >= 0
+                      else Fraction(c, q0 ** (-e // 2)))
         return total
 
     def substitute_exponents(self, d):
@@ -281,12 +282,6 @@ class HalfPowerPolynomial:
         if d == 1:
             return self
         return HalfPowerPolynomial._raw({e * d: c for e, c in self.terms.items()})
-
-    def q_degree(self):
-        "Degree in q of a polynomial with even exponents."
-        if not self.is_q_polynomial():
-            raise OddExponent("not a polynomial in q")
-        return self.max_exp() // 2
 
     def __repr__(self):
         return "HalfPowerPolynomial(%s)" % format_poly(self)
@@ -557,17 +552,11 @@ class RationalFunction:
         d = self.den.evaluate(q0)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at q0")
-        return self.num.evaluate(q0) / d
+        return Fraction(self.num.evaluate(q0), d)
 
     def to_pair(self):
         "Exchange format: numerator and denominator triple sequences."
         return [self.num.to_triples(), self.den.to_triples()]
-
-    @classmethod
-    def from_pair(cls, pair):
-        num, den = pair
-        return cls(HalfPowerPolynomial.from_triples(num),
-                   HalfPowerPolynomial.from_triples(den))
 
     def __repr__(self):
         if self.den.is_one():

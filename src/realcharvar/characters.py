@@ -170,16 +170,15 @@ class CharacterTable:
                 return np.array(powers, dtype=np.int64)
         raise ExactnessError("no element of order %d mod %d" % (self.m, p))
 
-    def values(self, cols, p, powers=None):
+    def values(self, cols, p, powers):
         """chi(c) mod p for every character (rows) and every class index c in
-        cols (columns), as an int64 array; refused beyond the sweep budget."""
+        cols (columns), as an int64 array, from powers = omega_powers(p);
+        refused beyond the sweep budget."""
         cols = np.asarray(cols, dtype=np.intp)
         if len(self.a) * len(cols) > fforacle._GROUP_BUDGET:
             raise fforacle.GroupTooLarge(
                 "%d characters on %d classes at q = %d exceed the budget"
                 % (len(self.a), len(cols), self.table.q))
-        if powers is None:
-            powers = self.omega_powers(p)
         a, b = self.a[:, None], self.b[:, None]
         e1, e2 = self.e1[cols], self.e2[cols]
         coef = self.coef[self.family[:, None], self.kind[cols]] % p

@@ -402,6 +402,7 @@ class _LogTable:
         return 2 * abs(self.e) * w * w + 1
 
     def _widen(self, w):
+        # exact widths per weight re-spread more: genfun wall 0.033 -> 0.037 s
         cap = w + w // 4 + 2
         width = _width(self.e, self.r, cap)
         for entries in self.series + self.logs:

@@ -21,14 +21,15 @@ A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
 self-inverse when inverse_label, which stars each polynomial of the label,
 fixes its label.
 
-A count sorts its atoms (F, or F+ and F-, then N), each built once per
-table (class_fn_atom).  At n <= 2 the count is one character sum mod primes
-(characters.count), imported on the first such count.  At n = 3 it is the
-class sum (prefix * last)(xi I) = sum_c |c| prefix(c) last(xi c^-1), with
-the class of xi c^-1 read off c's label (shift_map), and the prefix the
-identity delta or one atom: a longer prefix needs a convolution on GL_3,
-which nothing here provides, so a count of three or more atoms at n = 3 is
-refused (KernelMissing) before any table is built.
+A count sorts its atoms (F, or its determinant 1 and -1 parts F+ and F-,
+then N), each built once per table (class_fn_atom).  At n <= 2 the count is
+one character sum mod primes (characters.count), imported on the first such
+count.  At n = 3 one atom is read at xi I, and two atoms give the class sum
+(first * last)(xi I) = sum_c |c| first(c) last(xi c^-1) over the classes c
+where first is nonzero, with the label of xi c^-1 read off c's.  More atoms
+need a convolution on GL_3, which nothing here provides, so such a count is
+refused (KernelMissing) before any table is built.  F's closed form, like
+the E-polynomial of formula_count, is evaluated at q in ints.
 
 The kernel (n <= 2) is the reference route that the character sum replaced:
 convolve pairs a class function with one that vanishes off the
@@ -46,7 +47,6 @@ exact Python integers.
 """
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -54,7 +54,7 @@ from math import factorial
 import numpy as np
 
 from . import epoly
-from .algebra import ExactnessError, HalfPowerPolynomial as HPP, exact_int
+from .algebra import ExactnessError, HalfPowerPolynomial as HPP
 from .partitions import (all_partitions, centralizer_order,
                          centralizer_order_poly, multiplicities)
 
@@ -360,7 +360,6 @@ class ClassTable:
         self._kernel = None
         self._characters = None
         self._atoms = {}
-        self._shift = {}
 
     def _representative(self, label):
         "Companion matrices of f^part, one per part of lam, on the diagonal."
@@ -389,17 +388,6 @@ class ClassTable:
         lam = (1,) * self.n
         label = ((((-a) % self.q, 1), lam),)
         return self.index[label]
-
-    def shift_map(self, xi):
-        """shift[c] = index of the class of xi c^-1, cached per xi: the label
-        of c^-1 with every root times xi and every partition kept."""
-        xi %= self.q
-        if xi not in self._shift:
-            self._shift[xi] = tuple(self.index[tuple(sorted(
-                (poly_scale_roots(f, xi, self.q), lam)
-                for f, lam in inverse_label(label, self.field)))]
-                for label in self.labels)
-        return self._shift[xi]
 
     # -- element lookup and the kernel (n <= 2, numpy) ---------------------
 
@@ -558,17 +546,6 @@ class ClassFunction:
         "Sum over all group elements (class sizes times values)."
         return sum(s * v for s, v in zip(self.table.sizes, self.values))
 
-    def mean(self):
-        "Inner product with the trivial character."
-        return Fraction(self.group_sum(), self.table.group_order)
-
-
-def delta_identity(table):
-    "The convolution unit: indicator of the identity class."
-    values = [0] * table.class_count()
-    values[table.scalar_class_index(1)] = 1
-    return ClassFunction(table, values)
-
 
 # -- the class function F: closed formula and brute force ----------------
 
@@ -651,11 +628,9 @@ def class_fn_F_closed(table):
     "F from the closed case-by-case formula, on every class."
     values = []
     for label in table.labels:
-        poly = f_closed_poly(label, table.field)
-        v = exact_int(poly.evaluate(Fraction(table.q)),
-                      "F on %r" % (label,))
-        if v < 0:
-            raise ExactnessError("F on %r is negative" % (label,))
+        v = f_closed_poly(label, table.field).evaluate(table.q)
+        if type(v) is not int or v < 0:
+            raise ExactnessError("F on %r is %s, not a count" % (label, v))
         values.append(v)
     return ClassFunction(table, values)
 
@@ -712,15 +687,6 @@ def class_fn_F_brute(table):
         range(table.class_count())))
 
 
-def class_fn_F_signed(table):
-    """Split the table's one memoized F into its determinant = +1 and
-    determinant = -1 parts."""
-    F = class_fn_atom(table, "F")
-    plus = [v if d == 1 else 0 for v, d in zip(F.values, table.dets)]
-    minus = [v if d == table.q - 1 else 0 for v, d in zip(F.values, table.dets)]
-    return ClassFunction(table, plus), ClassFunction(table, minus)
-
-
 def class_fn_N(table):
     """N(A) counts the B with B B^-T = A, that is B = A B^T: the invertible
     points of the kernel of B -> B - A B^T, counted by _fixed_counts with no
@@ -774,14 +740,18 @@ def convolve_at(phi, psi, table, target):
 
 
 def class_fn_atom(table, atom):
-    "The class function of a count atom, F, F+, F- or N, built once per table."
+    """The class function of a count atom, built once per table: F, its
+    determinant 1 and -1 parts F+ and F-, or N."""
     if atom not in table._atoms:
         if atom == "F":
             table._atoms["F"] = class_fn_F_closed(table)
         elif atom == "N":
             table._atoms["N"] = class_fn_N(table)
         elif atom in ("F+", "F-"):
-            table._atoms["F+"], table._atoms["F-"] = class_fn_F_signed(table)
+            det = 1 if atom == "F+" else table.q - 1
+            F = class_fn_atom(table, "F").values
+            table._atoms[atom] = ClassFunction(
+                table, [v if d == det else 0 for v, d in zip(F, table.dets)])
         else:
             raise ValueError("unknown count atom %r" % (atom,))
     return table._atoms[atom]
@@ -805,9 +775,9 @@ def count_representation_variety(n, field, surf, xi, k=None):
     Evaluates the convolution of r copies of F (for the component k: k of
     F-, the determinant -1 part, and r - k of F+) and g - r + 1 copies of N
     at xi I, for xi a primitive 2n-th root of unity.  At n <= 2 this is the
-    character sum of characters.count; at n = 3 it is the class sum of the
-    sorted atoms' prefix and last atom over shift_map(xi), for at most two
-    atoms.  A bad k (epoly.check_component) and a rank-3 count of more atoms
+    character sum of characters.count; at n = 3 it is the one atom's value
+    at xi I, or the class sum of two over the classes where the first is
+    nonzero.  A bad k (epoly.check_component) and a rank-3 count of more atoms
     (KernelMissing) are refused before any table is built.
     """
     epoly.check_component(k, surf)
@@ -821,15 +791,22 @@ def count_representation_variety(n, field, surf, xi, k=None):
         raise KernelMissing("a rank-3 count takes at most two atoms, not %d"
                             % len(atoms))
     table = class_table(n, field)
+    xi %= field.q
     if n <= 2:
         from . import characters
-        return characters.count(table, atoms, xi % field.q)
-    *prefix, last = atoms
-    last = class_fn_atom(table, last).values
-    prefix = (class_fn_atom(table, prefix[0]) if prefix
-              else delta_identity(table)).values
-    return sum(size * p * last[c] for size, p, c
-               in zip(table.sizes, prefix, table.shift_map(xi)) if p)
+        return characters.count(table, atoms, xi)
+    last = class_fn_atom(table, atoms[-1]).values
+    if len(atoms) == 1:
+        return last[table.scalar_class_index(xi)]
+    first = class_fn_atom(table, atoms[0])
+    total = 0
+    for c in first.support():
+        # xi c^-1 has the label of c^-1 with every root times xi
+        inverse = inverse_label(table.labels[c], field)
+        label = tuple(sorted((poly_scale_roots(f, xi, field.q), lam)
+                             for f, lam in inverse))
+        total += table.sizes[c] * first.values[c] * last[table.index[label]]
+    return total
 
 
 def formula_count(n, field, surf, k=None, convention=epoly.MATCHED):
@@ -837,8 +814,7 @@ def formula_count(n, field, surf, k=None, convention=epoly.MATCHED):
     q = field.q
     poly = (epoly.e_poly_component(n, surf, k, convention)
             if k is not None else epoly.e_poly(n, surf, convention))
-    return group_order(n, q) * sum(c * q ** (e // 2)
-                                   for e, c in poly.terms.items())
+    return group_order(n, q) * poly.evaluate(q)
 
 
 def compare_with_formula(n, field, surf, k=None, convention=epoly.MATCHED,

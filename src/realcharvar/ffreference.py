@@ -2,8 +2,8 @@
 tests only: matrix polynomials and inverses mod q (Horner's rule and
 Cayley-Hamilton), the group as arrays, labels by factoring the
 characteristic polynomial and reading kernel ranks (classify), the
-predicted degree of F, and the commutator count C by sweeping every pair of
-group elements."""
+predicted degree of F, the convolution unit, and the commutator count C by
+sweeping every pair of group elements."""
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .algebra import ExactnessError
 from .fforacle import (ClassFunction, GroupTooLarge, SingularMatrix,
                        _decode, _encode, _inverse_table, _nullspace_mod,
                        _stack, charpoly_mod, det_mod, inverse_label)
-from .partitions import conjugate, ell_odd, n_lambda, weight
+from .partitions import conjugate, n_lambda, weight
 
 _PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
 
@@ -132,6 +132,11 @@ def classify(A, table):
     return label
 
 
+def ell_odd(lam):
+    "The number of odd parts of lam."
+    return sum(1 for part in lam if part % 2 == 1)
+
+
 def f_degree_prediction(label, field):
     "Predicted q-degree of F on a symmetric class (None off support)."
     if inverse_label(label, field) != label:
@@ -145,6 +150,13 @@ def f_degree_prediction(label, field):
     if twice % 2:
         raise ExactnessError("odd doubled degree %d for %r" % (twice, label))
     return twice // 2
+
+
+def delta_identity(table):
+    "The convolution unit: indicator of the identity class."
+    values = [0] * table.class_count()
+    values[table.scalar_class_index(1)] = 1
+    return ClassFunction(table, values)
 
 
 def _per_element(hits, table):

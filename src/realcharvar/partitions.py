@@ -6,7 +6,6 @@ partition is ().  multiplicities reads off the multiplicity encoding
 """
 
 from functools import lru_cache
-from math import factorial
 
 from .algebra import HalfPowerPolynomial
 
@@ -65,14 +64,6 @@ def n_lambda(lam):
     return sum(i * part for i, part in enumerate(lam))
 
 
-def z_pi(pi):
-    "Centralizer order of the cycle type pi in the symmetric group."
-    z = 1
-    for d, m in multiplicities(pi).items():
-        z *= factorial(m) * d ** m
-    return z
-
-
 def hooks(lam):
     "Hook lengths of all boxes, as a descending-sorted list."
     conj = conjugate(lam)
@@ -81,24 +72,6 @@ def hooks(lam):
         for j in range(part):
             out.append(part - j + conj[j] - i - 1)
     return sorted(out, reverse=True)
-
-
-def ell_odd(lam):
-    return sum(1 for part in lam if part % 2 == 1)
-
-
-def ell_even(lam):
-    return sum(1 for part in lam if part % 2 == 0)
-
-
-def sgn(lam):
-    "Parity (-1)**(number of even parts)."
-    return -1 if ell_even(lam) % 2 else 1
-
-
-def union(lam, mu):
-    "Multiset union: multiplicities add."
-    return tuple(sorted(lam + tuple(mu), reverse=True))
 
 
 @lru_cache(maxsize=None)

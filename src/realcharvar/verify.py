@@ -28,8 +28,7 @@ from .epoly import (MATCHED, TRANSPOSED, SurfaceData, _over_denominator,
                     _real_table, e_poly, e_poly_component,
                     euler_char_component, gen_function_check,
                     hook_polynomial, partition_multisets, v_n)
-from .partitions import (all_partitions, conjugate, multiplicities, sgn,
-                         union, weight)
+from .partitions import all_partitions, conjugate, multiplicities, weight
 from .symfun import a_minus, a_plus
 from . import characters, fforacle, ffreference
 
@@ -271,6 +270,11 @@ def d_pi(pi):
 
 # -- the same coefficients from exponential generating products ---------
 
+def union(lam, mu):
+    "Multiset union: multiplicities add."
+    return tuple(sorted(lam + tuple(mu), reverse=True))
+
+
 def _ps_mul(f, g, bound):
     out = {}
     for pi, a in f.items():
@@ -331,6 +335,11 @@ def c_d_via_genfun(bound):
 
 
 # -- the character and Pieri routes to a+ / a- --------------------------
+
+def sgn(lam):
+    "Parity (-1)**(number of even parts)."
+    return -1 if sum(1 for part in lam if part % 2 == 0) % 2 else 1
+
 
 def a_plus_from_characters(lam):
     "Signed character sum against c_pi; must match the closed form."
@@ -507,7 +516,7 @@ def criterion_oracle_f():
                 bad = [lab for lab, a, b in
                        zip(table.labels, closed.values, brute.values) if a != b]
                 return False, "F mismatch at n=%d q=%d: %s" % (n, q, bad[:3])
-            if closed.mean() != 2:
+            if closed.group_sum() != 2 * table.group_order:
                 return False, "mean F != 2 at n=%d q=%d" % (n, q)
     return True, "closed = brute and mean 2 for n<=3, q in {3,5,7}"
 

@@ -50,7 +50,9 @@ def test_exchange_format_roundtrip():
     assert HalfPowerPolynomial.from_triples([[0, 4, 2]]).terms == {0: 2}
     assert type(HalfPowerPolynomial.from_triples([[0, 4, 2]]).terms[0]) is int
     r = RationalFunction(p, Q - ONE)
-    assert RationalFunction.from_pair(r.to_pair()) == r
+    num, den = r.to_pair()
+    assert RationalFunction(HalfPowerPolynomial.from_triples(num),
+                            HalfPowerPolynomial.from_triples(den)) == r
 
 
 def _random_poly(rng, span=4):

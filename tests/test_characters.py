@@ -16,8 +16,9 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   PrimeField, class_fn_N, class_table,
                                   compare_with_formula, convolve,
                                   count_representation_variety,
-                                  delta_identity, formula_count,
-                                  inverse_label, primitive_roots_of_unity)
+                                  formula_count, inverse_label,
+                                  primitive_roots_of_unity)
+from realcharvar.ffreference import delta_identity
 
 
 def _matmul_mod(A, B, p):
@@ -33,7 +34,7 @@ def _full_table(n, q):
     table = ClassTable(n, PrimeField(q))
     chars = characters.CharacterTable(table)
     p = next(chars.primes())
-    V = chars.values(range(table.class_count()), p)
+    V = chars.values(range(table.class_count()), p, chars.omega_powers(p))
     inv = [table.index[inverse_label(lab, table.field)]
            for lab in table.labels]
     return table, chars, p, V, inv

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 import realcharvar
-from realcharvar import cli, fforacle, ffreference
-from realcharvar.algebra import ExactnessError, exact_int
+from realcharvar import cli, epoly, fforacle, ffreference
+from realcharvar.algebra import (ExactnessError, HalfPowerPolynomial,
+                                 OddExponent, U, exact_int)
 
 F3 = fforacle.PrimeField(3)
 
@@ -29,6 +30,21 @@ def test_exact_int():
     assert value == 2 and type(value) is int
     with pytest.raises(ExactnessError, match="one half is not an integer"):
         exact_int(Fraction(1, 2), "one half")
+
+
+def test_values_at_q_must_be_counts(monkeypatch):
+    # an odd u-exponent in the E-polynomial raises rather than rounding, and
+    # an F value that is not a nonnegative int is refused
+    monkeypatch.setattr(epoly, "e_poly", lambda n, surf, conv: U)
+    with pytest.raises(OddExponent):
+        fforacle.formula_count(1, F3, epoly.SurfaceData(1, 1))
+    table = fforacle.class_table(1, F3)
+    for poly in (HalfPowerPolynomial.q_power(-1),
+                 HalfPowerPolynomial.from_int(-1)):
+        monkeypatch.setattr(fforacle, "f_closed_poly",
+                            lambda label, field: poly)
+        with pytest.raises(ExactnessError, match="not a count"):
+            fforacle.class_fn_F_closed(table)
 
 
 def test_sweep_hits_must_divide_class_sizes():

@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from realcharvar import fforacle, ffreference
+from realcharvar import algebra, epoly, fforacle, ffreference
 from realcharvar.algebra import ExactnessError, moebius
 from realcharvar.epoly import (MATCHED, TRANSPOSED, EvenK, KOutOfRange,
                                SurfaceData)
@@ -20,19 +20,20 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   SingularMatrix, UnsupportedRank,
                                   _digits, _inverse_table, _nullspace_mod,
                                   charpoly_mod, class_fn_F_brute,
-                                  class_fn_F_closed, class_fn_F_signed,
-                                  class_fn_N, class_table,
+                                  class_fn_F_closed, class_fn_N,
+                                  class_fn_atom, class_table,
                                   compare_with_formula, companion,
                                   convolve, convolve_at,
                                   count_representation_variety,
-                                  delta_identity, det_mod, f_closed_poly,
+                                  det_mod, f_closed_poly,
                                   formula_count, group_order, inverse_label,
                                   irreducibles, poly_star,
                                   primitive_roots_of_unity)
 from realcharvar.ffreference import (class_fn_C_brute, classify,
-                                     f_degree_prediction, group_arrays,
-                                     inverse_mod, kernel_dim, poly_eval,
-                                     poly_eval_matrix)
+                                     delta_identity, f_degree_prediction,
+                                     group_arrays, inverse_mod, kernel_dim,
+                                     poly_eval, poly_eval_matrix)
+from realcharvar.partitions import centralizer_order_poly
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -143,7 +144,7 @@ def test_F_closed_equals_brute():
             closed = class_fn_F_closed(table)
             brute = class_fn_F_brute(table)
             assert closed == brute, (n, field.q)
-            assert closed.mean() == 2
+            assert closed.group_sum() == 2 * table.group_order
 
 
 def _symmetric_invertible_matrices(n, q):
@@ -172,7 +173,7 @@ def test_F_closed_equals_brute_at_gl3_f7():
     table = class_table(3, F7)
     closed = class_fn_F_closed(table)
     assert class_fn_F_brute(table) == closed
-    assert closed.mean() == 2
+    assert closed.group_sum() == 2 * table.group_order
 
 
 def test_digit_blocks_list_every_string_once_in_order():
@@ -339,7 +340,8 @@ def test_F_monic_degree_prediction():
                 if poly.is_zero():
                     continue
                 pred = f_degree_prediction(label, field)
-                assert poly.q_degree() == pred
+                assert poly.is_q_polynomial()
+                assert poly.max_exp() // 2 == pred
                 assert poly.terms[poly.max_exp()] == 1
 
 
@@ -428,7 +430,7 @@ def test_N_squared_is_commutator_count():
 def test_signed_split():
     table = class_table(2, F5)
     full = class_fn_F_closed(table)
-    plus, minus = class_fn_F_signed(table)
+    plus, minus = class_fn_atom(table, "F+"), class_fn_atom(table, "F-")
     assert [p + m for p, m in zip(plus.values, minus.values)] == list(full.values)
     for v, det in zip(plus.values, table.dets):
         if v:
@@ -888,8 +890,8 @@ def test_atoms_vanish_off_self_inverse_classes():
             (3, 3), (3, 5), (3, 7)]:
         table = class_table(n, PrimeField(q))
         S = set(table.self_inverse_classes().tolist())
-        for fn in (class_fn_F_closed(table), *class_fn_F_signed(table),
-                   class_fn_N(table)):
+        for fn in (class_fn_F_closed(table), class_fn_atom(table, "F+"),
+                   class_fn_atom(table, "F-"), class_fn_N(table)):
             assert set(fn.support()) <= S, (n, q)
     table = class_table(2, PrimeField(17))
     S = table.self_inverse_classes().tolist()
@@ -1036,9 +1038,7 @@ def test_class_sum_matches_the_kernel():
     for n, q in product((1, 2), (3, 5, 13)):
         field = PrimeField(q)
         table = class_table(n, field)
-        plus, minus = class_fn_F_signed(table)
-        atom = {"F": class_fn_F_closed(table), "F+": plus, "F-": minus,
-                "N": class_fn_N(table)}
+        atom = {a: class_fn_atom(table, a) for a in ("F", "F+", "F-", "N")}
         for xi in primitive_roots_of_unity(field, 2 * n):
             target = table.scalar_class_index(xi)
             for surf, k in _surfaces(1):
@@ -1050,3 +1050,40 @@ def test_class_sum_matches_the_kernel():
                 assert count_representation_variety(
                     n, field, surf, xi, k) == convolve_at(
                         first, atom[last], table, target), (n, q, xi, k)
+
+
+class _NoFraction(Fraction):
+    "A Fraction that cannot be built."
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+
+def test_counts_build_no_fraction(monkeypatch):
+    # F (closed), F+, F-, N, formula_count and the counts at ranks 1-3 run
+    # in ints: rebuilt from empty caches with Fraction unusable, they give
+    # their values again
+    def values():
+        out = []
+        for q in (5, 7):
+            field = PrimeField(q)
+            for n in (1, 2, 3):
+                table = class_table(n, field)
+                out += [class_fn_atom(table, a).values
+                        for a in ("F", "F+", "F-", "N")]
+                for xi in primitive_roots_of_unity(field, 2 * n):
+                    for surf, k in _surfaces(1):
+                        out += [formula_count(n, field, surf, k),
+                                count_representation_variety(
+                                    n, field, surf, xi, k)]
+        return out
+
+    want = values()
+    monkeypatch.setattr(algebra, "Fraction", _NoFraction)
+    for module in (fforacle, epoly):
+        monkeypatch.setattr(module, "Fraction", _NoFraction, raising=False)
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    monkeypatch.setattr(epoly, "_ASSEMBLED", {})
+    monkeypatch.setattr(epoly, "_LOG_TABLES", {})
+    centralizer_order_poly.cache_clear()
+    assert values() == want

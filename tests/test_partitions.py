@@ -1,11 +1,20 @@
 from fractions import Fraction
 from math import factorial
 
+from realcharvar.ffreference import ell_odd
 from realcharvar.partitions import (all_partitions, centralizer_order,
-                                    centralizer_order_poly, conjugate,
-                                    ell_even, ell_odd, hooks, multiplicities,
-                                    n_lambda, partition_count, sgn, union,
-                                    weight, z_pi)
+                                    centralizer_order_poly, conjugate, hooks,
+                                    multiplicities, n_lambda, partition_count,
+                                    weight)
+from realcharvar.verify import sgn, union
+
+
+def z_pi(pi):
+    "Centralizer order of the cycle type pi in the symmetric group."
+    z = 1
+    for d, m in multiplicities(pi).items():
+        z *= factorial(m) * d ** m
+    return z
 
 
 def test_all_partitions_small():
@@ -79,7 +88,7 @@ def test_union():
 
 
 def test_parity_counts():
-    assert ell_odd((3, 2, 1)) == 2 and ell_even((3, 2, 1)) == 1
+    assert ell_odd((3, 2, 1)) == 2
     assert sgn((3, 2, 1)) == -1
     assert sgn((1, 1, 1)) == 1
 
