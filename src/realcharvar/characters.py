@@ -137,6 +137,7 @@ class CharacterTable:
         self._primes = []
         self._residues = {}
         self._group_sums = {}
+        self._bounds = {}
 
     def primes(self):
         """The primes p = 1 mod q^2 - 1, descending from the largest below
@@ -192,6 +193,16 @@ class CharacterTable:
                 self.table, atom).group_sum()
         return self._group_sums[atom]
 
+    def bound(self, atoms):
+        """B = prod_{i<k} group_sum(phi_i) max(phi_k), which bounds the count
+        of the atoms, taken once per atom tuple."""
+        if atoms not in self._bounds:
+            bound = max(fforacle.class_fn_atom(self.table, atoms[-1]).values)
+            for atom in atoms[:-1]:
+                bound *= self.group_sum(atom)
+            self._bounds[atoms] = bound
+        return self._bounds[atoms]
+
     def residues(self, p):
         "The gated residues at p, built once."
         if p not in self._residues:
@@ -201,9 +212,10 @@ class CharacterTable:
 
 class _Residues:
     """What the character sum reads at one prime p: the characters on the
-    self-inverse classes and on each target, |G| / chi(1), and <phi, chi>
-    per atom.  Raises ExactnessError unless the identity column is chi(1)
-    and <N, chi> = 1 for every chi."""
+    self-inverse classes and on each target, |G| / chi(1), <phi, chi> per
+    atom, and per atom tuple the weight (|G| / chi(1))^(k-1) prod_i
+    <phi_i, chi> of each chi.  Raises ExactnessError unless the identity
+    column is chi(1) and <N, chi> = 1 for every chi."""
 
     def __init__(self, chars, p):
         table = chars.table
@@ -218,6 +230,7 @@ class _Residues:
         self.ratio = table.group_order // chars.degree % p
         self._inner = {}
         self._target = {}
+        self._weights = {}
         if (self.inner("N") != 1).any():
             raise ExactnessError("<N, chi> != 1 at q = %d, p = %d"
                                  % (table.q, p))
@@ -245,13 +258,15 @@ class _Residues:
         if xi not in self._target:
             at = [self.chars.table.scalar_class_index(xi)]
             self._target[xi] = self.chars.values(at, p, self.powers)[:, 0]
-        acc = self._target[xi]
-        for _ in atoms[1:]:
-            acc = acc * self.ratio % p
-        for atom in atoms:
-            if atom != "N":
-                acc = acc * self.inner(atom) % p
-        return int(acc.sum()) % p
+        if atoms not in self._weights:
+            w = np.ones_like(self.ratio)
+            for _ in atoms[1:]:
+                w = w * self.ratio % p
+            for atom in atoms:
+                if atom != "N":
+                    w = w * self.inner(atom) % p
+            self._weights[atoms] = w
+        return int((self._target[xi] * self._weights[atoms] % p).sum()) % p
 
 
 def count(table, atoms, xi):
@@ -260,9 +275,7 @@ def count(table, atoms, xi):
     if table._characters is None:
         table._characters = CharacterTable(table)
     chars = table._characters
-    bound = max(fforacle.class_fn_atom(table, atoms[-1]).values)
-    for atom in atoms[:-1]:
-        bound *= chars.group_sum(atom)
+    bound = chars.bound(atoms)
     value, modulus = 0, 1
     for p in chars.primes():
         residue = chars.residues(p).count(atoms, xi)

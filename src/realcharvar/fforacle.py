@@ -4,17 +4,17 @@ Conjugacy classes are labelled by maps from monic irreducible polynomials to
 partitions.  The class functions F (invariant symmetric forms) and N
 (symmetric square roots) are built both from closed formulas and from brute
 force, and combined at scalar classes to count points of the representation
-variety.  Brute-force F and N are linear counts of the invertible points
-of each class's fixed subspace (of B -> A B A^T on the symmetric
-coordinates for F, of B -> A B^T on all matrices for N), found by the
-module's one Gaussian elimination mod q (_nullspace_mod).  One table-wide
-count (_fixed_counts) groups the classes by the subspace's dimension d and
-enumerates each group's q^d digit strings once for all its classes, in
-passes of at most _F_BLOCK points, after checking every group against the
-sweep budget.  Counts are compared against the closed-form E-polynomials;
-mismatches are reported, never suppressed.  The reference routes that only
-verify and the tests read (classify, the commutator count C) live in
-ffreference.
+variety.  Brute-force F and N count the invertible points of each class's
+fixed subspace (of B -> A B A^T on the symmetric coordinates for F, of
+B -> A B^T on all matrices for N), found by the module's one Gaussian
+elimination mod q (_nullspace_mod).  One table-wide count (_fixed_counts)
+sweeps each distinct subspace at one point per line, as det(l B) =
+l^n det(B), and the subspaces of one dimension d together: their
+(q^d - 1) / (q - 1) lines, in passes of at most _F_BLOCK points, after
+checking every group against the sweep budget.  Counts are compared against
+the closed-form E-polynomials; mismatches are reported, never suppressed.
+The reference routes that only verify and the tests read (classify, the
+commutator count C) live in ffreference.
 
 F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
 A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
@@ -118,7 +118,7 @@ def _is_prime(m):
 
 
 class PrimeField:
-    "Odd prime field F_q with tabulated inverses."
+    "Odd prime field F_q."
 
     __slots__ = ("q",)
 
@@ -136,7 +136,7 @@ class PrimeField:
         a %= self.q
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return int(_inverse_table(self.q)[a])
+        return pow(a, -1, self.q)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.q == other.q
@@ -182,14 +182,6 @@ def _det(A, q):
 def det_mod(A, q):
     "Determinant mod q of a matrix or of each matrix in a stack."
     return _det(_stack(A), q)
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(q):
-    "inv[a] = a^-1 mod q for a != 0 (inv[0] = 0), read-only and shared."
-    inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
-    inv.flags.writeable = False
-    return inv
 
 
 def charpoly_mod(A, q):
@@ -241,9 +233,16 @@ def poly_scale_roots(f, a, q):
     return tuple(c * pow(a, d - i, q) % q for i, c in enumerate(f))
 
 
+_STARS = {}     # q -> {f: poly_star(f)}
+
+
 def inverse_label(label, field):
     "The label of the class of A^-1 for A in the class labelled label."
-    return tuple(sorted((poly_star(f, field), lam) for f, lam in label))
+    stars = _STARS.setdefault(field.q, {})
+    for f, _ in label:
+        if f not in stars:
+            stars[f] = poly_star(f, field)
+    return tuple(sorted((stars[f], lam) for f, lam in label))
 
 
 @lru_cache(maxsize=None)
@@ -265,11 +264,10 @@ def irreducibles(field, d):
 
 
 def companion(f, q):
-    "Companion matrix of a monic polynomial, as an int64 array."
+    "Companion matrix of a monic polynomial, as nested int lists."
     d = len(f) - 1
-    M = np.eye(d, k=1, dtype=np.int64)
-    M[-1] = -np.array(f[:-1], dtype=np.int64) % q
-    return M
+    return ([[int(j == i + 1) for j in range(d)] for i in range(d - 1)]
+            + [[-c % q for c in f[:-1]]])
 
 
 def _nullspace_mod(M, q):
@@ -286,7 +284,7 @@ def _nullspace_mod(M, q):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = int(_inverse_table(q)[rows[rank][col]])
+        inv = pow(rows[rank][col], -1, q)
         rows[rank] = [x * inv % q for x in rows[rank]]
         for r in range(len(rows)):
             c = rows[r][col]
@@ -348,7 +346,8 @@ class ClassTable:
         rec(0, n, [])
         self.labels = tuple(sorted(labels))
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.reps = np.array([self._representative(lab) for lab in self.labels])
+        self.reps = np.array([self._representative(lab) for lab in self.labels],
+                             dtype=np.int64)
         self.sizes = tuple(self.group_order // self._centralizer(lab)
                            for lab in self.labels)
         if sum(self.sizes) != self.group_order:
@@ -363,14 +362,14 @@ class ClassTable:
 
     def _representative(self, label):
         "Companion matrices of f^part, one per part of lam, on the diagonal."
-        rep = np.zeros((self.n, self.n), dtype=np.int64)
+        rep = [[0] * self.n for _ in range(self.n)]
         at = 0
         for f, lam in label:
             for part in lam:
                 block = companion(poly_pow(f, part, self.q), self.q)
-                d = len(block)
-                rep[at:at + d, at:at + d] = block
-                at += d
+                for i, row in enumerate(block):
+                    rep[at + i][at:at + len(row)] = row
+                at += len(block)
         return rep
 
     def _centralizer(self, label):
@@ -475,6 +474,25 @@ def _digit_blocks(count, q, block):
                             "budget" % (m, q))
     return (_decode(np.arange(lo, min(lo + block, m), dtype=np.int64),
                     count, q) for lo in range(0, m, block))
+
+
+def _line_blocks(count, q, block):
+    """Like _digit_blocks, but one string per line through 0 of F_q^count:
+    the (q^count - 1) / (q - 1) strings whose first nonzero digit is 1, in
+    increasing order.  Those with k digits after the 1 are the codes q^k,
+    ..., 2 q^k - 1, and they follow the first (q^k - 1) / (q - 1) lines.
+    More lines than the sweep budget are refused on the call, before any
+    block is made."""
+    m = (q ** count - 1) // (q - 1)
+    if m > _GROUP_BUDGET:
+        raise GroupTooLarge("%d lines at q = %d exceed the sweep budget"
+                            % (m, q))
+    power = q ** np.arange(count)
+    first = (power - 1) // (q - 1)
+    return (_decode(i + (power - first)[np.searchsorted(first, i, "right") - 1],
+                    count, q)
+            for lo in range(0, m, block)
+            for i in [np.arange(lo, min(lo + block, m), dtype=np.int64)])
 
 
 def _digits(count, q):
@@ -625,13 +643,14 @@ def f_closed_poly(label, field):
 
 
 def class_fn_F_closed(table):
-    "F from the closed case-by-case formula, on every class."
-    values = []
-    for label in table.labels:
+    "F from the closed case-by-case formula; 0 off the self-inverse classes."
+    values = [0] * table.class_count()
+    for c in table.self_inverse_classes().tolist():
+        label = table.labels[c]
         v = f_closed_poly(label, table.field).evaluate(table.q)
         if type(v) is not int or v < 0:
             raise ExactnessError("F on %r is %s, not a count" % (label, v))
-        values.append(v)
+        values[c] = v
     return ClassFunction(table, values)
 
 
@@ -642,31 +661,36 @@ def _fixed_counts(table, units, image, rows):
     units is a (p, n, n) stack spanning the unknowns B, and image(A, B) the
     linear conditions on B, broadcast over stacks: one numpy expression
     gives those of every unit under every representative, and one
-    _nullspace_mod per class its fixed subspace, of dimension d.  The
-    classes are grouped by d (d = 0 counts 0), and each group's q^d digit
-    strings are enumerated once for all its classes, at most _F_BLOCK
-    points per pass, so memory stays flat in q^d.
+    _nullspace_mod per class its fixed subspace, of dimension d, in reduced
+    row-echelon form, so equal subspaces share one sweep.  As det(l B) =
+    l^n det(B), a subspace is swept at one point on each of its lines, and
+    each hit counts q - 1 points.  The subspaces are grouped by d (d = 0
+    counts 0), and each group's (q^d - 1) / (q - 1) lines are enumerated
+    once for all of them, at most _F_BLOCK points per pass, so memory stays
+    flat in q^d.
     """
     n, q = table.n, table.q
     flat = units.reshape(len(units), -1)
     groups = {}
     for c, M in zip(rows, image(table.reps[rows, None], units)):
         span = _nullspace_mod(M.reshape(len(units), -1).T, q) @ flat
-        groups.setdefault(len(span), {})[c] = span
-    # _digit_blocks refuses every group over the sweep budget before a pass
-    passes = [(group, _digit_blocks(d, q, max(1, _F_BLOCK // len(group))))
+        groups.setdefault(len(span), {}).setdefault(
+            span.tobytes(), (span, []))[1].append(c)
+    # _line_blocks refuses every group over the sweep budget before a pass
+    passes = [(group, _line_blocks(d, q, max(1, _F_BLOCK // len(group))))
               for d, group in groups.items() if d]
     counts = [0] * table.class_count()
     for group, blocks in passes:
-        spans = np.stack(list(group.values()))
+        spans = np.stack([span for span, _ in group.values()])
         for digits in blocks:
-            # every class's points of this pass, one n x n matrix each
+            # every subspace's points of this pass, one n x n matrix each
             B = digits @ spans
             B %= q
             hits = np.count_nonzero(_det(B.reshape(len(spans), -1, n, n), q),
                                     axis=1)
-            for c, h in zip(group, hits.tolist()):
-                counts[c] += h
+            for (_, classes), h in zip(group.values(), hits.tolist()):
+                for c in classes:
+                    counts[c] += h * (q - 1)
     return counts
 
 

@@ -5,11 +5,13 @@ characteristic polynomial and reading kernel ranks (classify), the
 predicted degree of F, the convolution unit, and the commutator count C by
 sweeping every pair of group elements."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from .algebra import ExactnessError
 from .fforacle import (ClassFunction, GroupTooLarge, SingularMatrix,
-                       _decode, _encode, _inverse_table, _nullspace_mod,
+                       _decode, _encode, _nullspace_mod,
                        _stack, charpoly_mod, det_mod, inverse_label)
 from .partitions import conjugate, n_lambda, weight
 
@@ -36,6 +38,14 @@ def poly_eval_matrix(f, A, q):
     for k in range(f.shape[-1] - 2, -1, -1):
         acc = (acc @ A + f[..., k, None, None] * eye) % q
     return acc
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(q):
+    "inv[a] = a^-1 mod q for a != 0 (inv[0] = 0), read-only and shared."
+    inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
+    inv.flags.writeable = False
+    return inv
 
 
 def inverse_mod(A, q):

@@ -18,7 +18,7 @@ from realcharvar.epoly import (MATCHED, TRANSPOSED, EvenK, KOutOfRange,
 from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   KernelMissing, NoPrimitiveRoot, PrimeField,
                                   SingularMatrix, UnsupportedRank,
-                                  _digits, _inverse_table, _nullspace_mod,
+                                  _digits, _nullspace_mod,
                                   charpoly_mod, class_fn_F_brute,
                                   class_fn_F_closed, class_fn_N,
                                   class_fn_atom, class_table,
@@ -29,9 +29,10 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   formula_count, group_order, inverse_label,
                                   irreducibles, poly_star,
                                   primitive_roots_of_unity)
-from realcharvar.ffreference import (class_fn_C_brute, classify,
-                                     delta_identity, f_degree_prediction,
-                                     group_arrays, inverse_mod, kernel_dim,
+from realcharvar.ffreference import (_inverse_table, class_fn_C_brute,
+                                     classify, delta_identity,
+                                     f_degree_prediction, group_arrays,
+                                     inverse_mod, kernel_dim,
                                      poly_eval, poly_eval_matrix)
 from realcharvar.partitions import centralizer_order_poly
 
@@ -184,6 +185,80 @@ def test_digit_blocks_list_every_string_once_in_order():
                           np.array(list(product(range(3), repeat=4))))
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_line_blocks_list_one_string_per_line(q):
+    for d in range(1, 5):
+        lines = (q ** d - 1) // (q - 1)
+        for block in (1, 4, 10, 1 << 10):
+            blocks = list(fforacle._line_blocks(d, q, block))
+            assert all(0 < len(b) <= block for b in blocks)
+            rows = np.concatenate(blocks)
+            assert rows.shape == (lines, d), (d, block)
+            # the first nonzero digit of every row is 1
+            lead = (rows != 0).argmax(axis=1)
+            assert (rows[np.arange(lines), lead] == 1).all()
+            # no two rows are proportional: their q - 1 multiples are
+            # every nonzero string, once each
+            multiples = {tuple(v) for v in
+                         (np.arange(1, q)[:, None, None] * rows % q)
+                         .reshape(-1, d).tolist()}
+            assert len(multiples) == q ** d - 1
+            # in increasing order
+            assert (np.diff(rows @ q ** np.arange(d - 1, -1, -1)) > 0).all()
+
+
+def test_line_blocks_refuse_before_any_block(monkeypatch):
+    monkeypatch.setattr(fforacle, "_decode", _refused)
+    # GL_3(F_17): 1,508,598 lines of the 17^6 symmetric forms are admitted,
+    # GL_3(F_19): 2,613,660 are not
+    fforacle._line_blocks(6, 17, 1 << 10)
+    with pytest.raises(GroupTooLarge, match="2613660 lines at q = 19"):
+        fforacle._line_blocks(6, 19, 1 << 10)
+    monkeypatch.setattr(fforacle, "_GROUP_BUDGET", 12)
+    fforacle._line_blocks(2, 11, 4)
+    with pytest.raises(GroupTooLarge, match="13 lines at q = 3"):
+        fforacle._line_blocks(3, 3, 4)
+
+
+@pytest.mark.parametrize("class_fn,q", [(class_fn_F_brute, 5),
+                                        (class_fn_N, 3)])
+def test_fixed_counts_sweep_each_distinct_subspace_once(monkeypatch,
+                                                        class_fn, q):
+    # the rows that reach _det are the (q^d - 1) / (q - 1) lines of each
+    # distinct fixed subspace, found here by testing every point
+    table = class_table(3, PrimeField(q))
+    if class_fn is class_fn_F_brute:
+        i, j = np.triu_indices(3)
+        B = np.zeros((q ** 6, 3, 3), dtype=np.int64)
+        B[:, i, j] = B[:, j, i] = _digits(6, q)
+        rows = range(table.class_count())
+        masks = {c: ((A @ B @ A.T - B) % q == 0).all(axis=(1, 2))
+                 for c, A in enumerate(table.reps)}
+    else:
+        B = _digits(9, q).reshape(-1, 3, 3)
+        rows = [c for c, det in enumerate(table.dets) if det == 1]
+        masks = {c: ((B - A @ np.swapaxes(B, 1, 2)) % q == 0).all(axis=(1, 2))
+                 for c, A in enumerate(table.reps) if c in rows}
+    distinct = {masks[c].tobytes(): masks[c] for c in rows}
+    # plus and minus the identity fix the same subspace
+    assert len(distinct) < len(rows)
+    want = sum((int(mask.sum()) - 1) // (q - 1) for mask in distinct.values())
+    seen = []
+    det = fforacle._det
+
+    def spy(A, q):
+        seen.append(int(np.prod(A.shape[:-2])))
+        return det(A, q)
+
+    monkeypatch.setattr(fforacle, "_det", spy)
+    values = class_fn(table).values
+    assert sum(seen) == want
+    # and each count is the invertible points of the class's subspace
+    invertible = det(B, q) != 0
+    assert values == tuple(int((masks[c] & invertible).sum()) if c in masks
+                           else 0 for c in range(table.class_count()))
+
+
 def _python_det3(M, q):
     "The 3 x 3 determinant mod q by the rule of Sarrus, on nested lists."
     (a, b, c), (d, e, f), (g, h, i) = M
@@ -268,12 +343,13 @@ def test_fixed_counts_peak_below_one_megabyte_at_gl3_f7(class_fn):
     assert peak < 1_000_000, peak
 
 
-def test_F_brute_refuses_gl3_f13(monkeypatch):
-    # the identity fixes all 13^6 symmetric forms, over the sweep budget;
-    # every dimension group is checked before the first pass
-    table = class_table(3, PrimeField(13))
+def test_F_brute_refuses_gl3_f19(monkeypatch):
+    # the identity fixes all 19^6 symmetric forms, whose (19^6 - 1) / 18 =
+    # 2,613,660 lines are over the sweep budget; every dimension group is
+    # checked before the first pass
+    table = class_table(3, PrimeField(19))
     monkeypatch.setattr(fforacle, "_det", _refused)
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(GroupTooLarge, match="2613660 lines"):
         class_fn_F_brute(table)
 
 
@@ -402,9 +478,9 @@ def test_N_at_rank3():
 
 
 def test_N_group_too_large(monkeypatch):
-    # B = B^T at the identity: 13^6 symmetric B exceed the sweep budget,
-    # refused before the first pass
-    table = class_table(3, PrimeField(13))
+    # B = B^T at the identity: the 2,613,660 lines of the 19^6 symmetric B
+    # exceed the sweep budget, refused before the first pass
+    table = class_table(3, PrimeField(19))
     monkeypatch.setattr(fforacle, "_det", _refused)
     with pytest.raises(GroupTooLarge):
         class_fn_N(table)
@@ -679,13 +755,16 @@ def _refused(*args, **kwargs):
 
 
 def _cofactor_det(A):
-    "Reference determinant of a stack, exact in int64: cofactors on row 0."
-    n = A.shape[-1]
-    if n == 1:
-        return A[..., 0, 0]
-    return sum((-1) ** j * A[..., 0, j]
-               * _cofactor_det(A[..., 1:, [c for c in range(n) if c != j]])
-               for j in range(n))
+    """Reference determinant of a stack, exact in int64: cofactors on row 0,
+    written out on the entries, with no submatrix copies."""
+    a = [[A[..., i, j] for j in range(A.shape[-1])] for i in range(A.shape[-1])]
+    if len(a) == 1:
+        return a[0][0]
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
 def _det_per_product(A, q):
@@ -739,8 +818,7 @@ def test_matrix_layer_copies_no_minors(monkeypatch):
                     assert (at_x % q == _cofactor_det(x * eye - A) % q).all()
                 E = A[det != 0]
                 group += len(E)
-                assert (np.einsum("mij,mjk->mik", E, inverse_mod(E, q)) % q
-                        == eye).all(), (n, q)
+                assert (E @ inverse_mod(E, q) % q == eye).all(), (n, q)
             assert group == group_order(n, q)
             with pytest.raises(SingularMatrix):
                 inverse_mod(np.zeros((n, n), dtype=np.int64), q)
@@ -1007,10 +1085,12 @@ def _surfaces(g_max):
 
 def test_rank3_counts_equal_the_formula():
     # an independent witness at odd rank: every count of at most two atoms
-    # at GL_3(F_7), and the (1, 2) counts at GL_3(F_13), which need no N;
-    # N's fixed-subspace sweep is refused there
+    # at GL_3(F_7), and the (1, 1) and (1, 2) counts at GL_3(F_13), where
+    # N sweeps 402,234 lines; at GL_3(F_19) N's sweep is refused
     for q, surfaces in ((7, _surfaces(1)),
-                        (13, [(SurfaceData(1, 2), None),
+                        (13, [(SurfaceData(1, 1), None),
+                              (SurfaceData(1, 1), 1),
+                              (SurfaceData(1, 2), None),
                               (SurfaceData(1, 2), 1)])):
         field = PrimeField(q)
         for xi in primitive_roots_of_unity(field, 6):
@@ -1020,7 +1100,7 @@ def test_rank3_counts_equal_the_formula():
                 rep = compare_with_formula(3, field, surf, k=k, xi=xi)
                 assert rep["equal"] and rep["counted"] == count, rep
     with pytest.raises(GroupTooLarge):
-        count_representation_variety(3, PrimeField(13), SurfaceData(1, 1), 4)
+        count_representation_variety(3, PrimeField(19), SurfaceData(1, 1), 8)
 
 
 def test_counts_of_two_atoms_build_no_kernel(monkeypatch):
