@@ -285,20 +285,24 @@ PACKED_BITS = 2 ** 20
 
 
 @lru_cache(maxsize=None)
-def _check_cost(w, e, r, surface, identity=False):
+def _check_cost(w, e, r, identity=False):
     """Refuse (CostLimit) growing the series at e and r to weight w, and
     with identity also checking the product identity to order w; a request
-    that passes is not predicted again.  surface holds the names of the
-    surface in the two messages.  Two lower bounds come first, so that a
-    far-off request is refused without building its width: the width is
-    at least |e| w bits, and every partition up to weight w is
+    that passes is not predicted again.  The messages name the surface: at
+    r = 0 the complex curve of genus (e + 2) / 2, otherwise the real curve
+    of genus g = e + 1, with r in the second.  Two lower bounds come first,
+    so that a far-off request is refused without building its width: the
+    width is at least |e| w bits, and every partition up to weight w is
     enumerated."""
     a, m = abs(e), max(0, -e)
+    g = e + 1 if r else (e + 2) // 2
+    names = (("g = %d" % g, "g = %d, r = %d" % (g, r)) if r
+             else ("genus %d of the complex curve" % g,) * 2)
     too_wide = CostLimit("rank %d at %s: a packed coefficient would "
-                         "exceed %d bits" % (w, surface[0], PACKED_BITS))
+                         "exceed %d bits" % (w, names[0], PACKED_BITS))
     too_costly = CostLimit("rank %d at %s: the predicted work "
                            "exceeds the budget of %.0e word operations"
-                           % (w, surface[1], WORD_BUDGET))
+                           % (w, names[1], WORD_BUDGET))
     if a * w * (2 * a * w * w + 1) > PACKED_BITS:
         raise too_wide
     work = 0
@@ -328,7 +332,7 @@ def check_cost(n, surf, identity=False):
     """Refuse (CostLimit) a rank-n request at surf whose predicted cost
     exceeds the budget, before any work; with identity, a request that
     also checks the product identity to order n."""
-    _check_cost(n, surf.g - 1, surf.r, _surface_names(surf), identity)
+    _check_cost(n, surf.g - 1, surf.r, identity)
 
 
 def _packed_product(exponents, times, width):
@@ -385,12 +389,11 @@ class _LogTable:
     weight at a time, in any request order.  The l1 bound proves the width
     for every weight up to self.cap; a weight past the cap re-spaces every
     stored entry to the width proved for a cap a quarter beyond it; only the
-    Gaussian binomials are rebuilt, no entry.  surface names the surface in
-    a CostLimit message.
+    Gaussian binomials are rebuilt, no entry.
     """
 
-    def __init__(self, e, r, conv, surface):
-        self.e, self.r, self.conv, self.surface = e, r, conv, surface
+    def __init__(self, e, r, conv):
+        self.e, self.r, self.conv = e, r, conv
         self.m = max(0, -e)
         self.width = 0
         self.cap = 0 if e else inf
@@ -421,7 +424,7 @@ class _LogTable:
         offset."""
         e, r = self.e, self.r
         if top >= len(self.series[0]):
-            _check_cost(top, e, r, self.surface)
+            _check_cost(top, e, r)
         for w in range(len(self.series[0]), top + 1):
             if w > self.cap:
                 self._widen(w)
@@ -499,23 +502,16 @@ _LOG_TABLES = {}
 _ASSEMBLED = {}
 
 
-def _log_table(e, r, conv, surface):
-    """The one packed table per (e, r, conv); surface, the caller's names
-    for its surface, goes into the table's CostLimit messages."""
-    table = _LOG_TABLES.get((e, r, conv))
-    if table is None:
-        table = _LOG_TABLES[e, r, conv] = _LogTable(e, r, conv, surface)
-    return table
-
-
-def _surface_names(surf):
-    "How a CostLimit message names a real curve: its genus, then with r."
-    return "g = %d" % surf.g, "g = %d, r = %d" % (surf.g, surf.r)
+def _log_table(e, r, conv):
+    "The one packed table per (e, r, conv)."
+    if (e, r, conv) not in _LOG_TABLES:
+        _LOG_TABLES[e, r, conv] = _LogTable(e, r, conv)
+    return _LOG_TABLES[e, r, conv]
 
 
 def _real_table(surf, conv):
     "The packed table of the real curve surf."
-    return _log_table(surf.g - 1, surf.r, conv, _surface_names(surf))
+    return _log_table(surf.g - 1, surf.r, conv)
 
 
 def _component_weights(r, k):
@@ -712,8 +708,7 @@ def complex_curve_e_poly(n, g):
         raise ValueError("n must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    table = _log_table(2 * g - 2, 0, MATCHED,
-                       ("genus %d of the complex curve" % g,) * 2)
+    table = _log_table(2 * g - 2, 0, MATCHED)
     return RationalFunction(_prefactored(
         table, _adams_sum(table, {0: 1}, n, 1), n, 2, n,
         "E_%d of the genus-%d complex curve" % (n, g)))

@@ -10,11 +10,12 @@ B -> A B^T on all matrices for N), found by the module's one Gaussian
 elimination mod q (_nullspace_mod).  One table-wide count (_fixed_counts)
 sweeps each distinct subspace at one point per line, as det(l B) =
 l^n det(B), and the subspaces of one dimension d together: their
-(q^d - 1) / (q - 1) lines, in passes of at most _F_BLOCK points, after
-checking every group against the sweep budget.  Counts are compared against
-the closed-form E-polynomials; mismatches are reported, never suppressed.
-The reference routes that only verify and the tests read (classify, the
-commutator count C) live in ffreference.
+(q^d - 1) / (q - 1) lines, in passes of at most _F_BLOCK points.  The
+identity, whose subspace is the largest, is eliminated first, and a group
+over the sweep budget is refused when it is first met.  Counts are compared
+against the closed-form E-polynomials; mismatches are reported, never
+suppressed.  The reference routes that only verify and the tests read
+(classify, the commutator count C) live in ffreference.
 
 F and N vanish off the self-inverse classes (c^-1 in c): A S A^T = S gives
 A^T ~ A^-1, and A = B B^-T gives B^-1 A B = A^-T ~ A^-1.  A class is
@@ -28,8 +29,9 @@ count.  At n = 3 one atom is read at xi I, and two atoms give the class sum
 (first * last)(xi I) = sum_c |c| first(c) last(xi c^-1) over the classes c
 where first is nonzero, with the label of xi c^-1 read off c's.  More atoms
 need a convolution on GL_3, which nothing here provides, so such a count is
-refused (KernelMissing) before any table is built.  F's closed form, like
-the E-polynomial of formula_count, is evaluated at q in ints.
+refused (KernelMissing) before any table is built.  F's closed form
+(f_closed) is one integer product at q, and formula_count evaluates the
+E-polynomial at q in ints.
 
 The kernel (n <= 2) is the reference route that the character sum replaced:
 convolve pairs a class function with one that vanishes off the
@@ -54,9 +56,8 @@ from math import factorial
 import numpy as np
 
 from . import epoly
-from .algebra import ExactnessError, HalfPowerPolynomial as HPP
-from .partitions import (all_partitions, centralizer_order,
-                         centralizer_order_poly, multiplicities)
+from .algebra import ExactnessError
+from .partitions import all_partitions, centralizer_order, multiplicities
 
 
 class UnsupportedRank(ValueError):
@@ -463,30 +464,25 @@ class ClassTable:
         return K
 
 
-def _digit_blocks(count, q, block):
-    """Every string of count base-q digits, in increasing order, as a lazy
-    sequence of consecutive int64 arrays of at most block rows and count
-    columns.  A count beyond the sweep budget is refused on the call, before
-    any block is made."""
-    m = q ** count
+def _lines(count, q):
+    """The number of lines through 0 of F_q^count, (q^count - 1) / (q - 1);
+    more than the sweep budget are refused."""
+    m = (q ** count - 1) // (q - 1)
     if m > _GROUP_BUDGET:
-        raise GroupTooLarge("%d digit strings at q = %d exceed the sweep "
-                            "budget" % (m, q))
-    return (_decode(np.arange(lo, min(lo + block, m), dtype=np.int64),
-                    count, q) for lo in range(0, m, block))
+        raise GroupTooLarge("%d lines at q = %d exceed the sweep budget"
+                            % (m, q))
+    return m
 
 
 def _line_blocks(count, q, block):
-    """Like _digit_blocks, but one string per line through 0 of F_q^count:
+    """One string of count base-q digits per line through 0 of F_q^count,
+    as a lazy sequence of consecutive int64 arrays of at most block rows:
     the (q^count - 1) / (q - 1) strings whose first nonzero digit is 1, in
     increasing order.  Those with k digits after the 1 are the codes q^k,
     ..., 2 q^k - 1, and they follow the first (q^k - 1) / (q - 1) lines.
     More lines than the sweep budget are refused on the call, before any
     block is made."""
-    m = (q ** count - 1) // (q - 1)
-    if m > _GROUP_BUDGET:
-        raise GroupTooLarge("%d lines at q = %d exceed the sweep budget"
-                            % (m, q))
+    m = _lines(count, q)
     power = q ** np.arange(count)
     first = (power - 1) // (q - 1)
     return (_decode(i + (power - first)[np.searchsorted(first, i, "right") - 1],
@@ -496,10 +492,15 @@ def _line_blocks(count, q, block):
 
 
 def _digits(count, q):
-    """Every string of count base-q digits as one (q^count, count) array;
-    reshaped to (-1, n, n) at count = n^2 it lists every n x n matrix in
-    _encode order."""
-    return next(_digit_blocks(count, q, q ** count))
+    """Every string of count base-q digits, in increasing order, as one
+    (q^count, count) int64 array; reshaped to (-1, n, n) at count = n^2 it
+    lists every n x n matrix in _encode order.  More strings than the sweep
+    budget are refused before any is made."""
+    m = q ** count
+    if m > _GROUP_BUDGET:
+        raise GroupTooLarge("%d digit strings at q = %d exceed the sweep "
+                            "budget" % (m, q))
+    return _decode(np.arange(m, dtype=np.int64), count, q)
 
 
 def _encode(M, q):
@@ -567,79 +568,48 @@ class ClassFunction:
 
 # -- the class function F: closed formula and brute force ----------------
 
-def _f_linear_block_poly(i, m):
-    """Symbolic count of invariant forms on one primary block at t -+ 1:
-    block size i with multiplicity m, as a polynomial in q."""
-    if i % 2 == 1:
-        half_pairs = m // 2 if m % 2 == 0 else (m + 1) // 2
-        poly = HPP.q_power((i * m * m + m) // 2)
-    else:
-        if m % 2 == 1:
-            return HPP()
-        half_pairs = m // 2
-        poly = HPP.q_power(i * m * m // 2)
-    for j in range(1, half_pairs + 1):
-        poly = poly * (HPP.from_int(1) - HPP.q_power(1 - 2 * j))
-    return poly
-
-
-def _f_selfdual_block_poly(i, m, d):
-    "One primary block of a self-dual irreducible of degree 2d."
-    poly = HPP.q_power(i * d * m * m)
-    for j in range(1, m + 1):
-        poly = poly * (HPP.from_int(1) + HPP.q_power(-d * j) * ((-1) ** j))
-    return poly
-
-
 def _cross_block_exponent(lam):
     "sum over block sizes i < j of i * m_i * m_j."
-    mult = multiplicities(lam)
-    sizes = sorted(mult)
-    total = 0
-    for a, i in enumerate(sizes):
-        for j in sizes[a + 1:]:
-            total += i * mult[i] * mult[j]
-    return total
+    mult = sorted(multiplicities(lam).items())
+    return sum(i * m * n for a, (i, m) in enumerate(mult)
+               for _, n in mult[a + 1:])
 
 
-def f_closed_poly(label, field):
-    """The closed-formula value of F on a class, as a polynomial in q.
-
-    Zero off symmetric labels; otherwise a product over the support of
-    linear-block counts, self-dual Hermitian counts, and centralizer orders
-    for dual pairs.
-    """
+def f_closed(label, field):
+    """F on a class from its closed formula, as an int at q: 0 off the
+    symmetric labels, else a product over the support.  A dual pair (f, f*)
+    gives the centralizer order at q^deg f.  A self-dual f gives q^(deg f *
+    _cross_block_exponent(lam)) and, per block of size i and multiplicity
+    m: at the linear f (root +-1), with h = ceil(m / 2), q^((i m^2 + m (i
+    mod 2)) / 2 - h^2) prod_{j<=h} (q^(2j-1) - 1), or 0 at even i and odd m;
+    at f of degree 2s (no self-dual f has odd degree above 1),
+    q^(s i m^2 - s m(m+1)/2) prod_{j<=m} (q^(sj) + (-1)^j)."""
     q = field.q
     if inverse_label(label, field) != label:
-        return HPP()
-    poly = HPP.from_int(1)
-    done = set()
+        return 0
+    value = 1
     for f, lam in label:
-        if f in done:
+        fs, d_f = poly_star(f, field), len(f) - 1
+        if f != fs:
+            # the pair (f, f*) counts once, at its first member
+            if f < fs:
+                value *= centralizer_order(lam, q ** d_f)
             continue
-        fs = poly_star(f, field)
-        d_f = len(f) - 1
-        if f == fs:
-            if d_f == 1:
-                if f[0] % q not in (1, q - 1):
-                    # linear self-dual means root +-1 only
-                    return HPP()
-                poly = poly * HPP.q_power(_cross_block_exponent(lam))
-                for i, m in multiplicities(lam).items():
-                    poly = poly * _f_linear_block_poly(i, m)
+        value *= q ** (d_f * _cross_block_exponent(lam))
+        s = d_f // 2
+        for i, m in multiplicities(lam).items():
+            if d_f > 1:
+                value *= q ** (s * i * m * m - s * m * (m + 1) // 2)
+                for j in range(1, m + 1):
+                    value *= q ** (s * j) + (-1) ** j
+            elif i % 2 == 0 and m % 2:
+                return 0
             else:
-                if d_f % 2:
-                    return HPP()
-                half = d_f // 2
-                poly = poly * HPP.q_power(d_f * _cross_block_exponent(lam))
-                for i, m in multiplicities(lam).items():
-                    poly = poly * _f_selfdual_block_poly(i, m, half)
-            done.add(f)
-        else:
-            poly = poly * centralizer_order_poly(lam).substitute_exponents(d_f)
-            done.add(f)
-            done.add(fs)
-    return poly
+                h = (m + 1) // 2
+                value *= q ** ((i * m * m + m * (i % 2)) // 2 - h * h)
+                for j in range(1, h + 1):
+                    value *= q ** (2 * j - 1) - 1
+    return value
 
 
 def class_fn_F_closed(table):
@@ -647,7 +617,7 @@ def class_fn_F_closed(table):
     values = [0] * table.class_count()
     for c in table.self_inverse_classes().tolist():
         label = table.labels[c]
-        v = f_closed_poly(label, table.field).evaluate(table.q)
+        v = f_closed(label, table.field)
         if type(v) is not int or v < 0:
             raise ExactnessError("F on %r is %s, not a count" % (label, v))
         values[c] = v
@@ -667,16 +637,21 @@ def _fixed_counts(table, units, image, rows):
     each hit counts q - 1 points.  The subspaces are grouped by d (d = 0
     counts 0), and each group's (q^d - 1) / (q - 1) lines are enumerated
     once for all of them, at most _F_BLOCK points per pass, so memory stays
-    flat in q^d.
+    flat in q^d.  The identity, whose fixed subspace is the largest for F
+    and N, is eliminated first, and a group over the sweep budget is
+    refused (_lines) when it is first met, before any other elimination.
     """
     n, q = table.n, table.q
+    one = table.scalar_class_index(1)
+    rows = sorted(rows, key=lambda c: c != one)
     flat = units.reshape(len(units), -1)
     groups = {}
     for c, M in zip(rows, image(table.reps[rows, None], units)):
         span = _nullspace_mod(M.reshape(len(units), -1).T, q) @ flat
-        groups.setdefault(len(span), {}).setdefault(
-            span.tobytes(), (span, []))[1].append(c)
-    # _line_blocks refuses every group over the sweep budget before a pass
+        if len(span) not in groups:
+            _lines(len(span), q)
+            groups[len(span)] = {}
+        groups[len(span)].setdefault(span.tobytes(), (span, []))[1].append(c)
     passes = [(group, _line_blocks(d, q, max(1, _F_BLOCK // len(group))))
               for d, group in groups.items() if d]
     counts = [0] * table.class_count()

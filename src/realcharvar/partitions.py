@@ -7,8 +7,6 @@ partition is ().  multiplicities reads off the multiplicity encoding
 
 from functools import lru_cache
 
-from .algebra import HalfPowerPolynomial
-
 
 @lru_cache(maxsize=None)
 def all_partitions(n):
@@ -74,24 +72,10 @@ def hooks(lam):
     return sorted(out, reverse=True)
 
 
-@lru_cache(maxsize=None)
-def centralizer_order_poly(lam):
-    """Centralizer order of a unipotent-type class with partition lam,
-    as a polynomial in q: q^(|lam| + 2 n_lam) * prod_d phi_{m_d}(q^{-1}).
-    """
-    e0 = 2 * (weight(lam) + 2 * n_lambda(lam))
-    poly = HalfPowerPolynomial.u_power(e0)
-    for m in multiplicities(lam).values():
-        for i in range(1, m + 1):
-            poly = poly * (HalfPowerPolynomial.from_int(1)
-                           - HalfPowerPolynomial.u_power(-2 * i))
-    return poly
-
-
 def centralizer_order(lam, q):
-    """Integer centralizer order at a concrete prime power q, in ints:
-    q^(|lam| + 2 n_lam - sum_d m_d(m_d+1)/2) * prod_d prod_{i<=m_d} (q^i - 1),
-    the value of centralizer_order_poly(lam) at q."""
+    """The centralizer order of a unipotent-type class with partition lam at
+    a prime power q, in ints: q^(|lam| + 2 n_lam - sum_d m_d(m_d+1)/2)
+    * prod_d prod_{i<=m_d} (q^i - 1)."""
     mult = multiplicities(lam).values()
     total = q ** (weight(lam) + 2 * n_lambda(lam)
                   - sum(m * (m + 1) // 2 for m in mult))

@@ -296,7 +296,7 @@ def test_genus0_table_matches_the_per_partition_sums():
     for e, r, convs in ((-1, 1, (MATCHED, TRANSPOSED)), (-2, 0, (MATCHED,))):
         bound = epoly._group_totals(e, r, 8)
         for conv in convs:
-            table = epoly._log_table(e, r, conv, ("g", "g, r"))
+            table = epoly._log_table(e, r, conv)
             for j in range(r + 1):
                 series, logs = _genus0_reference(e, r, conv, j, 8)
                 for w in range(1, 9):
@@ -314,7 +314,7 @@ def test_genus0_hook_division_refuses_a_remainder(monkeypatch):
     # a hook of w + 1 does not divide D_w = (1 - q) ... (1 - q^w)
     monkeypatch.setattr(epoly, "hooks", lambda lam: [sum(lam) + 1])
     with pytest.raises(ExactnessError, match="does not divide D_1"):
-        epoly._LogTable(-1, 1, MATCHED, ("g", "g, r")).series_at(0, 2)
+        epoly._LogTable(-1, 1, MATCHED).series_at(0, 2)
 
 
 def test_genus0_route_adds_no_rational_functions(monkeypatch):
@@ -627,6 +627,9 @@ def test_cost_message_names_the_complex_curve():
     with pytest.raises(CostLimit, match="^rank 22 at genus 0 of the complex "
                        "curve: the predicted work exceeds"):
         complex_curve_e_poly(22, 0)
+    with pytest.raises(CostLimit, match="^rank 3 at genus 200 of the complex "
+                       "curve: a packed coefficient would exceed"):
+        complex_curve_e_poly(3, 200)
 
 
 def test_telescope_range():

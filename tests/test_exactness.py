@@ -9,8 +9,7 @@ import pytest
 
 import realcharvar
 from realcharvar import cli, epoly, fforacle, ffreference
-from realcharvar.algebra import (ExactnessError, HalfPowerPolynomial,
-                                 OddExponent, U, exact_int)
+from realcharvar.algebra import ExactnessError, OddExponent, U, exact_int
 
 F3 = fforacle.PrimeField(3)
 
@@ -39,12 +38,9 @@ def test_values_at_q_must_be_counts(monkeypatch):
     with pytest.raises(OddExponent):
         fforacle.formula_count(1, F3, epoly.SurfaceData(1, 1))
     table = fforacle.class_table(1, F3)
-    for poly in (HalfPowerPolynomial.q_power(-1),
-                 HalfPowerPolynomial.from_int(-1)):
-        monkeypatch.setattr(fforacle, "f_closed_poly",
-                            lambda label, field: poly)
-        with pytest.raises(ExactnessError, match="not a count"):
-            fforacle.class_fn_F_closed(table)
+    monkeypatch.setattr(fforacle, "f_closed", lambda label, field: -1)
+    with pytest.raises(ExactnessError, match="-1, not a count"):
+        fforacle.class_fn_F_closed(table)
 
 
 def test_sweep_hits_must_divide_class_sizes():

@@ -25,7 +25,7 @@ from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   compare_with_formula, companion,
                                   convolve, convolve_at,
                                   count_representation_variety,
-                                  det_mod, f_closed_poly,
+                                  det_mod, f_closed,
                                   formula_count, group_order, inverse_label,
                                   irreducibles, poly_star,
                                   primitive_roots_of_unity)
@@ -34,7 +34,6 @@ from realcharvar.ffreference import (_inverse_table, class_fn_C_brute,
                                      f_degree_prediction, group_arrays,
                                      inverse_mod, kernel_dim,
                                      poly_eval, poly_eval_matrix)
-from realcharvar.partitions import centralizer_order_poly
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -177,12 +176,14 @@ def test_F_closed_equals_brute_at_gl3_f7():
     assert closed.group_sum() == 2 * table.group_order
 
 
-def test_digit_blocks_list_every_string_once_in_order():
-    # 3^4 = 81 strings in blocks of 10: eight full blocks and a short one
-    blocks = list(fforacle._digit_blocks(4, 3, 10))
-    assert [len(b) for b in blocks] == [10] * 8 + [1]
-    assert np.array_equal(np.concatenate(blocks),
+def test_digits_list_every_string_once_in_order(monkeypatch):
+    # all 3^4 = 81 strings, in increasing order
+    assert np.array_equal(_digits(4, 3),
                           np.array(list(product(range(3), repeat=4))))
+    monkeypatch.setattr(fforacle, "_decode", _refused)
+    monkeypatch.setattr(fforacle, "_GROUP_BUDGET", 80)
+    with pytest.raises(GroupTooLarge, match="81 digit strings at q = 3"):
+        _digits(4, 3)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -343,14 +344,28 @@ def test_fixed_counts_peak_below_one_megabyte_at_gl3_f7(class_fn):
     assert peak < 1_000_000, peak
 
 
+def _spy_eliminations(monkeypatch):
+    "The list of q that grows by one at each _nullspace_mod call."
+    calls = []
+
+    def spy(M, q):
+        calls.append(q)
+        return _nullspace_mod(M, q)
+
+    monkeypatch.setattr(fforacle, "_nullspace_mod", spy)
+    return calls
+
+
 def test_F_brute_refuses_gl3_f19(monkeypatch):
     # the identity fixes all 19^6 symmetric forms, whose (19^6 - 1) / 18 =
-    # 2,613,660 lines are over the sweep budget; every dimension group is
-    # checked before the first pass
+    # 2,613,660 lines are over the sweep budget; the identity is eliminated
+    # first and refused before any other class and before the first pass
     table = class_table(3, PrimeField(19))
     monkeypatch.setattr(fforacle, "_det", _refused)
+    calls = _spy_eliminations(monkeypatch)
     with pytest.raises(GroupTooLarge, match="2613660 lines"):
         class_fn_F_brute(table)
+    assert calls == [19]
 
 
 def test_nullspace_mod_is_a_kernel_basis():
@@ -407,36 +422,17 @@ def test_F_supported_on_symmetric_labels():
                 assert v == 0, label
 
 
-def test_F_monic_degree_prediction():
-    for field in (F3, F5):
+def test_F_degree_prediction():
+    # F has the predicted degree in q: at q >= 5 every nonzero value lies
+    # strictly between q^pred / 2 and q^pred, which no other degree allows
+    for field in (F5, F7):
+        q = field.q
         for n in (1, 2, 3):
-            table = class_table(n, field)
-            for label in table.labels:
-                poly = f_closed_poly(label, field)
-                if poly.is_zero():
-                    continue
-                pred = f_degree_prediction(label, field)
-                assert poly.is_q_polynomial()
-                assert poly.max_exp() // 2 == pred
-                assert poly.terms[poly.max_exp()] == 1
-
-
-def test_F_leading_behavior_across_fields():
-    # same symmetric-type classes (support in t-1, t+1) exist at every odd q;
-    # the evaluation ratio pins the common degree
-    import math
-    t3 = class_table(2, F3)
-    t5 = class_table(2, F5)
-    for lam1 in ((2,), (1, 1)):
-        lab3 = (((2, 1), lam1),)
-        lab5 = (((4, 1), lam1),)
-        v3 = f_closed_poly(lab3, F3).evaluate(Fraction(3))
-        v5 = f_closed_poly(lab5, F5).evaluate(Fraction(5))
-        if v3 == 0:
-            assert v5 == 0
-            continue
-        est = math.log(v5 / v3) / math.log(5 / 3)
-        assert round(est) == f_degree_prediction(lab3, F3)
+            for label in class_table(n, field).labels:
+                value = f_closed(label, field)
+                if value:
+                    pred = f_degree_prediction(label, field)
+                    assert q ** pred < 2 * value < 2 * q ** pred, (label, q)
 
 
 def test_N_examples():
@@ -479,11 +475,14 @@ def test_N_at_rank3():
 
 def test_N_group_too_large(monkeypatch):
     # B = B^T at the identity: the 2,613,660 lines of the 19^6 symmetric B
-    # exceed the sweep budget, refused before the first pass
+    # exceed the sweep budget, refused after the identity's elimination
+    # alone, before the first pass
     table = class_table(3, PrimeField(19))
     monkeypatch.setattr(fforacle, "_det", _refused)
-    with pytest.raises(GroupTooLarge):
+    calls = _spy_eliminations(monkeypatch)
+    with pytest.raises(GroupTooLarge, match="2613660 lines"):
         class_fn_N(table)
+    assert calls == [19]
 
 
 def test_convolution_unit_and_commutativity():
@@ -808,7 +807,9 @@ def test_matrix_layer_copies_no_minors(monkeypatch):
         for n in (1, 2, 3):
             eye = np.eye(n, dtype=np.int64)
             group = 0
-            for digits in fforacle._digit_blocks(n * n, q, 1 << 16):
+            for lo in range(0, q ** (n * n), 1 << 16):
+                codes = np.arange(lo, min(lo + (1 << 16), q ** (n * n)))
+                digits = fforacle._decode(codes, n * n, q)
                 A = digits.reshape(-1, n, n)
                 det = det_mod(A, q)
                 assert (det == _cofactor_det(A) % q).all(), (n, q)
@@ -1139,31 +1140,49 @@ class _NoFraction(Fraction):
         raise AssertionError("a Fraction was built")
 
 
+def _atom_and_count_values():
+    "F, F+, F-, N, formula_count and the counts at ranks 1-3, q in {5, 7}."
+    out = []
+    for q in (5, 7):
+        field = PrimeField(q)
+        for n in (1, 2, 3):
+            table = class_table(n, field)
+            out += [class_fn_atom(table, a).values
+                    for a in ("F", "F+", "F-", "N")]
+            for xi in primitive_roots_of_unity(field, 2 * n):
+                for surf, k in _surfaces(1):
+                    out += [formula_count(n, field, surf, k),
+                            count_representation_variety(
+                                n, field, surf, xi, k)]
+    return out
+
+
 def test_counts_build_no_fraction(monkeypatch):
     # F (closed), F+, F-, N, formula_count and the counts at ranks 1-3 run
     # in ints: rebuilt from empty caches with Fraction unusable, they give
     # their values again
-    def values():
-        out = []
-        for q in (5, 7):
-            field = PrimeField(q)
-            for n in (1, 2, 3):
-                table = class_table(n, field)
-                out += [class_fn_atom(table, a).values
-                        for a in ("F", "F+", "F-", "N")]
-                for xi in primitive_roots_of_unity(field, 2 * n):
-                    for surf, k in _surfaces(1):
-                        out += [formula_count(n, field, surf, k),
-                                count_representation_variety(
-                                    n, field, surf, xi, k)]
-        return out
-
-    want = values()
+    want = _atom_and_count_values()
     monkeypatch.setattr(algebra, "Fraction", _NoFraction)
     for module in (fforacle, epoly):
         monkeypatch.setattr(module, "Fraction", _NoFraction, raising=False)
     monkeypatch.setattr(fforacle, "_TABLES", {})
     monkeypatch.setattr(epoly, "_ASSEMBLED", {})
     monkeypatch.setattr(epoly, "_LOG_TABLES", {})
-    centralizer_order_poly.cache_clear()
-    assert values() == want
+    assert _atom_and_count_values() == want
+
+
+def test_oracle_builds_no_polynomial(monkeypatch):
+    # the oracle counts on ints alone: with every HalfPowerPolynomial
+    # construction refused and the class tables rebuilt, F, F+, F-, N and
+    # the counts give their values again; formula_count reads the
+    # E-polynomials assembled by the first pass
+    want = _atom_and_count_values()
+    HPP = algebra.HalfPowerPolynomial
+    monkeypatch.setattr(HPP, "__init__", _refused)
+    monkeypatch.setattr(HPP, "_raw", classmethod(_refused))
+    with pytest.raises(AssertionError, match="refused"):
+        HPP.q_power(1)
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    monkeypatch.setattr(fforacle, "_STARS", {})
+    assert _atom_and_count_values() == want
+

@@ -2,10 +2,10 @@ from fractions import Fraction
 from math import factorial
 
 from realcharvar.ffreference import ell_odd
+from realcharvar.algebra import ONE, Q, HalfPowerPolynomial
 from realcharvar.partitions import (all_partitions, centralizer_order,
-                                    centralizer_order_poly, conjugate, hooks,
-                                    multiplicities, n_lambda, partition_count,
-                                    weight)
+                                    conjugate, hooks, multiplicities,
+                                    n_lambda, partition_count, weight)
 from realcharvar.verify import sgn, union
 
 
@@ -93,8 +93,18 @@ def test_parity_counts():
     assert sgn((1, 1, 1)) == 1
 
 
+def centralizer_order_poly(lam):
+    """Reference: the centralizer order of a unipotent-type class with
+    partition lam as a polynomial in q, q^(|lam| + 2 n_lam) * prod_d
+    prod_{i<=m_d} (1 - q^-i)."""
+    poly = HalfPowerPolynomial.q_power(weight(lam) + 2 * n_lambda(lam))
+    for m in multiplicities(lam).values():
+        for i in range(1, m + 1):
+            poly = poly * (ONE - HalfPowerPolynomial.q_power(-i))
+    return poly
+
+
 def test_centralizer_order_poly():
-    from realcharvar.algebra import Q, ONE
     assert centralizer_order_poly((1,)) == Q - ONE
     # the full-multiplicity class centralizer is the whole group
     assert centralizer_order_poly((1, 1)).evaluate(Fraction(3)) == (9 - 1) * (9 - 3)
