@@ -785,52 +785,30 @@ def _format_coeff(c, leading):
     return sign, body
 
 
-def _format_monomial(e):
-    if e == 0:
-        return ""
-    if e == 2:
-        return "q"
-    if e % 2 == 0:
-        return "q^%d" % (e // 2)
-    return "q^(%d/2)" % e
-
-
-def format_poly(p):
-    "Human-readable rendering, q-descending."
-    if p.is_zero():
-        return "0"
-    exps = sorted(p.terms, reverse=True)
-    pieces = []
-    for i, e in enumerate(exps):
-        sign, body = _format_coeff(p.terms[e], i == 0)
-        mono = _format_monomial(e)
-        if mono and body == "1":
-            body = ""
-        sep = "*" if (body and mono) else ""
-        piece = body + sep + mono
-        if i == 0:
-            pieces.append(sign + piece)
-        else:
-            pieces.append("%s %s" % (sign, piece))
-    return " ".join(pieces)
-
-
-def format_poly_latex(p):
-    "LaTeX rendering, q-descending."
+def _format_terms(p, whole, half, times, gap):
+    """The terms of p, q-descending: q^(e/2) is "q" at e = 2 and otherwise
+    whole % (e/2) at even e, half % e at odd e; times stands between a
+    coefficient other than 1 and its monomial, and gap after every sign but
+    the leading one."""
     if p.is_zero():
         return "0"
     pieces = []
     for i, e in enumerate(sorted(p.terms, reverse=True)):
         sign, body = _format_coeff(p.terms[e], i == 0)
-        if e == 0:
-            mono = ""
-        elif e == 2:
-            mono = "q"
-        elif e % 2 == 0:
-            mono = "q^{%d}" % (e // 2)
-        else:
-            mono = "q^{%d/2}" % e
+        mono = ("" if e == 0 else "q" if e == 2
+                else whole % (e // 2) if e % 2 == 0 else half % e)
         if mono and body == "1":
             body = ""
-        pieces.append(sign + body + mono)
+        pieces.append(sign + (gap if i else "") + body
+                      + (times if body and mono else "") + mono)
     return " ".join(pieces)
+
+
+def format_poly(p):
+    "Human-readable rendering, q-descending."
+    return _format_terms(p, "q^%d", "q^(%d/2)", "*", " ")
+
+
+def format_poly_latex(p):
+    "LaTeX rendering, q-descending."
+    return _format_terms(p, "q^{%d}", "q^{%d/2}", "", "")

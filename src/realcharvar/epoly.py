@@ -19,14 +19,17 @@ the tests compare against.
 For every genus, with e = g - 1, m = max(0, -e) and D_w = prod over i <= w
 of (1 - q^i), D_w^m A_j(w) and D_w^m c^(j)_w are integer Laurent
 polynomials in u = q^(1/2): at genus 0 every hook product divides D_w, by
-the q-hook-length formula (Stanley, EC2, Cor. 7.21.5), and each quotient
-is built from the factors that the two do not share.  One table per
+the q-hook-length formula (Stanley, EC2, Cor. 7.21.5).  One table per
 (e, r, convention) holds them for every j <= r as Kronecker-packed ints
-(u -> 2^B; Harvey, J. Symbolic Comput. 44, 2009): the weight-w coefficient
-sits at offset |e| w^2, a bound on its u-exponents, so a product of
-weights k and w-k is aligned by one shift.  A hook factor (1 - u^(2h))
-enters as |e| steps p -= p << 2hB, and the width B comes from l1 norms
-carried through the log recurrence.  The table grows one weight at a time
+(u -> 2^B; Harvey, J. Symbolic Comput. 44, 2009), and one arithmetic,
+_Packed, knows that layout: the weight-w coefficient sits at offset
+|e| w^2, a bound on its u-exponents, so a product of weights k and w-k is
+aligned by one shift and put over D_w^m by a Gaussian binomial.  Each
+partition's D_w^m H^e comes from the net power of every factor
+(1 - u^(2i)), entering as steps p -= p << 2iB, the negative powers
+divided out exactly.  One log step, _log_step, runs the log recurrence on
+the packed values and, on their l1 norms (_Norms), proves the width B
+that keeps every digit exact.  The table grows one weight at a time
 in any request order, serves every rank and the product side of the
 identity check, and is never rebuilt; at g = 1 its entries are plain ints.
 n V_n combines the packed c^(j) by the b_j and unpacks the digits once per
@@ -47,12 +50,12 @@ both sides become ints at u = X = 2^B, rank M scaled by (M-1)! D_M^m.  The
 left side is (M-1)! D_M^m M V_M from the log recurrence and the odd-divisor
 sum; the right side reads only the table's packed series.  Each of its
 steps (the ratio, the 1/s power by Miller's recurrence, the product, the
-log, the Moebius sum) is scaled to divide by nothing, with Gaussian
-binomials built by the q-Pascal rule, and psi_s re-spreads a value's digits
-at stride s.  The same recurrences run on l1 norms prove B, so that equal
-values at X are equal polynomials; no Fraction, RationalFunction or
-TruncatedSeries is built.  The check's code is in kronecker; its rational
-form lives in verify as the reference.
+log, the Moebius sum) is scaled to divide by nothing and runs on _Packed
+at its own width, where psi_s re-spreads a value's digits at stride s.
+The same steps on _Norms prove B, so that equal values at X are equal
+polynomials; no Fraction, RationalFunction or TruncatedSeries is built.
+The check's steps are in kronecker; its rational form lives in verify as
+the reference.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -61,7 +64,6 @@ partition (the literal reading of the summation formula).  The finite-field
 oracle adjudicates between them empirically; matched is the default.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -247,20 +249,6 @@ def _group_totals(e, r, top):
             for w, t in enumerate(totals)]
 
 
-def _width(e, r, top):
-    """Bits per packed digit that hold, at every weight w <= top, each
-    coefficient of sum_j b_j D_w^m c^(j)_w with sum |b_j| <= 2^r (the totals
-    and every component): l1 norms carried through c_w = w A_w - sum_k c_k
-    A_(w-k), at genus 0 times (D_w / (D_k D_(w-k)))^m, a Gaussian binomial
-    of l1 norm C(w, k)^m.  A whole number of bytes, so that digits unpack
-    as byte fields."""
-    a, c, m = _group_totals(e, r, top), [0], max(0, -e)
-    for w in range(1, top + 1):
-        c.append(w * a[w] + sum(c[k] * a[w - k] * comb(w, k) ** m
-                                for k in range(1, w)))
-    return -(-((max(c) << r).bit_length() + 1) // 8) * 8
-
-
 # The cost limit.  A table grown to weight N at e = g - 1 costs, in word
 # operations: per partition of every weight w <= N about PARTITION_WORDS
 # for its enumeration and coefficients, plus |e| w steps p -= p << 2hB on
@@ -335,14 +323,34 @@ def check_cost(n, surf, identity=False):
     _check_cost(n, surf.g - 1, surf.r, identity)
 
 
-def _packed_product(exponents, times, width):
-    """prod over h in exponents of (1 - u^(2h))^times, packed at offset 0
-    with digits of width bits: times steps p -= p << 2hB per h."""
+def _packed_product(powers, width):
+    """prod over {h: power} of (1 - u^(2h))^power, packed at offset 0 with
+    digits of width bits: power steps p -= p << 2hB per h."""
     packed = 1
-    for h in exponents:
-        for _ in range(times):
+    for h, power in powers.items():
+        for _ in range(power):
             packed -= packed << (2 * h * width)
     return packed
+
+
+def _hook_factor(lam_hooks, w, e, width):
+    """D_w^m prod over the hooks h of (1 - q^h)^e, m = max(0, -e), packed at
+    offset 0: each factor (1 - q^i) has the net power m [i <= w] + e #{h = i};
+    the positive powers are multiplied and the product divided exactly by
+    the negative ones, or ExactnessError.  At genus 0 the hook product
+    divides D_w by the q-hook-length formula (Stanley, EC2, Cor. 7.21.5)."""
+    powers = dict.fromkeys(range(1, w + 1), max(0, -e))
+    for h in lam_hooks:
+        powers[h] = powers.get(h, 0) + e
+    product = _packed_product({i: p for i, p in powers.items() if p > 0},
+                              width)
+    negative = {i: -p for i, p in powers.items() if p < 0}
+    if not negative:
+        return product
+    quotient, rest = divmod(product, _packed_product(negative, width))
+    if rest:
+        raise ExactnessError("hook product does not divide D_%d" % w)
+    return quotient
 
 
 def _over_denominator(poly, e, w):
@@ -353,19 +361,26 @@ def _over_denominator(poly, e, w):
     return RationalFunction(poly, (U ** w * hook_polynomial((w,))) ** -e)
 
 
-class _Binomials:
-    """Packed Gaussian binomials [w, k]^m = (D_w / (D_k D_(w-k)))^m at one
-    digit width, a polynomial in q = u^2 with nonnegative coefficients that
-    sum to C(w, k).  Rows are built in order by the q-Pascal rule
-    [w, k] = [w-1, k-1] + q^k [w-1, k], shifts and adds with no division,
-    and cached per (w, k)."""
+class _Packed:
+    """The packed arithmetic of weight-w values at u = X = 2^width, the one
+    layout of the table and the identity check.  A weight-w value P, a
+    Laurent polynomial with u-exponents in [-|e| w^2, |e| w^2], is the int
+    X^(|e| w^2) P(X), digit_count(w) digits of width bits; evaluation is a
+    ring homomorphism, so sums and products need no digits, and the digits
+    are moved only by psi_s.  Values at weight w carry D_w^m,
+    m = max(0, -e); the Gaussian binomials [w, k]^m = (D_w / (D_k
+    D_(w-k)))^m, polynomials in q = u^2 with nonnegative coefficients that
+    sum to C(w, k)^m, are built row by row by the q-Pascal rule
+    [w, k] = [w-1, k-1] + q^k [w-1, k], shifts and adds with no division."""
 
-    def __init__(self, width, m):
-        self.width, self.m = width, m
-        self.plain = [[1]]
-        self.powered = [[1]]
+    def __init__(self, e, width):
+        self.e, self.m, self.width = abs(e), max(0, -e), width  # e is |e|
+        self.plain, self.powered = [[1]], [[1]]
 
-    def row(self, w):
+    def digit_count(self, w):
+        return 2 * self.e * w * w + 1
+
+    def binomials(self, w):
         "[w, k]^m for k = 0..w."
         while len(self.plain) <= w:
             last, v = self.plain[-1], len(self.plain)
@@ -376,68 +391,124 @@ class _Binomials:
                                 [b ** self.m for b in row])
         return self.powered[w]
 
+    def term(self, c, a, k, b, w):
+        """c [w, k]^m a b for a of weight k and b of weight w - k: the
+        product sits at offset |e| (k^2 + (w-k)^2), so a shift of
+        2 |e| k (w-k) digits aligns it with weight w, and the Gaussian
+        binomial puts it over D_w^m."""
+        product = a * b
+        if self.m:
+            product *= self.binomials(w)[k]
+        return (c * product) << (2 * self.e * k * (w - k) * self.width)
+
+    def adams(self, c, a, w, s):
+        """c (D_t / psi_s(D_w))^m psi_s(a), t = s w, for a of weight w:
+        the digits of a re-spread at stride s, aligned to weight t, times
+        the factors (1 - q^i)^m of D_t with s not dividing i."""
+        t, e, width = s * w, self.e, self.width
+        out = _spread(a, self.digit_count(w), width, width, s) \
+            << (e * (t * t - s * w * w) * width)
+        if self.m:
+            out *= _packed_product(dict.fromkeys(
+                (i for i in range(1, t + 1) if i % s), self.m), width)
+        return c * out
+
+
+class _Norms:
+    """_Packed's arithmetic on l1 norms: each operation returns a bound on
+    the l1 norm of what _Packed's returns, from bounds on its inputs.  The
+    Gaussian binomial [w, k] has l1 norm C(w, k) and each factor (1 - q^i)
+    norm 2.  totals[w] bounds each D_w^m A_j(w), and peak every value
+    whose digits are re-spread."""
+
+    def __init__(self, e, r, top):
+        self.m = max(0, -e)
+        self.totals = _group_totals(e, r, top)
+        self.peak = max(self.totals)
+
+    def term(self, c, a, k, b, w):
+        return abs(c) * comb(w, k) ** self.m * a * b
+
+    def adams(self, c, a, w, s):
+        self.peak = max(self.peak, a)
+        return abs(c) * a << (self.m * (s * w - w))
+
+
+def _log_step(ring, a, c, w):
+    """c_w = w A_w - sum_{0<k<w} c_k A_(w-k) in the ring's arithmetic, from
+    the series a and the log coefficients c[k], k < w; zero factors are
+    skipped.  On _Packed it gives the table's D_w^m c_w, on _Norms a bound
+    on its l1 norm."""
+    return w * a[w] + sum(ring.term(-1, c[k], k, a[w - k], w)
+                          for k in range(1, w) if c[k] and a[w - k])
+
+
+def _width(e, r, top):
+    """Bits per packed digit that hold, at every weight w <= top, each
+    coefficient of sum_j b_j D_w^m c^(j)_w with sum |b_j| <= 2^r (the totals
+    and every component): _log_step run on _Norms, the l1 norms of the
+    values that log_at builds.  A whole number of bytes, so that digits
+    unpack as byte fields."""
+    norms, c = _Norms(e, r, top), [0]
+    for w in range(1, top + 1):
+        c.append(_log_step(norms, norms.totals, c, w))
+    return -(-((max(c) << r).bit_length() + 1) // 8) * 8
+
 
 class _LogTable:
     """The partition series A_j and their log coefficients c^(j)_w, for
     j = 0..r, at one (e, r, conv), times D_w^m, m = max(0, -e): e = g - 1 for
     a real curve of genus g, e = 2g - 2 and r = 0 for the complex curve.
 
-    Each T^w coefficient is a Kronecker-packed int: the coefficient of
-    u^(i - |e| w^2) is digit i, of self.width bits, and |e| w^2 bounds the
-    u-exponents at weight w, so 2 |e| w^2 + 1 digits hold them.  At e = 0
-    every coefficient is a plain int, with one digit.  Both series grow one
-    weight at a time, in any request order.  The l1 bound proves the width
-    for every weight up to self.cap; a weight past the cap re-spaces every
-    stored entry to the width proved for a cap a quarter beyond it; only the
-    Gaussian binomials are rebuilt, no entry.
+    Each T^w coefficient is a Kronecker-packed int in the layout of
+    self.packed (_Packed): the coefficient of u^(i - |e| w^2) is digit i,
+    and |e| w^2 bounds the u-exponents at weight w.  At e = 0 every
+    coefficient is a plain int, with one digit, and the width stays 0.
+    Both series grow one weight at a time, in any request order, and the
+    logs follow by _log_step on self.packed.  _log_step on _Norms proves
+    the width for every weight up to self.cap; a weight past the cap
+    re-spaces every stored entry to the width proved for a cap a quarter
+    beyond it, in a new _Packed; no entry is rebuilt.
     """
 
     def __init__(self, e, r, conv):
         self.e, self.r, self.conv = e, r, conv
         self.m = max(0, -e)
-        self.width = 0
+        self.packed = _Packed(e, 0)
         self.cap = 0 if e else inf
         self.series = [[0] for _ in range(r + 1)]
         self.logs = [[0] for _ in range(r + 1)]
-        self.binomials = _Binomials(0, self.m)
-
-    def digit_count(self, w):
-        return 2 * abs(self.e) * w * w + 1
 
     def _widen(self, w):
         # exact widths per weight re-spread more: genfun wall 0.033 -> 0.037 s
         cap = w + w // 4 + 2
-        width = _width(self.e, self.r, cap)
+        old, new = self.packed, _Packed(self.e, _width(self.e, self.r, cap))
         for entries in self.series + self.logs:
             for v in range(1, len(entries)):
-                entries[v] = _spread(entries[v], self.digit_count(v),
-                                     self.width, width)
-        self.width, self.cap = width, cap
-        self.binomials = _Binomials(width, self.m)
+                entries[v] = _spread(entries[v], new.digit_count(v),
+                                     old.width, new.width)
+        self.packed, self.cap = new, cap
 
     def _grow_series(self, top):
         """D_w^m A_j(w) for every w <= top: sum over |lam| = w of a+^j
-        a-^(r-j) D_w^m H^e, each hook factor entering as |e| steps
-        p -= p << 2hB, at genus 0 as the cancelled quotient
-        _hook_quotient.  lam and its conjugate have the same hooks, so both
-        conventions build the same product; the convention sets only its
-        offset."""
+        a-^(r-j) D_w^m H^e, the hook part by _hook_factor.  lam and its
+        conjugate have the same hooks, so both conventions build the same
+        product; the convention sets only its offset."""
         e, r = self.e, self.r
         if top >= len(self.series[0]):
             _check_cost(top, e, r)
         for w in range(len(self.series[0]), top + 1):
             if w > self.cap:
                 self._widen(w)
-            width, groups, products = self.width, {}, {}
+            width, groups, products = self.packed.width, {}, {}
             for lam in all_partitions(w):
                 term = 1
                 if e:
                     lam_hooks = tuple(hooks(lam))
                     product = products.get(lam_hooks)
                     if product is None:
-                        product = products[lam_hooks] = (
-                            self._hook_quotient(lam_hooks, w) if self.m else
-                            _packed_product(reversed(lam_hooks), e, width))
+                        product = products[lam_hooks] = _hook_factor(
+                            lam_hooks, w, e, width)
                     paired = lam if self.conv == MATCHED else conjugate(lam)
                     term = product << ((abs(e) * w * w - e * (
                         w + 2 * n_lambda(paired))) * width)
@@ -447,55 +518,29 @@ class _LogTable:
                 entries.append(sum(total * ap ** j * am ** (r - j)
                                    for (ap, am), total in groups.items()))
 
-    def _hook_quotient(self, lam_hooks, w):
-        """(D_w / prod over the hooks h of (1 - q^h))^m, packed: the factors
-        that D_w and the hook product share cancel first, and the product of
-        what is left of D_w^m is divided by what is left of the hooks'."""
-        hooks_left = Counter(lam_hooks) - Counter(range(1, w + 1))
-        factors_left = set(range(1, w + 1)).difference(lam_hooks)
-        quotient, rest = divmod(
-            _packed_product(sorted(factors_left), self.m, self.width),
-            _packed_product(sorted(hooks_left.elements()), self.m,
-                            self.width))
-        if rest:
-            raise ExactnessError("hook product does not divide D_%d" % w)
-        return quotient
-
     def series_at(self, j, w):
         "Packed D_w^m A_j(w)."
         self._grow_series(w)
         return self.series[j][w]
 
     def log_at(self, j, top):
-        """Packed D_w^m c^(j)_w, by c_w = w A_w - sum_k c_k A_(w-k): the
-        product of weights k and w - k sits at offset |e| (k^2 + (w-k)^2),
-        so a shift of 2 |e| k (w-k) digits aligns it with weight w, and the
-        Gaussian binomial (D_w / (D_k D_(w-k)))^m puts it over D_w^m."""
+        "Packed D_w^m c^(j)_w, by _log_step on the table's series."
         self._grow_series(top)
         a, c = self.series[j], self.logs[j]
-        width, e = self.width, abs(self.e)
         for w in range(len(c), top + 1):
-            acc = w * a[w]
-            binomials = self.binomials.row(w) if self.m else None
-            for k in range(1, w):
-                if c[k] and a[w - k]:
-                    product = c[k] * a[w - k]
-                    if self.m:
-                        product *= binomials[k]
-                    acc -= product << (2 * e * k * (w - k) * width)
-            c.append(acc)
+            c.append(_log_step(self.packed, a, c, w))
         return c[top]
 
     def polynomial(self, packed, w):
         "An unpacked weight-w coefficient as a Laurent polynomial in u."
         return HalfPowerPolynomial.from_dense(
             -abs(self.e) * w * w,
-            _unpack(packed, self.digit_count(w), self.width))
+            _unpack(packed, self.packed.digit_count(w), self.packed.width))
 
     def combined(self, weights, w):
         "The digits of sum_j b_j D_w^m c^(j)_w, for weights {j: b_j}."
-        return _unpack(sum(self.log_at(j, w) * b for j, b in weights.items()),
-                       self.digit_count(w), self.width)
+        packed = sum(self.log_at(j, w) * b for j, b in weights.items())
+        return _unpack(packed, self.packed.digit_count(w), self.packed.width)
 
 
 _LOG_TABLES = {}
@@ -531,7 +576,7 @@ def _adams_sum(table, weights, n, step):
     of the complex curve.  Each sum_j b_j D_w^m c^(j)_w, w = n/d, is
     unpacked once and added in at psi_d, the exponents times d, times the
     factors (1 - q^i)^m of D_n^m with d not dividing i."""
-    out = [0] * table.digit_count(n)
+    out = [0] * table.packed.digit_count(n)
     for d in range(1, n + 1, step):
         mu = moebius(d) if n % d == 0 else 0
         if mu:
@@ -676,7 +721,7 @@ def gen_function_check(n_max, surf, conv=MATCHED):
     recurrence and the odd-divisor sum (_n_v_coefficients); the right side
     (kronecker._product_side) reads only the packed series D_w^m A_r(w) and
     D_w^m A_0(w), never the table's logs.  The same recurrences run on l1
-    norms (kronecker._Norms) bound the right side and every value it
+    norms (_Norms) bound the right side and every value it
     re-spreads, the digits bound the left, and B is the least whole number
     of bytes with both bounds together below 2^(B-2).  Then every digit
     fits, and the difference of the two sides has balanced base-X digits

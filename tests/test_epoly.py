@@ -310,6 +310,31 @@ def test_genus0_table_matches_the_per_partition_sums():
                     assert sum(map(abs, a.terms.values())) <= bound[w]
 
 
+def test_log_norms_bound_every_stored_log():
+    """_log_step on _Norms, the run that proves the width, bounds the l1
+    norm of every stored D_w^m c^(j)_w, and every digit fits the width; at
+    e = 0 the entries are plain ints and the width stays 0."""
+    _clear_formula_caches()
+    for e, r in ((-2, 0), (-1, 1), (0, 2), (1, 2), (3, 3)):
+        norms, bounds = epoly._Norms(e, r, 8), [0]
+        for w in range(1, 9):
+            bounds.append(epoly._log_step(norms, norms.totals, bounds, w))
+        for conv in (MATCHED, TRANSPOSED) if r else (MATCHED,):
+            table = epoly._log_table(e, r, conv)
+            for j in range(r + 1):
+                for w in range(1, 9):
+                    c = table.polynomial(table.log_at(j, w), w)
+                    assert sum(map(abs, c.terms.values())) <= bounds[w], \
+                        (e, r, conv, j, w)
+                    if e:
+                        width = table.packed.width
+                        assert all(abs(d) < 1 << (width - 1)
+                                   for d in c.terms.values())
+                    else:
+                        assert type(table.log_at(j, w)) is int
+                        assert table.packed.width == 0
+
+
 def test_genus0_hook_division_refuses_a_remainder(monkeypatch):
     # a hook of w + 1 does not divide D_w = (1 - q) ... (1 - q^w)
     monkeypatch.setattr(epoly, "hooks", lambda lam: [sum(lam) + 1])
@@ -382,10 +407,10 @@ def test_packed_table_grows_in_any_order_without_a_rebuild(monkeypatch):
     assert hooked == {w: len(all_partitions(w)) for w in range(1, 10)}
     # a larger rank builds only the new weights and keeps the old entries,
     # re-spaced to a wider digit
-    width = table.width
+    width = table.packed.width
     hooked.clear()
     e_poly(14, surf)
-    assert epoly._LOG_TABLES[key] is table and table.width > width
+    assert epoly._LOG_TABLES[key] is table and table.packed.width > width
     assert hooked == {w: len(all_partitions(w)) for w in range(10, 15)}
     assert [entries[:10] for entries in _table_contents(table)] == contents
 
@@ -591,7 +616,8 @@ def test_identity_majorant_bounds_the_reference(monkeypatch):
     for g, r in ((0, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 3)):
         e, surf = g - 1, SurfaceData(g, r)
         m = max(0, -e)
-        norms = kronecker._product_side(kronecker._Norms(e, r, 6), r, 6)
+        ring = epoly._Norms(e, r, 6)
+        norms = kronecker._product_side(ring, ring.totals, ring.totals, 6)
         for conv in (MATCHED, TRANSPOSED):
             assert gen_function_reference(6, surf, conv)
             for n in range(1, 7):
