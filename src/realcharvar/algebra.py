@@ -18,10 +18,10 @@ Three layers are built here:
   and it wraps the complex curve's E-polynomial with denominator 1.
 * TruncatedSeries -- power series in T up to a fixed order with
   RationalFunction coefficients, carrying the plethystic operations
-  (adams substitution, log and exp, Log, rational exponents).  Only the
-  rational reference of the product identity in verify and the tests read
-  it; the formulas run their series on Kronecker-packed ints in epoly and
-  kronecker.
+  (adams substitution, log and exp, Log).  Only the rational reference of
+  the product identity in verify, which builds its rational powers from
+  log and exp, and the tests read it; the formulas run their series on
+  Kronecker-packed ints in epoly and kronecker.
 
 The series layer's logarithms are coded once: log_coefficients (the log
 recurrence) serves formal_log and pleth_log, and divisor_sum (the Adams sum)
@@ -53,13 +53,6 @@ class ZeroDenominator(ZeroDivisionError):
 class ExactnessError(ArithmeticError):
     """A value that exact arithmetic guarantees (an integer, a vanishing
     remainder, a nonnegative count) came out otherwise."""
-
-
-def exact_int(x, what):
-    "An int or Fraction known to be integral, as an int; what names it."
-    if x.denominator != 1:
-        raise ExactnessError("%s is not an integer: %s" % (what, x))
-    return int(x)
 
 
 def _frac(x):
@@ -766,14 +759,6 @@ def pleth_log(f):
     return TruncatedSeries(n, [RF_ZERO] + [
         divisor_sum(m, c.__getitem__, moebius) * Fraction(1, m)
         for m in range(1, n + 1)])
-
-
-def rational_exponent_pow(f, c):
-    "Formal power f**c = exp(c * log f) for rational c; f must start with 1."
-    if not f.coeffs[0].is_one():
-        raise ConstantTermNotOne("rational power needs constant coefficient 1")
-    c = _frac(c)
-    return formal_exp(formal_log(f) * c)
 
 
 # -- rendering ---------------------------------------------------------

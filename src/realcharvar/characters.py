@@ -115,6 +115,22 @@ def _class_logs(table):
     return np.array(out, dtype=np.int64).T
 
 
+def _refuse_beyond_budget(characters, classes, q):
+    "GroupTooLarge when characters on classes are more values than the budget."
+    if characters * classes > fforacle._GROUP_BUDGET:
+        raise fforacle.GroupTooLarge(
+            "%d characters on %d classes at q = %d exceed the budget"
+            % (characters, classes, q))
+
+
+def check_budget(n, q):
+    """Refuse (GroupTooLarge), from n <= 2 and odd q alone, a character sum
+    over the budget: GL_1(F_q) has q - 1 characters on 2 self-inverse
+    classes, GL_2(F_q) q^2 - 1 on q + 3 (four with one eigenvalue +-1,
+    (q - 1)/2 split classes {a, 1/a}, (q - 1)/2 elliptic ones of norm 1)."""
+    _refuse_beyond_budget(*((q - 1, 2) if n == 1 else (q * q - 1, q + 3)), q)
+
+
 class CharacterTable:
     """The irreducible characters of one class table (n <= 2), on demand
     mod primes p = 1 mod q^2 - 1, with the gated residues of each prime."""
@@ -176,10 +192,7 @@ class CharacterTable:
         cols (columns), as an int64 array, from powers = omega_powers(p);
         refused beyond the sweep budget."""
         cols = np.asarray(cols, dtype=np.intp)
-        if len(self.a) * len(cols) > fforacle._GROUP_BUDGET:
-            raise fforacle.GroupTooLarge(
-                "%d characters on %d classes at q = %d exceed the budget"
-                % (len(self.a), len(cols), self.table.q))
+        _refuse_beyond_budget(len(self.a), len(cols), self.table.q)
         a, b = self.a[:, None], self.b[:, None]
         e1, e2 = self.e1[cols], self.e2[cols]
         coef = self.coef[self.family[:, None], self.kind[cols]] % p

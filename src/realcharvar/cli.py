@@ -8,6 +8,7 @@ All numbers are exact integers or rationals, never floats.
 import argparse
 import csv
 import json
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -186,7 +187,6 @@ def _verify_telescope(args, out):
 def cmd_verify(args, out):
     # verify loads the finite-field oracle and numpy, which the formula
     # commands do without
-    from .fforacle import report_line
     from .verify import CRITERIA, criterion_oracle_main, run_criteria
     known = {name for name, _, _, _ in CRITERIA}
     if args.suite not in known | {"telescope", "all"}:
@@ -204,7 +204,7 @@ def cmd_verify(args, out):
         reports = []
         ok, detail = criterion_oracle_main(collect=reports)
         for rep in reports:
-            out.write(report_line(rep) + "\n")
+            out.write(json.dumps(rep) + "\n")
         out.write("oracle-main %s  %s\n" % ("PASS" if ok else "FAIL", detail))
         return 0 if ok else 1
     ok = run_criteria(None if args.suite == "all" else {args.suite}, out=out)
@@ -274,7 +274,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -285,6 +287,17 @@ def main(argv=None):
         print("%s: %s" % (type(exc).__name__, text) if text
               else type(exc).__name__, file=sys.stderr)
         return 1
+    except OSError as exc:
+        # output failed (a closed pipe, a full disk); after a broken pipe the
+        # null device takes stdout's descriptor, so the exit flush is quiet
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output failed: %s" % (exc.strerror or exc),
+              file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

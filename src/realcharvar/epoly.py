@@ -45,17 +45,18 @@ cost exceeds a stated budget, by one rule for every genus and for the
 identity check too, are refused with CostLimit first.
 
 The generating-function identity sum_n V_n T^n = PLog(prod over s = 2^k
-of psi_s(A_r / A_0)^(1/s)) is checked as one exact Kronecker evaluation:
-both sides become ints at u = X = 2^B, rank M scaled by (M-1)! D_M^m.  The
-left side is (M-1)! D_M^m M V_M from the log recurrence and the odd-divisor
-sum; the right side reads only the table's packed series.  Each of its
-steps (the ratio, the 1/s power by Miller's recurrence, the product, the
-log, the Moebius sum) is scaled to divide by nothing and runs on _Packed
-at its own width, where psi_s re-spreads a value's digits at stride s.
-The same steps on _Norms prove B, so that equal values at X are equal
-polynomials; no Fraction, RationalFunction or TruncatedSeries is built.
-The check's steps are in kronecker; its rational form lives in verify as
-the reference.
+of psi_s(A_r / A_0)^(1/s)) is checked by one exact Kronecker evaluation
+of its right side, rank M scaled by (M-1)! D_M^m.  The right side reads
+only the table's packed series.  Each of its steps (the ratio, the 1/s
+power by Miller's recurrence, the product, the log, the Moebius sum) is
+scaled to divide by nothing and runs on _Packed at its own width B, where
+psi_s re-spreads a value's digits at stride s.  The same steps on _Norms
+bound the l1 norms of the right side and of every value it re-spreads, so
+every digit fits B: _unpack reads the right side's digits back exactly,
+and they are compared with the left side's digit lists, (M-1)! D_M^m M V_M
+from the log recurrence and the odd-divisor sum.  No Fraction,
+RationalFunction or TruncatedSeries is built.  The check's steps are in
+kronecker; its rational form lives in verify as the reference.
 
 Two pairing conventions are implemented.  "matched" pairs the coefficient of
 a partition with its own hook polynomial and reproduces the worked low-rank
@@ -173,38 +174,34 @@ def partition_multisets(w):
     return tuple(out)
 
 
-def _unpack(packed, count, width):
-    """The count signed digits, width bits each, of a Kronecker-packed int,
-    lowest first; one digit is the int itself.  Each digit is biased by
-    2^(width-1) so that the digits are plain byte fields."""
-    if count == 1:
-        return [packed]
-    size, half = width // 8, 1 << (width - 1)
-    biased = packed + _bias(count, width)
+def _bias(count, width, slot):
+    "sum over i < count of 2^(width-1) 2^(slot i)."
+    digit = (1 << (width - 1)).to_bytes(width // 8, "little")
+    return int.from_bytes(digit.ljust(slot // 8, b"\0") * count, "little")
+
+
+def _byte_view(packed, count, width, keep):
+    """The count digits of width bits of a Kronecker-packed int as
+    little-endian byte fields, each biased by 2^(keep-1), keep <= width, so
+    that a digit of absolute value below 2^(keep-1) reads as a plain byte
+    field; or ExactnessError if the biased int is negative or longer than
+    the count digits."""
+    biased = packed + _bias(count, keep, width)
     if biased < 0 or biased.bit_length() > count * width:
         raise ExactnessError("a packed value overflows %d digits of %d bits"
                              % (count, width))
-    raw = biased.to_bytes(count * size, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, count * size, size)]
+    return biased.to_bytes(count * width // 8, "little")
 
 
-def _pack(digits, width):
-    """Inverse of _unpack for digits below 2^(width-1) in absolute value;
-    one digit is the int itself."""
-    if len(digits) == 1:
-        return digits[0]
+def _unpack(packed, count, width):
+    """The count signed digits, width bits each, of a Kronecker-packed int,
+    lowest first; one digit is the int itself."""
+    if count == 1:
+        return [packed]
     size, half = width // 8, 1 << (width - 1)
-    raw = b"".join((d + half).to_bytes(size, "little") for d in digits)
-    return int.from_bytes(raw, "little") - _bias(len(digits), width)
-
-
-def _bias(count, width, slot=None):
-    """sum over i < count of 2^(width-1) 2^(slot i), with slot bits per
-    digit (width when None)."""
-    digit = (1 << (width - 1)).to_bytes(width // 8, "little")
-    return int.from_bytes(digit.ljust((slot or width) // 8, b"\0") * count,
-                          "little")
+    raw = _byte_view(packed, count, width, width)
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, len(raw), size)]
 
 
 def _spread(packed, count, width, new_width, stride=1):
@@ -216,11 +213,7 @@ def _spread(packed, count, width, new_width, stride=1):
         return packed
     keep = min(width, new_width)
     size, new_size, kept = width // 8, new_width // 8, keep // 8
-    biased = packed + _bias(count, keep, width)
-    if biased < 0 or biased.bit_length() > count * width:
-        raise ExactnessError("a packed value overflows %d digits of %d bits"
-                             % (count, width))
-    raw = biased.to_bytes(count * size, "little")
+    raw = _byte_view(packed, count, width, keep)
     if any(raw[b::size].count(0) < count for b in range(kept, size)):
         raise ExactnessError("a packed digit exceeds %d bits" % keep)
     step = stride * new_size
@@ -531,12 +524,6 @@ class _LogTable:
             c.append(_log_step(self.packed, a, c, w))
         return c[top]
 
-    def polynomial(self, packed, w):
-        "An unpacked weight-w coefficient as a Laurent polynomial in u."
-        return HalfPowerPolynomial.from_dense(
-            -abs(self.e) * w * w,
-            _unpack(packed, self.packed.digit_count(w), self.packed.width))
-
     def combined(self, weights, w):
         "The digits of sum_j b_j D_w^m c^(j)_w, for weights {j: b_j}."
         packed = sum(self.log_at(j, w) * b for j, b in weights.items())
@@ -715,19 +702,17 @@ def gen_function_check(n_max, surf, conv=MATCHED):
     psi_s(A_r / A_0)^(1/s)) up to T^n_max, with A_r and A_0 the partition
     series and psi_s the Adams map q -> q^s, T -> T^s.
 
-    Both sides are exact integers at one point u = X = 2^B (Kronecker
-    substitution), each rank M scaled by (M-1)! D_M^m and offset by
-    X^(|e| M^2).  The left side is (M-1)! D_M^m M V_M from the log
-    recurrence and the odd-divisor sum (_n_v_coefficients); the right side
-    (kronecker._product_side) reads only the packed series D_w^m A_r(w) and
-    D_w^m A_0(w), never the table's logs.  The same recurrences run on l1
-    norms (_Norms) bound the right side and every value it
-    re-spreads, the digits bound the left, and B is the least whole number
-    of bytes with both bounds together below 2^(B-2).  Then every digit
-    fits, and the difference of the two sides has balanced base-X digits
-    below X/2, which vanish only if every digit is 0: equal values at X are
-    equal polynomials, and the verdict is exact.  The check's code is in
-    kronecker, loaded on the first check.
+    The right side (kronecker._product_side) is an exact integer at one
+    point u = X = 2^B (Kronecker substitution), each rank M scaled by
+    (M-1)! D_M^m and offset by X^(|e| M^2); it reads only the packed series
+    D_w^m A_r(w) and D_w^m A_0(w), never the table's logs.  The same
+    recurrences run on l1 norms (_Norms) bound the right side's digits and
+    those of every value it re-spreads, and B is the least whole number of
+    bytes with that bound below 2^(B-2).  Then every digit fits its field,
+    _unpack reads each rank's coefficient list back exactly, and the
+    verdict compares it with the left side's digit list, (M-1)! D_M^m M V_M
+    from the log recurrence and the odd-divisor sum (_n_v_coefficients).
+    The check's code is in kronecker, loaded on the first check.
     """
     from .kronecker import agrees
     _check_convention(conv)

@@ -48,7 +48,6 @@ whose int64 range is checked before it runs; all class-function values are
 exact Python integers.
 """
 
-import json
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -62,10 +61,6 @@ from .partitions import all_partitions, centralizer_order, multiplicities
 
 class UnsupportedRank(ValueError):
     "Class enumeration is implemented for n <= 3."
-
-
-class SingularMatrix(ValueError):
-    "Only invertible matrices have a conjugacy label here."
 
 
 class GroupTooLarge(ValueError):
@@ -393,7 +388,7 @@ class ClassTable:
 
     def element_class_array(self):
         """cls[encode(A)] = class index for every invertible A, -1 for a
-        singular A; n <= 2.  The encoding is _encode's base-q digit string.
+        singular A; n <= 2; encode(A) reads A's entries as base-q digits.
 
         For n <= 2 the characteristic polynomial and whether A is scalar
         determine the class, so the lookup is keyed by that pair and filled
@@ -494,7 +489,7 @@ def _line_blocks(count, q, block):
 def _digits(count, q):
     """Every string of count base-q digits, in increasing order, as one
     (q^count, count) int64 array; reshaped to (-1, n, n) at count = n^2 it
-    lists every n x n matrix in _encode order.  More strings than the sweep
+    lists every n x n matrix in encode order.  More strings than the sweep
     budget are refused before any is made."""
     m = q ** count
     if m > _GROUP_BUDGET:
@@ -503,15 +498,9 @@ def _digits(count, q):
     return _decode(np.arange(m, dtype=np.int64), count, q)
 
 
-def _encode(M, q):
-    "Base-q digit string of the entries, row by row, of each matrix in a stack."
-    n = M.shape[-1]
-    return M.reshape(M.shape[:-2] + (n * n,)) @ q ** np.arange(n * n - 1, -1, -1)
-
-
 def _decode(codes, count, q):
     """The count base-q digits of each code, most significant first, as a
-    (len(codes), count) array; _encode's inverse at count = n^2."""
+    (len(codes), count) array; the inverse of encode at count = n^2."""
     return codes[:, None] // q ** np.arange(count - 1, -1, -1) % q
 
 
@@ -776,8 +765,8 @@ def count_representation_variety(n, field, surf, xi, k=None):
     at xi I, for xi a primitive 2n-th root of unity.  At n <= 2 this is the
     character sum of characters.count; at n = 3 it is the one atom's value
     at xi I, or the class sum of two over the classes where the first is
-    nonzero.  A bad k (epoly.check_component) and a rank-3 count of more atoms
-    (KernelMissing) are refused before any table is built.
+    nonzero.  A bad k, a rank-3 count of more atoms (KernelMissing) and a
+    sum over the character budget are refused before any table is built.
     """
     epoly.check_component(k, surf)
     if xi % field.q not in primitive_roots_of_unity(field, 2 * n):
@@ -789,10 +778,12 @@ def count_representation_variety(n, field, surf, xi, k=None):
     if n == 3 and len(atoms) > 2:
         raise KernelMissing("a rank-3 count takes at most two atoms, not %d"
                             % len(atoms))
+    if n <= 2:
+        from . import characters
+        characters.check_budget(n, field.q)
     table = class_table(n, field)
     xi %= field.q
     if n <= 2:
-        from . import characters
         return characters.count(table, atoms, xi)
     last = class_fn_atom(table, atoms[-1]).values
     if len(atoms) == 1:
@@ -845,8 +836,3 @@ def compare_with_formula(n, field, surf, k=None, convention=epoly.MATCHED,
         "convention": convention,
         "equal": counted == formula,
     }
-
-
-def report_line(report):
-    "One comparison report as a JSON line (exact integers, fixed key order)."
-    return json.dumps(report)

@@ -10,12 +10,22 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import ExactnessError
-from .fforacle import (ClassFunction, GroupTooLarge, SingularMatrix,
-                       _decode, _encode, _nullspace_mod,
-                       _stack, charpoly_mod, det_mod, inverse_label)
+from .fforacle import (ClassFunction, GroupTooLarge, _decode,
+                       _nullspace_mod, _stack, charpoly_mod, det_mod,
+                       inverse_label)
 from .partitions import conjugate, n_lambda, weight
 
 _PAIR_BUDGET = 10_000_000      # pairs for the commutator brute force
+
+
+class SingularMatrix(ValueError):
+    "Only invertible matrices have a conjugacy label here."
+
+
+def _encode(M, q):
+    "Base-q digit string of the entries, row by row, of each matrix in a stack."
+    n = M.shape[-1]
+    return M.reshape(M.shape[:-2] + (n * n,)) @ q ** np.arange(n * n - 1, -1, -1)
 
 
 def poly_eval(f, x, q):

@@ -6,15 +6,17 @@ prove B.  _product_side runs one sequence of steps on the two arithmetics
 that epoly's table uses: _Packed, the ints X^(|e| w^2) P(X) at X = 2^B,
 and _Norms, bounds on the l1 norms of the same values.  It takes the two
 series as arguments: the table's packed D_w^m A_r(w) and D_w^m A_0(w)
-re-spread to B, or their bounds.  Only the identity check and its cost
-prediction load this module, so the formula commands and the counts that
-never check the identity do not compile it.
+re-spread to B, or their bounds.  The bounds on the right side's l1 norms
+set B, so _unpack reads its digits back exactly, and the verdict compares
+them with the left side's digit lists.  Only the identity check and its
+cost prediction load this module, so the formula commands and the counts
+that never check the identity do not compile it.
 """
 
 from math import comb, factorial, perm
 
 from .algebra import ExactnessError, moebius
-from .epoly import IDENTITY_PRODUCT, _Norms, _Packed, _pack, _spread
+from .epoly import IDENTITY_PRODUCT, _Norms, _Packed, _spread, _unpack
 
 
 def _byte_width(bound):
@@ -78,14 +80,21 @@ def _product_side(ring, plus, minus, top):
                      for n in range(1, top + 1)]
 
 
+def _bound(e, r, top):
+    """A bound on the l1 norm, so on every digit, of the product side at
+    each M <= top and of every value it re-spreads: _product_side run once
+    on _Norms."""
+    norms = _Norms(e, r, top)
+    bounds = _product_side(norms, norms.totals, norms.totals, top)
+    return max(bounds[1:] + [norms.peak])
+
+
 def predicted_work(e, r, top):
     """The identity check's term of the cost rule (see epoly): about
     (3 + m) w products at each weight w <= top, of values at the width that
-    _Norms predicts (the left side's l1 norm is the right side's when the
-    identity holds), each IDENTITY_PRODUCT s_w^1.585 word operations."""
-    norms = _Norms(e, r, top)
-    bounds = _product_side(norms, norms.totals, norms.totals, top)
-    width = _byte_width(2 * max(bounds[1:] + [norms.peak]))
+    twice _bound needs (at most a byte above the check's own), each
+    IDENTITY_PRODUCT s_w^1.585 word operations."""
+    width = _byte_width(2 * _bound(e, r, top))
     a, m = abs(e), max(0, -e)
     return sum(IDENTITY_PRODUCT * (3 + m) * w
                * (width * (2 * a * w * w + 1) / 64) ** 1.585
@@ -93,18 +102,18 @@ def predicted_work(e, r, top):
 
 
 def agrees(table, lhs, r, top):
-    """Whether (M-1)! times the left side's digit list lhs[M], a
-    D_M^m M V_M at offset |e| M^2, equals the product side for every
-    M <= top, at the least byte width B that the l1 bounds prove."""
-    norms = _Norms(table.e, r, top)
-    bounds = _product_side(norms, norms.totals, norms.totals, top)
-    width = _byte_width(max([norms.peak] + [
-        factorial(n - 1) * sum(map(abs, lhs[n])) + bounds[n]
-        for n in range(1, top + 1)]))
+    """Whether the product side, unpacked at the least byte width B that
+    _bound proves, equals (M-1)! times the left side's digit list lhs[M], a
+    D_M^m M V_M at offset |e| M^2, for every M <= top."""
+    width = _byte_width(_bound(table.e, r, top))
     plus, minus = ([1] + [_spread(table.series_at(j, w),
                                   table.packed.digit_count(w),
                                   table.packed.width, width)
                           for w in range(1, top + 1)] for j in (r, 0))
     rhs = _product_side(_Packed(table.e, width), plus, minus, top)
-    return all(factorial(n - 1) * _pack(lhs[n], width) == rhs[n]
-               for n in range(1, top + 1))
+    for n in range(1, top + 1):
+        scale = factorial(n - 1)
+        if (_unpack(rhs[n], table.packed.digit_count(n), width)
+                != [scale * d for d in lhs[n]]):
+            return False
+    return True

@@ -20,12 +20,12 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial
 
-from .algebra import (ExactnessError, HalfPowerPolynomial, ONE, Q,
-                      Q_MINUS_ONE, RF_ONE, RF_ZERO, RationalFunction,
-                      TruncatedSeries, ZERO, adams, exact_int, moebius,
-                      pleth_log, rational_exponent_pow)
+from .algebra import (ConstantTermNotOne, ExactnessError,
+                      HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE, RF_ONE,
+                      RF_ZERO, RationalFunction, TruncatedSeries, ZERO, adams,
+                      formal_exp, formal_log, moebius, pleth_log)
 from .epoly import (MATCHED, TRANSPOSED, SurfaceData, _over_denominator,
-                    _real_table, e_poly, e_poly_component,
+                    _real_table, _unpack, e_poly, e_poly_component,
                     euler_char_component, gen_function_check,
                     hook_polynomial, partition_multisets, v_n)
 from .partitions import all_partitions, conjugate, multiplicities, weight
@@ -35,6 +35,28 @@ from . import characters, fforacle, ffreference
 
 def _qp(k):
     return HalfPowerPolynomial.q_power(k)
+
+
+def exact_int(x, what):
+    "An int or Fraction known to be integral, as an int; what names it."
+    if x.denominator != 1:
+        raise ExactnessError("%s is not an integer: %s" % (what, x))
+    return int(x)
+
+
+def rational_exponent_pow(f, c):
+    "Formal power f**c = exp(c * log f) for rational c; f must start with 1."
+    if not f.coeffs[0].is_one():
+        raise ConstantTermNotOne("rational power needs constant coefficient 1")
+    return formal_exp(formal_log(f) * c)
+
+
+def table_polynomial(table, packed, w):
+    """A packed weight-w coefficient of an epoly table, unpacked, as a
+    Laurent polynomial in u."""
+    return HalfPowerPolynomial.from_dense(
+        -abs(table.e) * w * w,
+        _unpack(packed, table.packed.digit_count(w), table.packed.width))
 
 
 def closed_form_e1(g, r):
@@ -130,8 +152,8 @@ def _series_coefficient(w, surf, j, conv):
     """T^w coefficient of the partition series A_j at surf, a rational
     function: sum_{|lam|=w} a+^j a-^(r-j) H^(g-1)."""
     table = _real_table(surf, conv)
-    return _over_denominator(table.polynomial(table.series_at(j, w), w),
-                             table.e, w)
+    poly = table_polynomial(table, table.series_at(j, w), w)
+    return _over_denominator(poly, table.e, w)
 
 
 def _partition_series(order, surf, j, conv, scale):

@@ -8,8 +8,8 @@ from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
                                  TruncatedSeries, U,
                                  ConstantTermNotOne, OddExponent, adams,
                                  format_poly, formal_exp, formal_log, moebius,
-                                 pleth_log, poly_divmod, poly_gcd,
-                                 rational_exponent_pow)
+                                 pleth_log, poly_divmod, poly_gcd)
+from realcharvar.verify import rational_exponent_pow
 
 
 def q_power(k, c=1):

@@ -220,3 +220,51 @@ def test_character_table_refused_beyond_the_budget(monkeypatch):
     # genus 0 has the one atom F, so the table is the first thing refused
     with pytest.raises(GroupTooLarge, match="characters"):
         count_representation_variety(2, PrimeField(17), SurfaceData(0, 1), 4)
+
+
+def test_rank2_budget_is_refused_before_the_class_table(monkeypatch):
+    """GL_2(F_137) has 18768 characters on 140 self-inverse classes, over
+    the budget; that is known from q alone, so no class table is built."""
+    built = []
+    real = ClassTable.__init__
+
+    def spy(self, n, field):
+        built.append((n, field.q))
+        real(self, n, field)
+
+    monkeypatch.setattr(ClassTable, "__init__", spy)
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    field = PrimeField(137)
+    xi = primitive_roots_of_unity(field, 4)[0]
+    with pytest.raises(GroupTooLarge, match="^18768 characters on 140 "
+                       "classes at q = 137 exceed the budget$"):
+        count_representation_variety(2, field, SurfaceData(2, 1), xi)
+    assert built == []
+
+
+def _refusal(fn, *args):
+    "The GroupTooLarge message of fn(*args), or None if it is not refused."
+    try:
+        fn(*args)
+    except GroupTooLarge as exc:
+        return str(exc)
+    return None
+
+
+def test_budget_rule_from_q_agrees_with_the_built_table(monkeypatch):
+    """At the edge of a lowered budget, check_budget(n, q) and the guard of
+    a built table's values refuse alike, with the same counts: q - 1 or
+    q^2 - 1 characters on 2 or q + 3 self-inverse classes."""
+    for n in (1, 2):
+        for q in (3, 5, 7, 11, 13, 17):
+            chars = characters.CharacterTable(class_table(n, PrimeField(q)))
+            p = next(chars.primes())
+            powers = chars.omega_powers(p)
+            size = len(chars.degree) * len(chars.self_inverse)
+            for budget in (size - 1, size):
+                monkeypatch.setattr(fforacle, "_GROUP_BUDGET", budget)
+                by_q = _refusal(characters.check_budget, n, q)
+                by_table = _refusal(chars.values, chars.self_inverse, p,
+                                    powers)
+                assert by_q == by_table, (n, q, budget)
+                assert (by_q is None) == (budget == size), (n, q, budget)

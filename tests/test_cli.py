@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -313,6 +317,46 @@ def test_resource_errors_are_one_line(monkeypatch, exc, line):
     monkeypatch.setattr(cli, "e_poly", fail)
     code, out, err = _call(["epoly", "--n", "2", "--g", "2", "--r", "1"])
     assert (code, out, err) == (1, "", line + "\n")
+
+
+def test_an_interrupt_is_one_line(monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "e_poly", interrupt)
+    assert _call(["epoly", "--n", "2", "--g", "2", "--r", "1"]) == (
+        130, "", "error: interrupted\n")
+
+
+def _module(argv, stdout):
+    "python -m realcharvar argv, started with the given stdout."
+    import realcharvar
+    src = str(pathlib.Path(realcharvar.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "realcharvar"] + argv,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "oracle-main", "--reports"],
+    ["epoly", "--n", "1-3", "--g", "2", "--r", "1", "--format", "json"],
+])
+def test_a_pipe_closed_early_is_one_line(argv):
+    # the reader closes the pipe before the command writes anything
+    proc = _module(argv, subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err.startswith("error: output failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_is_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _module(["epoly", "--n", "1-3", "--g", "2", "--r", "1"], full)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err.startswith("error: output failed: ") and err.count("\n") == 1
 
 
 def test_broken_oracle_invariant_is_one_line(monkeypatch):

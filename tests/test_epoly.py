@@ -246,32 +246,38 @@ def test_log_tables_hold_int_polynomials():
     for table, logs in tables:
         for w, c in enumerate(logs):
             assert type(c) is int
-            poly = table.polynomial(c, w)
+            poly = verify.table_polynomial(table, c, w)
             assert all(type(x) is int for x in poly.terms.values())
 
 
 def _table_contents(table):
     "Every stored series and log coefficient, unpacked."
-    return [[table.polynomial(c, w) for w, c in enumerate(entries)]
+    return [[verify.table_polynomial(table, c, w)
+             for w, c in enumerate(entries)]
             for entries in table.series + table.logs]
+
+
+def _pack(digits, width):
+    "The int sum of digits[i] 2^(width i): the packing _unpack inverts."
+    return sum(d << (width * i) for i, d in enumerate(digits))
 
 
 def test_packed_digits_round_trip_and_refuse_an_overflow():
     digits = [5, -128, 127, 0, -1]
-    assert epoly._unpack(epoly._pack(digits, 8), 5, 8) == digits
-    assert epoly._unpack(epoly._pack(digits, 16), 5, 16) == digits
+    assert epoly._unpack(_pack(digits, 8), 5, 8) == digits
+    assert epoly._unpack(_pack(digits, 16), 5, 16) == digits
     assert epoly._unpack(-7 << 99, 1, 8) == [-7 << 99]  # one digit: the int
     for packed in (1 << 40, -(1 << 40)):
         with pytest.raises(ExactnessError):
             epoly._unpack(packed, 5, 8)
     # psi_3 of the digits, re-spaced to 16 bits and back to 8
-    spread = epoly._spread(epoly._pack(digits, 8), 5, 8, 16, 3)
+    spread = epoly._spread(_pack(digits, 8), 5, 8, 16, 3)
     assert epoly._unpack(spread, 13, 16) == [5, 0, 0, -128, 0, 0, 127, 0, 0,
                                               0, 0, 0, -1]
-    assert epoly._spread(spread, 13, 16, 8) == epoly._pack(
+    assert epoly._spread(spread, 13, 16, 8) == _pack(
         [5, 0, 0, -128, 0, 0, 127, 0, 0, 0, 0, 0, -1], 8)
     with pytest.raises(ExactnessError, match="exceeds 8 bits"):
-        epoly._spread(epoly._pack([1, 300, 0], 16), 3, 16, 8)
+        epoly._spread(_pack([1, 300, 0], 16), 3, 16, 8)
     with pytest.raises(ExactnessError, match="2 does not divide 7"):
         kronecker._exact_quotient(7, 2)
 
@@ -300,8 +306,9 @@ def test_genus0_table_matches_the_per_partition_sums():
             for j in range(r + 1):
                 series, logs = _genus0_reference(e, r, conv, j, 8)
                 for w in range(1, 9):
-                    a = table.polynomial(table.series_at(j, w), w)
-                    c = table.polynomial(table.log_at(j, w), w)
+                    a = verify.table_polynomial(table, table.series_at(j, w),
+                                                w)
+                    c = verify.table_polynomial(table, table.log_at(j, w), w)
                     for poly, want in ((a, series[w]), (c, logs[w])):
                         assert all(type(x) is int for x in poly.terms.values())
                         assert epoly._over_denominator(poly, e, w) == want, \
@@ -323,7 +330,7 @@ def test_log_norms_bound_every_stored_log():
             table = epoly._log_table(e, r, conv)
             for j in range(r + 1):
                 for w in range(1, 9):
-                    c = table.polynomial(table.log_at(j, w), w)
+                    c = verify.table_polynomial(table, table.log_at(j, w), w)
                     assert sum(map(abs, c.terms.values())) <= bounds[w], \
                         (e, r, conv, j, w)
                     if e:
@@ -584,6 +591,27 @@ def test_identity_check_fails_on_a_wrong_left_side(monkeypatch):
     monkeypatch.setattr(epoly, "_n_v_coefficients", off_by_one)
     assert not gen_function_check(7, SurfaceData(0, 1))
     assert gen_function_check(6, SurfaceData(0, 1))
+
+
+def test_identity_check_fails_on_a_wrong_right_side(monkeypatch):
+    """One digit of the packed A_0(3) that the product side reads, off by
+    1, fails the check at every genus; the left side reads the table's
+    own series and is unchanged."""
+    real = epoly._LogTable.series_at
+
+    def off_by_one(table, j, w):
+        value = real(table, j, w)
+        if (j, w) == (0, 3):
+            value += 1 << table.packed.width * (table.packed.digit_count(w)
+                                                // 2)
+        return value
+
+    for g, r in ((0, 1), (1, 1), (2, 2), (4, 3)):
+        surf = SurfaceData(g, r)
+        with monkeypatch.context() as patch:
+            patch.setattr(epoly._LogTable, "series_at", off_by_one)
+            assert not gen_function_check(6, surf), (g, r)
+        assert gen_function_check(6, surf), (g, r)
 
 
 def test_identity_check_needs_no_rational_layer(monkeypatch):

@@ -9,7 +9,8 @@ import pytest
 
 import realcharvar
 from realcharvar import cli, epoly, fforacle, ffreference
-from realcharvar.algebra import ExactnessError, OddExponent, U, exact_int
+from realcharvar.algebra import ExactnessError, OddExponent, U
+from realcharvar.verify import exact_int
 
 F3 = fforacle.PrimeField(3)
 
