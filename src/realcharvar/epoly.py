@@ -27,22 +27,22 @@ _Packed, knows that layout: the weight-w coefficient sits at offset
 aligned by one shift and put over D_w^m by a Gaussian binomial.  Each
 partition's D_w^m H^e comes from the net power of every factor
 (1 - u^(2i)), entering as steps p -= p << 2iB, the negative powers
-divided out exactly.  One log step, _log_step, runs the log recurrence on
-the packed values and, on their l1 norms (_Norms), proves the width B
-that keeps every digit exact.  The table grows one weight at a time
-in any request order, serves every rank and the product side of the
-identity check, and is never rebuilt; at g = 1 its entries are plain ints.
-n V_n combines the packed c^(j) by the b_j and unpacks the digits once per
-odd d | n for the Adams sum.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n,
-at genus 0 divided exactly by D_n^m, then divided exactly by 2n (by 2^r n
-for a component); a remainder raises NotPolynomial.  Each E_n and E_n^k
-is assembled once per process and kept, so that an Euler characteristic
-or a finite-field comparison reuses it.  The complex curve's
-E-polynomial, the r = 0 anchor, takes the same route: its table is the one
-at e = 2g - 2 and r = 0, its Adams sum runs over every d | n, and its
-prefactor is (q-1)^2 q^(n^2 (g-1)) over n.  Requests whose predicted
-cost exceeds a stated budget, by one rule for every genus and for the
-identity check too, are refused with CostLimit first.
+divided out exactly.  The table grows one weight at a time in any request
+order, serves every rank and the product side of the identity check, and
+is never rebuilt; at g = 1 its entries are plain ints.  n V_n sums psi_d
+of the packed c^(j), combined by the b_j, on _Packed (_adams_terms) and is
+unpacked once per rank; _log_step and _adams_terms on l1 norms (_Norms)
+prove the width B, which bounds every digit the formula side unpacks or
+re-spreads.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, at genus 0 divided
+exactly by D_n^m, then divided exactly by 2n (by 2^r n for a component); a
+remainder raises NotPolynomial.  Each E_n and E_n^k is assembled once per
+process and kept, so that an Euler characteristic or a finite-field
+comparison reuses it.  The complex curve's E-polynomial, the r = 0 anchor,
+takes the same route: its table is the one at e = 2g - 2 and r = 0, its
+Adams sum runs over every d | n, and its prefactor is
+(q-1)^2 q^(n^2 (g-1)) over n.  Requests whose predicted cost exceeds a
+stated budget, by one rule for every genus and for the identity check
+too, are refused with CostLimit first.
 
 The generating-function identity sum_n V_n T^n = PLog(prod over s = 2^k
 of psi_s(A_r / A_0)^(1/s)) is checked by one exact Kronecker evaluation
@@ -255,10 +255,9 @@ def _group_totals(e, r, top):
 # 3 w products (the ratio, the log and the convolutions over s), 4 w at
 # genus 0 with the Gaussian binomials, of s_w words at its own width B;
 # measured, each costs about IDENTITY_PRODUCT s_w^1.585 in the table's
-# units.  WORD_BUDGET is about
-# 5 s on 2 vCPUs with Python 3.11.  PACKED_BITS caps one packed
-# coefficient, and with it every stored entry and each answer's
-# coefficient list.
+# units.  WORD_BUDGET is about 5 s on 2 vCPUs with Python 3.11.
+# PACKED_BITS caps one packed coefficient, and with it every stored entry
+# and each answer's coefficient list.
 PARTITION_WORDS = 4 * 10 ** 4
 IDENTITY_PRODUCT = 4
 WORD_BUDGET = 10 ** 10
@@ -316,10 +315,9 @@ def check_cost(n, surf, identity=False):
     _check_cost(n, surf.g - 1, surf.r, identity)
 
 
-def _packed_product(powers, width):
-    """prod over {h: power} of (1 - u^(2h))^power, packed at offset 0 with
-    digits of width bits: power steps p -= p << 2hB per h."""
-    packed = 1
+def _packed_product(powers, width, packed=1):
+    """packed times prod over {h: power} of (1 - u^(2h))^power, in digits
+    of width bits: power steps p -= p << 2hB per h, no product built."""
     for h, power in powers.items():
         for _ in range(power):
             packed -= packed << (2 * h * width)
@@ -396,14 +394,14 @@ class _Packed:
 
     def adams(self, c, a, w, s):
         """c (D_t / psi_s(D_w))^m psi_s(a), t = s w, for a of weight w:
-        the digits of a re-spread at stride s, aligned to weight t, times
-        the factors (1 - q^i)^m of D_t with s not dividing i."""
+        the digits of a re-spread at stride s, aligned to weight t, then
+        m steps p -= p << 2iB per i <= t that s does not divide."""
         t, e, width = s * w, self.e, self.width
         out = _spread(a, self.digit_count(w), width, width, s) \
             << (e * (t * t - s * w * w) * width)
         if self.m:
-            out *= _packed_product(dict.fromkeys(
-                (i for i in range(1, t + 1) if i % s), self.m), width)
+            out = _packed_product(dict.fromkeys(
+                (i for i in range(1, t + 1) if i % s), self.m), width, out)
         return c * out
 
 
@@ -436,16 +434,28 @@ def _log_step(ring, a, c, w):
                           for k in range(1, w) if c[k] and a[w - k])
 
 
+def _adams_terms(ring, logs, n, step):
+    """sum over d | n, d = 1 mod step, of mu(d) (D_n / psi_d(D_w))^m
+    psi_d(logs[w]), w = n/d, in the ring's arithmetic: on _Packed from the
+    packed D_w^m logs, on _Norms a bound on its l1 norm from theirs."""
+    return sum(ring.adams(moebius(d), logs[n // d], n // d, d)
+               for d in range(1, n + 1, step) if n % d == 0 and moebius(d))
+
+
 def _width(e, r, top):
-    """Bits per packed digit that hold, at every weight w <= top, each
-    coefficient of sum_j b_j D_w^m c^(j)_w with sum |b_j| <= 2^r (the totals
-    and every component): _log_step run on _Norms, the l1 norms of the
-    values that log_at builds.  A whole number of bytes, so that digits
-    unpack as byte fields."""
+    """Bits per packed digit that hold every digit the formula side unpacks
+    or re-spreads at weights w <= top.  On _Norms, _adams_terms over every
+    d | w of the _log_step bounds times 2^r >= sum |b_j| (the totals and
+    every component) bounds each sum that _adams_sum unpacks and, by its
+    d = 1 term, each value that log_at stores.  A whole number of bytes, so
+    that digits unpack as byte fields."""
     norms, c = _Norms(e, r, top), [0]
     for w in range(1, top + 1):
         c.append(_log_step(norms, norms.totals, c, w))
-    return -(-((max(c) << r).bit_length() + 1) // 8) * 8
+    logs = [bound << r for bound in c]
+    bound = max([0] + [_adams_terms(norms, logs, w, 1)
+                       for w in range(1, top + 1)])
+    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
 class _LogTable:
@@ -458,8 +468,8 @@ class _LogTable:
     and |e| w^2 bounds the u-exponents at weight w.  At e = 0 every
     coefficient is a plain int, with one digit, and the width stays 0.
     Both series grow one weight at a time, in any request order, and the
-    logs follow by _log_step on self.packed.  _log_step on _Norms proves
-    the width for every weight up to self.cap; a weight past the cap
+    logs follow by _log_step on self.packed.  _width proves the width for
+    every weight up to self.cap; a weight past the cap
     re-spaces every stored entry to the width proved for a cap a quarter
     beyond it, in a new _Packed; no entry is rebuilt.
     """
@@ -473,7 +483,7 @@ class _LogTable:
         self.logs = [[0] for _ in range(r + 1)]
 
     def _widen(self, w):
-        # exact widths per weight re-spread more: genfun wall 0.033 -> 0.037 s
+        # exact widths per weight re-spread more: genfun 0.015 -> 0.017 s
         cap = w + w // 4 + 2
         old, new = self.packed, _Packed(self.e, _width(self.e, self.r, cap))
         for entries in self.series + self.logs:
@@ -525,9 +535,8 @@ class _LogTable:
         return c[top]
 
     def combined(self, weights, w):
-        "The digits of sum_j b_j D_w^m c^(j)_w, for weights {j: b_j}."
-        packed = sum(self.log_at(j, w) * b for j, b in weights.items())
-        return _unpack(packed, self.packed.digit_count(w), self.packed.width)
+        "Packed sum_j b_j D_w^m c^(j)_w, for weights {j: b_j}."
+        return sum(self.log_at(j, w) * b for j, b in weights.items())
 
 
 _LOG_TABLES = {}
@@ -560,22 +569,13 @@ def _adams_sum(table, weights, n, step):
     """The coefficients of D_n^m times sum over d | n, d = 1 mod step, of
     mu(d) psi_d(sum_j b_j c^(j)_(n/d)), of u^(i - |e| n^2) at index i, for
     weights {j: b_j}: step 2 sums the odd d of a real curve, step 1 every d
-    of the complex curve.  Each sum_j b_j D_w^m c^(j)_w, w = n/d, is
-    unpacked once and added in at psi_d, the exponents times d, times the
-    factors (1 - q^i)^m of D_n^m with d not dividing i."""
-    out = [0] * table.packed.digit_count(n)
-    for d in range(1, n + 1, step):
-        mu = moebius(d) if n % d == 0 else 0
-        if mu:
-            start = abs(table.e) * n * n * (d - 1) // d
-            digits = table.combined(weights, n // d)
-            term = [0] * len(out)
-            term[start:start + d * len(digits):d] = digits
-            for i in range(1, n + 1):
-                for _ in range(table.m if i % d else 0):
-                    term[2 * i:] = [a - b for a, b in zip(term[2 * i:], term)]
-            out = [x + mu * y for x, y in zip(out, term)]
-    return out
+    of the complex curve.  _adams_terms sums on the table's _Packed, and
+    the result is unpacked once; the weight-n sum (d = 1) comes first, and
+    table.packed is read after it: growing the table may re-space it."""
+    logs = {n // d: table.combined(weights, n // d)
+            for d in range(1, n + 1, step) if n % d == 0}
+    return _unpack(_adams_terms(table.packed, logs, n, step),
+                   table.packed.digit_count(n), table.packed.width)
 
 
 def _n_v_coefficients(n, surf, k, conv):

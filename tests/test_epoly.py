@@ -320,14 +320,29 @@ def test_genus0_table_matches_the_per_partition_sums():
 def test_log_norms_bound_every_stored_log():
     """_log_step on _Norms, the run that proves the width, bounds the l1
     norm of every stored D_w^m c^(j)_w, and every digit fits the width; at
-    e = 0 the entries are plain ints and the width stays 0."""
+    e = 0 the entries are plain ints and the width stays 0.  _adams_terms
+    on _Norms, over those bounds times 2^r, bounds the l1 norm of every
+    Adams sum that _adams_sum unpacks (the totals and each odd component of
+    a real curve, every d | n at r = 0), whose digits fit the width too."""
     _clear_formula_caches()
-    for e, r in ((-2, 0), (-1, 1), (0, 2), (1, 2), (3, 3)):
+    for e, r in ((-2, 0), (-1, 1), (0, 2), (1, 2), (2, 0), (3, 3)):
         norms, bounds = epoly._Norms(e, r, 8), [0]
         for w in range(1, 9):
             bounds.append(epoly._log_step(norms, norms.totals, bounds, w))
+        scaled = [bound << r for bound in bounds]
+        sums = ([(epoly._component_weights(r, k), 2)
+                 for k in [None] + list(range(1, r + 1, 2))] if r
+                else [({0: 1}, 1)])
         for conv in (MATCHED, TRANSPOSED) if r else (MATCHED,):
             table = epoly._log_table(e, r, conv)
+            for weights, step in sums:
+                for n in range(1, 9):
+                    digits = epoly._adams_sum(table, weights, n, step)
+                    assert sum(map(abs, digits)) <= epoly._adams_terms(
+                        norms, scaled, n, step), (e, r, conv, weights, n)
+                    if e:
+                        width = table.packed.width
+                        assert all(abs(d) < 1 << (width - 1) for d in digits)
             for j in range(r + 1):
                 for w in range(1, 9):
                     c = verify.table_polynomial(table, table.log_at(j, w), w)
@@ -340,6 +355,29 @@ def test_log_norms_bound_every_stored_log():
                     else:
                         assert type(table.log_at(j, w)) is int
                         assert table.packed.width == 0
+
+
+def test_each_rank_unpacks_its_adams_sum_once(monkeypatch):
+    """The Adams sum runs on packed ints and unpacks one digit list per
+    rank, however many divisors it sums: n = 15 at g = 2, a component at
+    n = 9 and genus 0, and the genus-2 complex curve at n = 12."""
+    unpacked = []
+    real = epoly._unpack
+
+    def spy(*args):
+        unpacked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(epoly, "_unpack", spy)
+    for run in (lambda: epoly._n_v_coefficients(15, SurfaceData(2, 1), None,
+                                                MATCHED),
+                lambda: epoly._n_v_coefficients(9, SurfaceData(0, 1), 1,
+                                                MATCHED),
+                lambda: complex_curve_e_poly(12, 2)):
+        _clear_formula_caches()
+        unpacked.clear()
+        run()
+        assert len(unpacked) == 1
 
 
 def test_genus0_hook_division_refuses_a_remainder(monkeypatch):
