@@ -31,15 +31,16 @@ divided out exactly.  The table grows one weight at a time in any request
 order, serves every rank and the product side of the identity check, and
 is never rebuilt; at g = 1 its entries are plain ints.  n V_n sums psi_d
 of the packed c^(j), combined by the b_j, on _Packed (_adams_terms) and is
-unpacked once per rank; _log_step and _adams_terms on l1 norms (_Norms)
-prove the width B, which bounds every digit the formula side unpacks or
-re-spreads.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, at genus 0 divided
-exactly by D_n^m, then divided exactly by 2n (by 2^r n for a component); a
-remainder raises NotPolynomial.  Each E_n and E_n^k is assembled once per
-process and kept, so that an Euler characteristic or a finite-field
-comparison reuses it.  The complex curve's E-polynomial, the r = 0 anchor,
-takes the same route: its table is the one at e = 2g - 2 and r = 0, its
-Adams sum runs over every d | n, and its prefactor is
+unpacked once per rank; _log_step and _adams_terms on l1 norms (_Norms),
+kept per (e, r) and only extended, prove the width B for the top weight,
+which bounds every digit the formula side unpacks or re-spreads and is the
+width the table holds.  E_n is (q-1)(-q^(1/2))^(n^2 (g-1)) n V_n, at genus
+0 divided exactly by D_n^m, then divided exactly by 2n (by 2^r n for a
+component); a remainder raises NotPolynomial.  Each E_n and E_n^k is
+assembled once per process and kept, so that an Euler characteristic or a
+finite-field comparison reuses it.  The complex curve's E-polynomial, the
+r = 0 anchor, takes the same route: its table is the one at e = 2g - 2 and
+r = 0, its Adams sum runs over every d | n, and its prefactor is
 (q-1)^2 q^(n^2 (g-1)) over n.  Requests whose predicted cost exceeds a
 stated budget, by one rule for every genus and for the identity check
 too, are refused with CostLimit first.
@@ -70,7 +71,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iproduct
-from math import comb, factorial, inf, isqrt
+from math import comb, factorial, isqrt
 
 from .algebra import (ExactnessError, HalfPowerPolynomial, ONE,
                       RationalFunction, U, moebius)
@@ -442,20 +443,30 @@ def _adams_terms(ring, logs, n, step):
                for d in range(1, n + 1, step) if n % d == 0 and moebius(d))
 
 
+def _byte_width(bound, spare):
+    "The least whole number of bytes B, in bits, with bound < 2^(B - spare)."
+    return (bound.bit_length() + spare + 7) // 8 * 8
+
+
+_LEDGERS = {}
+
+
 def _width(e, r, top):
     """Bits per packed digit that hold every digit the formula side unpacks
     or re-spreads at weights w <= top.  On _Norms, _adams_terms over every
     d | w of the _log_step bounds times 2^r >= sum |b_j| (the totals and
     every component) bounds each sum that _adams_sum unpacks and, by its
-    d = 1 term, each value that log_at stores.  A whole number of bytes, so
-    that digits unpack as byte fields."""
-    norms, c = _Norms(e, r, top), [0]
-    for w in range(1, top + 1):
-        c.append(_log_step(norms, norms.totals, c, w))
-    logs = [bound << r for bound in c]
-    bound = max([0] + [_adams_terms(norms, logs, w, 1)
-                       for w in range(1, top + 1)])
-    return -(-(bound.bit_length() + 1) // 8) * 8
+    d = 1 term, each value that log_at stores.  No bound at weight w
+    depends on top, so one ledger per (e, r) keeps the log bounds and the
+    running maximum of the sum bounds, and a call only extends it.  A whole
+    number of bytes, so that digits unpack as byte fields."""
+    c, peak = _LEDGERS.setdefault((e, r), ([0], [0]))
+    if top >= len(c):
+        norms = _Norms(e, r, top)
+        for w in range(len(c), top + 1):
+            c.append(_log_step(norms, norms.totals, c, w))
+            peak.append(max(peak[-1], _adams_terms(norms, c, w, 1) << r))
+    return _byte_width(peak[top], 1)
 
 
 class _LogTable:
@@ -468,29 +479,18 @@ class _LogTable:
     and |e| w^2 bounds the u-exponents at weight w.  At e = 0 every
     coefficient is a plain int, with one digit, and the width stays 0.
     Both series grow one weight at a time, in any request order, and the
-    logs follow by _log_step on self.packed.  _width proves the width for
-    every weight up to self.cap; a weight past the cap
-    re-spaces every stored entry to the width proved for a cap a quarter
-    beyond it, in a new _Packed; no entry is rebuilt.
+    logs follow by _log_step on self.packed.  A growth to weight top whose
+    proved width _width(e, r, top) exceeds the held one first re-spaces
+    every stored entry to it, in a new _Packed; no entry is rebuilt, and
+    the width that _check_cost prices is the width the table holds.
     """
 
     def __init__(self, e, r, conv):
         self.e, self.r, self.conv = e, r, conv
         self.m = max(0, -e)
         self.packed = _Packed(e, 0)
-        self.cap = 0 if e else inf
         self.series = [[0] for _ in range(r + 1)]
         self.logs = [[0] for _ in range(r + 1)]
-
-    def _widen(self, w):
-        # exact widths per weight re-spread more: genfun 0.015 -> 0.017 s
-        cap = w + w // 4 + 2
-        old, new = self.packed, _Packed(self.e, _width(self.e, self.r, cap))
-        for entries in self.series + self.logs:
-            for v in range(1, len(entries)):
-                entries[v] = _spread(entries[v], new.digit_count(v),
-                                     old.width, new.width)
-        self.packed, self.cap = new, cap
 
     def _grow_series(self, top):
         """D_w^m A_j(w) for every w <= top: sum over |lam| = w of a+^j
@@ -498,12 +498,18 @@ class _LogTable:
         conjugate have the same hooks, so both conventions build the same
         product; the convention sets only its offset."""
         e, r = self.e, self.r
-        if top >= len(self.series[0]):
-            _check_cost(top, e, r)
+        if top < len(self.series[0]):
+            return
+        _check_cost(top, e, r)
+        width = _width(e, r, top) if e else 0
+        if width > self.packed.width:
+            old, self.packed = self.packed, _Packed(e, width)
+            for entries in self.series + self.logs:
+                for v in range(1, len(entries)):
+                    entries[v] = _spread(entries[v], old.digit_count(v),
+                                         old.width, width)
         for w in range(len(self.series[0]), top + 1):
-            if w > self.cap:
-                self._widen(w)
-            width, groups, products = self.packed.width, {}, {}
+            groups, products = {}, {}
             for lam in all_partitions(w):
                 term = 1
                 if e:

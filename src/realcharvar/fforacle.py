@@ -305,6 +305,18 @@ def group_order(n, q):
 
 # -- conjugacy class tables ----------------------------------------------
 
+def _check_class_count(n, q):
+    """Refuse, from n and q alone, a class table of GL_n(F_q) with more
+    classes than the sweep budget (GroupTooLarge): q - 1 classes at n = 1,
+    q^2 - 1 at n = 2, q^3 - q at n = 3; above n = 3, UnsupportedRank."""
+    if not 1 <= n <= 3:
+        raise UnsupportedRank("class tables for n <= 3 only")
+    classes = (q - 1, q * q - 1, q ** 3 - q)[n - 1]
+    if classes > _GROUP_BUDGET:
+        raise GroupTooLarge("%d classes of GL_%d(F_%d) exceed the budget"
+                            % (classes, n, q))
+
+
 class ClassTable:
     """Conjugacy classes of GL_n(F_q): labels, representatives, sizes.
 
@@ -314,8 +326,7 @@ class ClassTable:
     """
 
     def __init__(self, n, field):
-        if not 1 <= n <= 3:
-            raise UnsupportedRank("class tables for n <= 3 only")
+        _check_class_count(n, field.q)
         self.n = n
         self.field = field
         self.q = field.q
@@ -747,14 +758,21 @@ def class_fn_atom(table, atom):
 
 # -- counting the representation variety ---------------------------------
 
+def _has_order(x, order, q):
+    """Whether x has multiplicative order exactly `order` mod q: x^order = 1
+    and x^(order/p) != 1 for each prime p dividing order."""
+    return pow(x, order, q) == 1 and all(
+        pow(x, order // p, q) != 1 for p in range(2, order + 1)
+        if order % p == 0 and _is_prime(p))
+
+
 @lru_cache(maxsize=None)
 def primitive_roots_of_unity(field, order):
-    """Elements of F_q* of multiplicative order exactly `order`, sorted;
-    cached per (field, order)."""
-    q = field.q
-    # the order of x is the least k >= 1 with x^k = 1, and k <= q - 1
-    return tuple(x for x in range(1, q)
-                 if next(k for k in range(1, q) if pow(x, k, q) == 1) == order)
+    """Elements of F_q* of multiplicative order exactly `order`, sorted, by
+    _has_order: one or two pow calls per element; cached per (field,
+    order)."""
+    return tuple(x for x in range(1, field.q)
+                 if _has_order(x, order, field.q))
 
 
 def count_representation_variety(n, field, surf, xi, k=None):
@@ -765,13 +783,12 @@ def count_representation_variety(n, field, surf, xi, k=None):
     at xi I, for xi a primitive 2n-th root of unity.  At n <= 2 this is the
     character sum of characters.count; at n = 3 it is the one atom's value
     at xi I, or the class sum of two over the classes where the first is
-    nonzero.  A bad k, a rank-3 count of more atoms (KernelMissing) and a
-    sum over the character budget are refused before any table is built.
+    nonzero.  A bad k, a rank-3 count of more atoms (KernelMissing), a
+    character sum or a table over the budget and then a xi of another order
+    (NoPrimitiveRoot) are refused, from n, q and surf alone, before any
+    search or table.
     """
     epoly.check_component(k, surf)
-    if xi % field.q not in primitive_roots_of_unity(field, 2 * n):
-        raise NoPrimitiveRoot("xi = %d is not a primitive %dth root mod %d"
-                              % (xi, 2 * n, field.q))
     atoms = (("F",) * surf.r if k is None
              else ("F-",) * k + ("F+",) * (surf.r - k))
     atoms = tuple(sorted(atoms + ("N",) * surf.s))
@@ -781,6 +798,10 @@ def count_representation_variety(n, field, surf, xi, k=None):
     if n <= 2:
         from . import characters
         characters.check_budget(n, field.q)
+    _check_class_count(n, field.q)
+    if not _has_order(xi % field.q, 2 * n, field.q):
+        raise NoPrimitiveRoot("xi = %d is not a primitive %dth root mod %d"
+                              % (xi, 2 * n, field.q))
     table = class_table(n, field)
     xi %= field.q
     if n <= 2:

@@ -13,15 +13,12 @@ cost prediction load this module, so the formula commands and the counts
 that never check the identity do not compile it.
 """
 
+from functools import lru_cache
 from math import comb, factorial, perm
 
 from .algebra import ExactnessError, moebius
-from .epoly import IDENTITY_PRODUCT, _Norms, _Packed, _spread, _unpack
-
-
-def _byte_width(bound):
-    "The least whole number of bytes B, in bits, with bound < 2^(B-2)."
-    return (bound.bit_length() + 9) // 8 * 8
+from .epoly import (IDENTITY_PRODUCT, _Norms, _Packed, _byte_width, _spread,
+                    _unpack)
 
 
 def _exact_quotient(a, b):
@@ -80,10 +77,11 @@ def _product_side(ring, plus, minus, top):
                      for n in range(1, top + 1)]
 
 
+@lru_cache(maxsize=None)
 def _bound(e, r, top):
     """A bound on the l1 norm, so on every digit, of the product side at
     each M <= top and of every value it re-spreads: _product_side run once
-    on _Norms."""
+    on _Norms, for the cost prediction and the check alike."""
     norms = _Norms(e, r, top)
     bounds = _product_side(norms, norms.totals, norms.totals, top)
     return max(bounds[1:] + [norms.peak])
@@ -91,10 +89,10 @@ def _bound(e, r, top):
 
 def predicted_work(e, r, top):
     """The identity check's term of the cost rule (see epoly): about
-    (3 + m) w products at each weight w <= top, of values at the width that
-    twice _bound needs (at most a byte above the check's own), each
-    IDENTITY_PRODUCT s_w^1.585 word operations."""
-    width = _byte_width(2 * _bound(e, r, top))
+    (3 + m) w products at each weight w <= top, of values at the width
+    with one spare bit more than the check's own (at most a byte above
+    it), each IDENTITY_PRODUCT s_w^1.585 word operations."""
+    width = _byte_width(_bound(e, r, top), 3)
     a, m = abs(e), max(0, -e)
     return sum(IDENTITY_PRODUCT * (3 + m) * w
                * (width * (2 * a * w * w + 1) / 64) ** 1.585
@@ -105,7 +103,7 @@ def agrees(table, lhs, r, top):
     """Whether the product side, unpacked at the least byte width B that
     _bound proves, equals (M-1)! times the left side's digit list lhs[M], a
     D_M^m M V_M at offset |e| M^2, for every M <= top."""
-    width = _byte_width(_bound(table.e, r, top))
+    width = _byte_width(_bound(table.e, r, top), 2)
     plus, minus = ([1] + [_spread(table.series_at(j, w),
                                   table.packed.digit_count(w),
                                   table.packed.width, width)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -423,6 +424,88 @@ def test_width_bound_counts_every_partition():
         want = [sum(a_plus(lam) ** r for lam in all_partitions(w)) << (e * w)
                 for w in range(11)]
         assert epoly._group_totals(e, r, 10) == want
+
+
+def _width_from_scratch(e, r, top):
+    """The width proof rerun from weight 1 at every call, as _width did
+    before it kept a ledger."""
+    norms, c = epoly._Norms(e, r, top), [0]
+    for w in range(1, top + 1):
+        c.append(epoly._log_step(norms, norms.totals, c, w))
+    logs = [bound << r for bound in c]
+    bound = max([0] + [epoly._adams_terms(norms, logs, w, 1)
+                       for w in range(1, top + 1)])
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
+def test_width_ledger_matches_the_proof_from_scratch(monkeypatch):
+    """_width, extending one ledger per (e, r) in shuffled request order,
+    equals the proof rerun from weight 1; also where a weight's sum bound
+    falls below an earlier one, so that only the running maximum keeps the
+    width covering every weight up to top (the real bounds rise with the
+    weight)."""
+    points = [(e, r, top) for e in range(-2, 9) for r in range(7)
+              for top in range(1, 36)]
+    random.Random(33).shuffle(points)
+    monkeypatch.setattr(epoly, "_LEDGERS", {})
+    for point in points:
+        assert epoly._width(*point) == _width_from_scratch(*point), point
+    real = epoly._adams_terms
+    monkeypatch.setattr(epoly, "_adams_terms",
+                        lambda ring, logs, n, step:
+                        0 if n % 4 == 3 else real(ring, logs, n, step))
+    monkeypatch.setattr(epoly, "_LEDGERS", {})
+    for point in points[:300]:
+        assert epoly._width(*point) == _width_from_scratch(*point), point
+
+
+def test_packed_table_holds_the_width_it_is_priced_at():
+    """Grown in any request order, a table's digits have the width that
+    _width proves for the largest weight grown, the width _check_cost
+    prices, and no wider."""
+    for e, r in ((-2, 0), (-1, 1), (1, 2), (3, 3)):
+        shuffled = list(range(1, 11))
+        random.Random(e).shuffle(shuffled)
+        for order in (range(1, 11), range(10, 0, -1), shuffled):
+            _clear_formula_caches()
+            table, top = epoly._log_table(e, r, MATCHED), 0
+            for w in order:
+                table.log_at(r, w)
+                top = max(top, w)
+                assert table.packed.width == epoly._width(e, r, top), \
+                    (e, r, list(order), w)
+
+
+def test_width_proofs_run_once_per_weight(monkeypatch):
+    """On fresh caches, an identity check to order 10 at (2, 3) and then
+    ranks 1-12 one at a time at (4, 3) run the table's width proof
+    (_log_step on _Norms) once per (e, r, w) and the identity check's
+    (_product_side on _Norms, in kronecker._bound) once per (e, r, top),
+    for the cost prediction and the check alike."""
+    _clear_formula_caches()
+    epoly._check_cost.cache_clear()
+    kronecker._bound.cache_clear()
+    monkeypatch.setattr(epoly, "_LEDGERS", {})
+    weights, tops = [], []
+    log_step, product_side = epoly._log_step, kronecker._product_side
+
+    def spy_log_step(ring, a, c, w):
+        if isinstance(ring, epoly._Norms):
+            weights.append(w)
+        return log_step(ring, a, c, w)
+
+    def spy_product_side(ring, plus, minus, top):
+        if isinstance(ring, epoly._Norms):
+            tops.append(top)
+        return product_side(ring, plus, minus, top)
+
+    monkeypatch.setattr(epoly, "_log_step", spy_log_step)
+    monkeypatch.setattr(kronecker, "_product_side", spy_product_side)
+    assert gen_function_check(10, SurfaceData(2, 3))
+    for n in range(1, 13):
+        e_poly(n, SurfaceData(4, 3))
+    assert sorted(weights) == sorted([*range(1, 11), *range(1, 13)])
+    assert tops == [10]
 
 
 def test_packed_table_grows_in_any_order_without_a_rebuild(monkeypatch):

@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -523,6 +524,50 @@ def test_primitive_roots():
     # cached per (field, order): an equal field reads the same tuple
     assert primitive_roots_of_unity(PrimeField(5), 4) is (
         primitive_roots_of_unity(F5, 4))
+
+
+def test_primitive_roots_match_the_order_definition():
+    """Roots found by the prime divisors of their order are the elements
+    whose least k >= 1 with x^k = 1 is that order, for every odd prime
+    q < 200."""
+    for q in range(3, 200, 2):
+        if not fforacle._is_prime(q):
+            continue
+        orders = [None] + [next(k for k in range(1, q) if pow(x, k, q) == 1)
+                           for x in range(1, q)]
+        for order in (2, 4, 6):
+            assert primitive_roots_of_unity(PrimeField(q), order) == tuple(
+                x for x in range(1, q) if orders[x] == order), (q, order)
+
+
+def test_class_table_refused_from_q_before_any_sieve(monkeypatch):
+    """GL_3(F_q) has q^3 - q classes: the table is refused from n and q
+    before irreducibles sieves anything, from q = 127 at the real budget
+    (2,048,256 classes; GL_3(F_113) has 1,442,784) and at q = 11 (1,320)
+    under a budget of 1000.  A count is refused so too, before xi's order
+    is checked."""
+    monkeypatch.setattr(fforacle, "irreducibles", _refused)
+    monkeypatch.setattr(fforacle, "_TABLES", {})
+    fforacle._check_class_count(3, 113)
+    with pytest.raises(GroupTooLarge, match=r"^2048256 classes of "
+                       r"GL_3\(F_127\) exceed the budget$"):
+        class_table(3, PrimeField(127))
+    with pytest.raises(GroupTooLarge, match=r"^2048256 classes"):
+        count_representation_variety(3, PrimeField(127), SurfaceData(0, 1), 1)
+    monkeypatch.setattr(fforacle, "_GROUP_BUDGET", 1000)
+    with pytest.raises(GroupTooLarge, match=r"^1320 classes of GL_3\(F_11\)"):
+        class_table(3, PrimeField(11))
+
+
+def test_rank2_count_refused_before_the_root_check():
+    """GL_2(F_4001)'s character sum is over the budget, known from q alone,
+    so a count there is refused at once, without a search of F_q*."""
+    field = PrimeField(4001)
+    xi = next(x for x in range(2, 4001) if x * x % 4001 == 4000)
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLarge, match="characters on"):
+        count_representation_variety(2, field, SurfaceData(2, 1), xi)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_count_rank1():
