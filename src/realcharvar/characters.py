@@ -36,7 +36,7 @@ from math import isqrt
 import numpy as np
 
 from . import fforacle
-from .algebra import ExactnessError
+from .laurent import ExactnessError
 
 # class types, the column index of _coefficients
 SCALAR, UNIPOTENT, SPLIT, ELLIPTIC = range(4)
@@ -117,10 +117,9 @@ def _class_logs(table):
 
 def _refuse_beyond_budget(characters, classes, q):
     "GroupTooLarge when characters on classes are more values than the budget."
-    if characters * classes > fforacle._GROUP_BUDGET:
-        raise fforacle.GroupTooLarge(
-            "%d characters on %d classes at q = %d exceed the budget"
-            % (characters, classes, q))
+    fforacle._refuse_over_budget(characters * classes,
+                                 "%d characters on %d classes at q = %d",
+                                 characters, classes, q)
 
 
 def check_budget(n, q):

@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .algebra import HalfPowerPolynomial, format_poly, format_poly_latex
+from .laurent import HalfPowerPolynomial, format_poly, format_poly_latex
 from .epoly import (CONVENTIONS, MATCHED, SurfaceData, check_cost, e_poly,
                     e_poly_component, euler_char_component,
                     gen_function_check)

@@ -73,8 +73,7 @@ from itertools import chain, combinations_with_replacement, groupby
 from itertools import product as iproduct
 from math import comb, factorial, isqrt
 
-from .algebra import (ExactnessError, HalfPowerPolynomial, ONE,
-                      RationalFunction, U, moebius)
+from .laurent import ExactnessError, HalfPowerPolynomial, ONE, U, moebius
 from .partitions import (all_partitions, conjugate, hooks, multiplicities,
                          n_lambda, partition_count, weight)
 from .symfun import a_minus, a_plus
@@ -347,9 +346,11 @@ def _hook_factor(lam_hooks, w, e, width):
 
 def _over_denominator(poly, e, w):
     """poly / D_w^(-e) as a RationalFunction for e < 0, with
-    D_w = prod over i <= w of (1 - q^i) = u^w H_(w); poly for e >= 0."""
+    D_w = prod over i <= w of (1 - q^i) = u^w H_(w); poly for e >= 0.  Only
+    the reference V_n and verify call it, so only they load algebra."""
     if e >= 0:
         return poly
+    from .algebra import RationalFunction
     return RationalFunction(poly, (U ** w * hook_polynomial((w,))) ** -e)
 
 
@@ -737,14 +738,12 @@ def complex_curve_e_poly(n, g):
     sum_lam H_lam^(2g-2) T^|lam| (the partition series with r = j = 0):
     (q-1)^2 q^(n^2 (g-1)) times its T^n coefficient, the Adams sum over
     every d | n of the table at e = 2g - 2, divided by n.  A remainder
-    raises NotPolynomial.  The polynomial is wrapped as a RationalFunction
-    with denominator 1.
+    raises NotPolynomial.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
     table = _log_table(2 * g - 2, 0, MATCHED)
-    return RationalFunction(_prefactored(
-        table, _adams_sum(table, {0: 1}, n, 1), n, 2, n,
-        "E_%d of the genus-%d complex curve" % (n, g)))
+    return _prefactored(table, _adams_sum(table, {0: 1}, n, 1), n, 2, n,
+                        "E_%d of the genus-%d complex curve" % (n, g))

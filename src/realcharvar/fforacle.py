@@ -48,6 +48,7 @@ whose int64 range is checked before it runs; all class-function values are
 exact Python integers.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -55,7 +56,7 @@ from math import factorial
 import numpy as np
 
 from . import epoly
-from .algebra import ExactnessError
+from .laurent import ExactnessError
 from .partitions import all_partitions, centralizer_order, multiplicities
 
 
@@ -83,6 +84,13 @@ _GROUP_BUDGET = 2_000_000      # elements swept in one pass
 # import floor by +3.5 MB at 1 << 14, +1.3 MB at 1 << 12 and +0.7 MB at
 # both 1 << 10 and 1 << 8
 _F_BLOCK = 1 << 10
+
+
+def _refuse_over_budget(size, message, *args):
+    """Refuse (GroupTooLarge) a sweep or table of size more than the budget,
+    with message % args, which leads with a count, and "exceed the budget"."""
+    if size > _GROUP_BUDGET:
+        raise GroupTooLarge((message + " exceed the budget") % args)
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -113,35 +121,23 @@ def _is_prime(m):
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class PrimeField:
     "Odd prime field F_q."
 
-    __slots__ = ("q",)
+    q: int
 
-    def __init__(self, q):
-        if not _is_prime(q):
-            raise ValueError("q = %d is not prime" % q)
-        if q == 2:
+    def __post_init__(self):
+        if not _is_prime(self.q):
+            raise ValueError("q = %d is not prime" % self.q)
+        if self.q == 2:
             raise ValueError("the symmetric-form split needs odd characteristic")
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeField is immutable")
 
     def inv(self, a):
         a %= self.q
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, -1, self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.q == other.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return "PrimeField(%d)" % self.q
 
 
 # -- matrices over F_q ----------------------------------------------------
@@ -312,9 +308,7 @@ def _check_class_count(n, q):
     if not 1 <= n <= 3:
         raise UnsupportedRank("class tables for n <= 3 only")
     classes = (q - 1, q * q - 1, q ** 3 - q)[n - 1]
-    if classes > _GROUP_BUDGET:
-        raise GroupTooLarge("%d classes of GL_%d(F_%d) exceed the budget"
-                            % (classes, n, q))
+    _refuse_over_budget(classes, "%d classes of GL_%d(F_%d)", classes, n, q)
 
 
 class ClassTable:
@@ -474,9 +468,7 @@ def _lines(count, q):
     """The number of lines through 0 of F_q^count, (q^count - 1) / (q - 1);
     more than the sweep budget are refused."""
     m = (q ** count - 1) // (q - 1)
-    if m > _GROUP_BUDGET:
-        raise GroupTooLarge("%d lines at q = %d exceed the sweep budget"
-                            % (m, q))
+    _refuse_over_budget(m, "%d lines at q = %d", m, q)
     return m
 
 
@@ -503,9 +495,7 @@ def _digits(count, q):
     lists every n x n matrix in encode order.  More strings than the sweep
     budget are refused before any is made."""
     m = q ** count
-    if m > _GROUP_BUDGET:
-        raise GroupTooLarge("%d digit strings at q = %d exceed the sweep "
-                            "budget" % (m, q))
+    _refuse_over_budget(m, "%d digit strings at q = %d", m, q)
     return _decode(np.arange(m, dtype=np.int64), count, q)
 
 
@@ -536,27 +526,19 @@ def class_table(n, field):
     return table
 
 
+@dataclass(frozen=True, slots=True)
 class ClassFunction:
-    "Integer-valued class function on a fixed class table."
+    """Integer-valued class function on a fixed class table; equal when the
+    table is the same object and the values agree."""
 
-    __slots__ = ("table", "values")
+    table: "ClassTable"
+    values: tuple
 
-    def __init__(self, table, values):
-        values = tuple(int(v) for v in values)
-        if len(values) != table.class_count():
+    def __post_init__(self):
+        values = tuple(int(v) for v in self.values)
+        if len(values) != self.table.class_count():
             raise ValueError("value count does not match the class count")
-        object.__setattr__(self, "table", table)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassFunction is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassFunction) and self.table is other.table
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash(self.values)
 
     def support(self):
         return tuple(i for i, v in enumerate(self.values) if v)

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ExactnessError
+from .laurent import ExactnessError
 from .fforacle import (ClassFunction, GroupTooLarge, _decode,
                        _nullspace_mod, _stack, charpoly_mod, det_mod,
                        inverse_label)

@@ -16,7 +16,7 @@ that never check the identity do not compile it.
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .algebra import ExactnessError, moebius
+from .laurent import ExactnessError, moebius
 from .epoly import (IDENTITY_PRODUCT, _Norms, _Packed, _byte_width, _spread,
                     _unpack)
 

@@ -20,14 +20,15 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial
 
-from .algebra import (ConstantTermNotOne, ExactnessError,
-                      HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE, RF_ONE,
-                      RF_ZERO, RationalFunction, TruncatedSeries, ZERO, adams,
-                      formal_exp, formal_log, moebius, pleth_log)
+from .algebra import (ConstantTermNotOne, RF_ONE, RF_ZERO, RationalFunction,
+                      TruncatedSeries, adams, formal_exp, formal_log,
+                      pleth_log)
 from .epoly import (MATCHED, TRANSPOSED, SurfaceData, _over_denominator,
                     _real_table, _unpack, e_poly, e_poly_component,
                     euler_char_component, gen_function_check,
                     hook_polynomial, partition_multisets, v_n)
+from .laurent import (ExactnessError, HalfPowerPolynomial, ONE, Q,
+                      Q_MINUS_ONE, ZERO, moebius)
 from .partitions import all_partitions, conjugate, multiplicities, weight
 from .symfun import a_minus, a_plus
 from . import characters, fforacle, ffreference

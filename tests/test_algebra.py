@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from realcharvar.algebra import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE,
-                                 RF_ONE, RF_ZERO, RationalFunction,
-                                 TruncatedSeries, U,
-                                 ConstantTermNotOne, OddExponent, adams,
-                                 format_poly, formal_exp, formal_log, moebius,
-                                 pleth_log, poly_divmod, poly_gcd)
+from realcharvar.algebra import (RF_ONE, RF_ZERO, RationalFunction,
+                                 TruncatedSeries, ConstantTermNotOne, adams,
+                                 formal_exp, formal_log, pleth_log,
+                                 poly_divmod, poly_gcd)
+from realcharvar.laurent import (HalfPowerPolynomial, ONE, Q, Q_MINUS_ONE, U,
+                                 OddExponent, format_poly, moebius)
 from realcharvar.verify import rational_exponent_pow
 
 

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from realcharvar.algebra import (ONE, RF_ONE, RF_ZERO, HalfPowerPolynomial,
-                                 RationalFunction, TruncatedSeries, U, adams,
-                                 formal_exp, formal_log, moebius, pleth_log,
-                                 poly_divmod, poly_gcd)
+from realcharvar.algebra import (RF_ONE, RF_ZERO, RationalFunction,
+                                 TruncatedSeries, adams, formal_exp,
+                                 formal_log, pleth_log, poly_divmod, poly_gcd)
+from realcharvar.laurent import ONE, HalfPowerPolynomial, U, moebius
 
 PROPERTIES = settings(max_examples=50, deadline=None, database=None,
                       derandomize=True)

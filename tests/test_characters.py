@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from realcharvar import characters, fforacle
-from realcharvar.algebra import ExactnessError
+from realcharvar.laurent import ExactnessError
 from realcharvar.epoly import SurfaceData
 from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
                                   PrimeField, class_fn_N, class_table,

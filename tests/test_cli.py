@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from realcharvar import cli, epoly
-from realcharvar.algebra import HalfPowerPolynomial, ZERO
+from realcharvar.laurent import HalfPowerPolynomial, ZERO
 from realcharvar.cli import UsageError, main, parse_n_range
 from realcharvar.epoly import (SurfaceData, e_poly, e_poly_component,
                                euler_char_component)
@@ -189,7 +189,7 @@ def test_formula_commands_do_not_load_numpy():
     """Only verify needs the finite-field oracle and with it numpy; only
     genfun loads the identity check.  Neither the formula commands nor a
     rank-2 or rank-3 count load the reference routes of verify and
-    ffreference."""
+    ffreference, or the rational reference layer of algebra."""
     import os
     import pathlib
     import subprocess
@@ -208,9 +208,11 @@ def test_formula_commands_do_not_load_numpy():
         "                  '--k', '1']):\n"
         "        assert realcharvar.cli.main(argv) == 0\n"
         "    assert 'realcharvar.kronecker' not in sys.modules\n"
+        "    assert 'realcharvar.algebra' not in sys.modules\n"
         "    argv = ['genfun', '--N', '2', '--g', '1', '--r', '1']\n"
         "    assert realcharvar.cli.main(argv) == 0\n"
         "assert 'realcharvar.kronecker' in sys.modules\n"
+        "assert 'realcharvar.algebra' not in sys.modules\n"
         "assert 'numpy' not in sys.modules\n"
         "from realcharvar import fforacle\n"
         "from realcharvar.epoly import SurfaceData\n"
@@ -218,7 +220,8 @@ def test_formula_commands_do_not_load_numpy():
         "    assert fforacle.compare_with_formula(\n"
         "        n, fforacle.PrimeField(q), SurfaceData(0, 1), xi=xi)['equal']\n"
         "assert 'realcharvar.verify' not in sys.modules\n"
-        "assert 'realcharvar.ffreference' not in sys.modules\n")
+        "assert 'realcharvar.ffreference' not in sys.modules\n"
+        "assert 'realcharvar.algebra' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))

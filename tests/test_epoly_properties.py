@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realcharvar import epoly
-from realcharvar.algebra import (HalfPowerPolynomial, Q_MINUS_ONE, moebius,
-                                 poly_divmod)
+from realcharvar.algebra import poly_divmod
+from realcharvar.laurent import HalfPowerPolynomial, Q_MINUS_ONE, moebius
 from realcharvar.epoly import (CONVENTIONS, NotDivisible,
                                SurfaceData, e_poly, e_poly_component,
                                euler_char_component)

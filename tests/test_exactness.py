@@ -9,7 +9,7 @@ import pytest
 
 import realcharvar
 from realcharvar import cli, epoly, fforacle, ffreference
-from realcharvar.algebra import ExactnessError, OddExponent, U
+from realcharvar.laurent import ExactnessError, OddExponent, U
 from realcharvar.verify import exact_int
 
 F3 = fforacle.PrimeField(3)

@@ -12,8 +12,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from realcharvar import algebra, epoly, fforacle, ffreference
-from realcharvar.algebra import ExactnessError, moebius
+from realcharvar import epoly, fforacle, ffreference, laurent
+from realcharvar.laurent import ExactnessError, moebius
 from realcharvar.epoly import (MATCHED, TRANSPOSED, EvenK, KOutOfRange,
                                SurfaceData)
 from realcharvar.fforacle import (ClassFunction, ClassTable, GroupTooLarge,
@@ -1198,7 +1198,7 @@ def test_counts_build_no_fraction(monkeypatch):
     # in ints: rebuilt from empty caches with Fraction unusable, they give
     # their values again
     want = _atom_and_count_values()
-    monkeypatch.setattr(algebra, "Fraction", _NoFraction)
+    monkeypatch.setattr(laurent, "Fraction", _NoFraction)
     for module in (fforacle, epoly):
         monkeypatch.setattr(module, "Fraction", _NoFraction, raising=False)
     monkeypatch.setattr(fforacle, "_TABLES", {})
@@ -1213,7 +1213,7 @@ def test_oracle_builds_no_polynomial(monkeypatch):
     # the counts give their values again; formula_count reads the
     # E-polynomials assembled by the first pass
     want = _atom_and_count_values()
-    HPP = algebra.HalfPowerPolynomial
+    HPP = laurent.HalfPowerPolynomial
     monkeypatch.setattr(HPP, "__init__", _refused)
     monkeypatch.setattr(HPP, "_raw", classmethod(_refused))
     with pytest.raises(AssertionError, match="refused"):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 from realcharvar.ffreference import ell_odd
-from realcharvar.algebra import ONE, Q, HalfPowerPolynomial
+from realcharvar.laurent import ONE, Q, HalfPowerPolynomial
 from realcharvar.partitions import (all_partitions, centralizer_order,
                                     conjugate, hooks, multiplicities,
                                     n_lambda, partition_count, weight)
